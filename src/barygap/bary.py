@@ -2,24 +2,29 @@
 multimarginal transport LP, the union-support 2-approximation, and the
 quantize-and-split uniformization transform.
 
-The k-marginal LP has one variable per support tuple; entries of its cost
-tensor are inner hub solves (closed form at p=q=2).  Desk-scale caps guard
-every enumeration.
+The k-marginal LP has one variable per support tuple, flat in the package's
+one tuple order (numpy C order: ``np.unravel_index`` maps a flat position to
+its tuple); entries of its cost tensor are inner hub solves (closed form at
+p=q=2).  One helper solves every transport LP, two-marginal and k-marginal:
+an assignment when two equal-size uniform marginals make the optimum a
+permutation (Birkhoff), otherwise HiGHS on a sparse marginal matrix, or the
+exact rational tableau.  Desk-scale caps guard every enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, ResourceCapError
 from .fpq import FpqProblem, solve_fpq
+from .graph import _iter_tuple_chunks
 from .simplex import solve_lp
 
 DEFAULT_LP_CAP = 10**5
@@ -128,15 +133,6 @@ class BaryInstance:
     def d(self):
         return self.measures[0].d
 
-    def support_diameter_power(self):
-        """R_{p,q}: p-th power of the l_q diameter of the union support."""
-        pts = np.vstack([m.atoms for m in self.measures])
-        best = 0.0
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                best = max(best, _norm_q(pts[i] - pts[j], self.q))
-        return best**self.p
-
     def to_json(self):
         return {
             "p": self.p,
@@ -188,27 +184,6 @@ class TransportTensor:
             worst = max(worst, float(np.abs(self.marginal(i) - mu.masses).max()))
         return worst
 
-    def total_mass(self):
-        return float(sum(self.entries.values()))
-
-
-@dataclass
-class CostOracle:
-    """Deterministic tuple -> cost callback with caching and max tracking."""
-
-    fn: object
-    cache: dict = field(default_factory=dict)
-
-    def __call__(self, t):
-        t = tuple(t)
-        if t not in self.cache:
-            self.cache[t] = self.fn(t)
-        return self.cache[t]
-
-    @property
-    def c_max(self):
-        return max((abs(v) for v in self.cache.values()), default=0.0)
-
 
 # ---------------------------------------------------------------------------
 # Optimal transport between two measures
@@ -223,6 +198,57 @@ def _pairwise_cost(a, b, p, q):
     return m**p
 
 
+def _marginal_matrix(shape):
+    """Sparse (sum(shape), prod(shape)) matrix of the marginal constraints.
+
+    Column f is the tensor entry at flat C-order position f; row
+    ``sum(shape[:i]) + j`` sums the entries whose index on axis i is j.
+    """
+    total = int(np.prod(shape))
+    idx = np.unravel_index(np.arange(total), shape)
+    offsets = np.cumsum((0,) + tuple(shape[:-1]))
+    rows = np.concatenate([off + ix for off, ix in zip(offsets, idx)])
+    cols = np.tile(np.arange(total), len(shape))
+    return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(sum(shape), total))
+
+
+def _rationals(values):
+    """Fractions kept as they are; floats to denominators <= 10^12."""
+    return [v if isinstance(v, Fraction) else Fraction(v).limit_denominator(10**12) for v in values]
+
+
+def _transport_lp(measures, costs, exact=False):
+    """Cheapest coupling of ``measures`` under flat C-order tuple ``costs``.
+
+    Returns (value, plan).  Two equal-size uniform marginals make the
+    optimum a permutation (Birkhoff), found as an assignment; every other
+    float LP goes to HiGHS.  ``exact`` solves in Fractions and returns a
+    Fraction value and plan.
+    """
+    shape = tuple(m.size for m in measures)
+    if (
+        not exact
+        and len(shape) == 2
+        and shape[0] == shape[1]
+        and all(m.is_uniform() for m in measures)
+    ):
+        cost = np.asarray(costs, dtype=float).reshape(shape)
+        rows, cols = linear_sum_assignment(cost)
+        n = shape[0]
+        plan = TransportTensor(shape, {(int(r), int(c)): 1.0 / n for r, c in zip(rows, cols)})
+        return float(cost[rows, cols].sum() / n), plan
+    A = _marginal_matrix(shape)
+    b = np.concatenate([m.masses for m in measures])
+    if exact:
+        value, x = solve_lp(A.toarray(), _rationals(b), _rationals(costs), exact=True)
+        support = np.nonzero(x > 0)[0]
+    else:
+        value, x = solve_lp(A, b, np.asarray(costs, dtype=float))
+        support = np.nonzero(x > 1e-12)[0]
+    tuples = zip(*(ix.tolist() for ix in np.unravel_index(support, shape)))
+    return value, TransportTensor(shape, dict(zip(tuples, x[support].tolist())))
+
+
 def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEFAULT_LP_CAP):
     """Optimal value and plan of the transportation LP with cost ||x-y||_q^p."""
     if mu.d != nu.d:
@@ -234,39 +260,7 @@ def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEF
             required=nm * nn, cap=cap,
         )
     cost = _pairwise_cost(mu.atoms, nu.atoms, p, q)
-    if (
-        not exact
-        and nm == nn
-        and nm > 64
-        and mu.is_uniform()
-        and nu.is_uniform()
-    ):
-        # equal uniform marginals: LP optimum is a permutation (Birkhoff)
-        rows, cols = linear_sum_assignment(cost)
-        value = float(cost[rows, cols].sum() / nm)
-        plan = TransportTensor(
-            (nm, nn), {(int(r), int(c)): 1.0 / nm for r, c in zip(rows, cols)}
-        )
-        return value, plan
-    A = np.zeros((nm + nn, nm * nn))
-    for i in range(nm):
-        A[i, i * nn : (i + 1) * nn] = 1.0
-    for j in range(nn):
-        A[nm + j, j::nn] = 1.0
-    b = np.concatenate([mu.masses, nu.masses])
-    if exact:
-        bf = [Fraction(x).limit_denominator(10**12) for x in b]
-        cf = [Fraction(x).limit_denominator(10**12) for x in cost.ravel()]
-        value, x = solve_lp(A, np.array(bf, dtype=object), np.array(cf, dtype=object), exact=True)
-        entries = {
-            (i // nn, i % nn): v for i, v in enumerate(x) if v > 0
-        }
-        return value, TransportTensor((nm, nn), entries)
-    value, x = solve_lp(A, b, cost.ravel())
-    entries = {
-        (i // nn, i % nn): float(v) for i, v in enumerate(x) if v > 1e-12
-    }
-    return float(value), TransportTensor((nm, nn), entries)
+    return _transport_lp([mu, nu], cost.ravel(), exact)
 
 
 def wasserstein_pq(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, cap=DEFAULT_LP_CAP):
@@ -296,27 +290,15 @@ class MotResult:
     value_exact: Fraction | None = None
 
 
-def _tuple_iter(shape):
-    return itertools.product(*(range(s) for s in shape))
-
-
 def _cost_closed_form_22(inst):
     """Vectorized p=q=2 costs over all tuples: sum lam ||x||^2 - ||sum lam x||^2 / sum lam."""
     shape = tuple(m.size for m in inst.measures)
     lam = inst.weights
-    total = int(np.prod(shape))
-    costs = np.zeros(total)
-    sq = [np.einsum("ij,ij->i", m.atoms, m.atoms) for m in inst.measures]
-    flat = np.arange(total)
-    idx = []
-    rem = flat
-    for s in reversed(shape):
-        idx.append(rem % s)
-        rem = rem // s
-    idx = idx[::-1]
-    acc = np.zeros((total, inst.d))
+    idx = np.unravel_index(np.arange(int(np.prod(shape))), shape)
+    costs = np.zeros(idx[0].size)
+    acc = np.zeros((idx[0].size, inst.d))
     for i, m in enumerate(inst.measures):
-        costs += lam[i] * sq[i][idx[i]]
+        costs += lam[i] * np.einsum("ij,ij->i", m.atoms, m.atoms)[idx[i]]
         acc += lam[i] * m.atoms[idx[i]]
     costs -= np.einsum("ij,ij->i", acc, acc) / lam.sum()
     return costs
@@ -325,22 +307,22 @@ def _cost_closed_form_22(inst):
 def _cost_exact_22(inst):
     """Exact rational p=q=2 costs; needs integer atoms and rational weights."""
     shape = tuple(m.size for m in inst.measures)
-    atoms = [m.atoms for m in inst.measures]
-    for a in atoms:
-        if not np.allclose(a, np.round(a)):
+    for m in inst.measures:
+        if not np.allclose(m.atoms, np.round(m.atoms)):
             raise InputError("exact mode needs integer-valued atoms")
-    k = inst.k
+    atoms = [np.round(m.atoms).astype(int) for m in inst.measures]
     lam = [Fraction(w).limit_denominator(10**9) for w in inst.weights]
     costs = []
-    for t in _tuple_iter(shape):
-        xs = [np.round(atoms[i][t[i]]).astype(int) for i in range(k)]
-        s = sum(l * int(x @ x) for l, x in zip(lam, xs))
-        acc = [Fraction(0)] * inst.d
-        for l, x in zip(lam, xs):
-            for c in range(inst.d):
-                acc[c] += l * int(x[c])
-        s -= sum(a * a for a in acc) / sum(lam)
-        costs.append(s)
+    for cols in _iter_tuple_chunks(shape):
+        for t in cols:
+            xs = [a[j] for a, j in zip(atoms, t)]
+            s = sum(l * int(x @ x) for l, x in zip(lam, xs))
+            acc = [Fraction(0)] * inst.d
+            for l, x in zip(lam, xs):
+                for c in range(inst.d):
+                    acc[c] += l * int(x[c])
+            s -= sum(a * a for a in acc) / sum(lam)
+            costs.append(s)
     return costs
 
 
@@ -353,10 +335,12 @@ def bary_value_mot(
 ) -> MotResult:
     """Exact barycenter value as the k-marginal transport LP.
 
-    Cost entries are hub solves to tolerance tol/2 (closed form at p=q=2),
-    so the LP value carries at most tol additive error.  ``cost_values``
-    lets callers inject a precomputed cost vector in lexicographic tuple
-    order (the reduction pipeline reuses its class-cached sweep).
+    Cost entries are hub solves to tolerance tol/2 (closed form at p=q=2).
+    The reported ``tolerance`` is the larger of ``tol`` and the largest
+    tolerance a hub solve reports, which bounds the LP value's error.
+    ``cost_values`` lets callers inject a precomputed flat cost array in the
+    package's tuple order (the reduction pipeline reuses its class-cached
+    sweep).
     """
     shape = tuple(m.size for m in inst.measures)
     total = int(np.prod([float(s) for s in shape]))
@@ -364,17 +348,9 @@ def bary_value_mot(
         raise ResourceCapError(
             f"MOT LP with {total} variables exceeds cap {cap}", required=total, cap=cap
         )
-    k = inst.k
-
-    if inst.k == 2 and cost_values is None and not exact:
-        mu, nu = inst.measures
-        if mu.size == nu.size and mu.size * nu.size > 64 and mu.is_uniform() and nu.is_uniform():
-            # 2-marginal plan over equal uniform marginals is a permutation
-            value, plan = _mot_k2_fast(inst)
-            return MotResult(value=value, plan=plan, tolerance=tol)
-
+    tolerance = tol
     if cost_values is not None:
-        costs = np.asarray(cost_values, dtype=float)
+        costs = np.asarray(cost_values)
         if costs.shape != (total,):
             raise InputError(f"cost_values must have shape ({total},)")
     elif exact:
@@ -384,87 +360,20 @@ def bary_value_mot(
     elif inst.p == 2 and inst.q == 2:
         costs = _cost_closed_form_22(inst)
     else:
-        def hub_cost(t):
-            pts = np.stack([inst.measures[i].atoms[t[i]] for i in range(k)])
-            sol = solve_fpq(
-                FpqProblem(pts, inst.p, inst.q, weights=inst.weights), tol=tol / 2
-            )
-            return sol.value
+        costs = []
+        for cols in _iter_tuple_chunks(shape):
+            for t in cols:
+                pts = np.stack([m.atoms[j] for m, j in zip(inst.measures, t)])
+                sol = solve_fpq(
+                    FpqProblem(pts, inst.p, inst.q, weights=inst.weights), tol=tol / 2
+                )
+                costs.append(sol.value)
+                tolerance = max(tolerance, sol.tolerance)
 
-        oracle = CostOracle(fn=hub_cost)
-        costs = np.fromiter(
-            (oracle(t) for t in _tuple_iter(shape)), dtype=float, count=total
-        )
-
-    A_rows = sum(shape)
-    A = np.zeros((A_rows, total))
-    row = 0
-    flat_idx = np.arange(total)
-    strides = []
-    rem = 1
-    for s in reversed(shape):
-        strides.append(rem)
-        rem *= s
-    strides = strides[::-1]
-    for i, s in enumerate(shape):
-        coord = (flat_idx // strides[i]) % s
-        for j in range(s):
-            A[row + j, coord == j] = 1.0
-        row += s
-    b = np.concatenate([m.masses for m in inst.measures])
-
+    value, plan = _transport_lp(inst.measures, costs, exact)
     if exact:
-        bf = np.array([Fraction(x).limit_denominator(10**12) for x in b], dtype=object)
-        cf = np.array(list(costs), dtype=object)
-        value, x = solve_lp(A, bf, cf, exact=True)
-        entries = {}
-        for flat, v in enumerate(x):
-            if v > 0:
-                t = tuple((flat // strides[i]) % shape[i] for i in range(k))
-                entries[t] = v
-        return MotResult(
-            value=float(value), plan=TransportTensor(shape, entries),
-            tolerance=0.0, value_exact=value,
-        )
-    value, x = solve_lp(A, b, np.asarray(costs, dtype=float))
-    entries = {}
-    for flat in np.nonzero(x > 1e-12)[0]:
-        t = tuple(int((flat // strides[i]) % shape[i]) for i in range(k))
-        entries[t] = float(x[flat])
-    return MotResult(value=float(value), plan=TransportTensor(shape, entries), tolerance=tol)
-
-
-def _mot_k2_fast(inst):
-    """Assignment fast path for two equal-size uniform measures."""
-    mu, nu = inst.measures
-    lam = inst.weights
-    n = mu.size
-    # hub cost per pair: min_y lam1||a-y||^p + lam2||b-y||^p along the segment
-    diff = _pairwise_cost(mu.atoms, nu.atoms, 1.0, inst.q)  # plain distances
-    if inst.p == 1:
-        cost = np.minimum(lam[0], lam[1]) * diff
-    elif inst.p == 2:
-        cost = (lam[0] * lam[1] / lam.sum()) * diff**2
-    else:
-        # vectorized ternary search for min_t lam1 t^p + lam2 (D - t)^p on [0, D]
-        dv = diff.ravel()
-        lo = np.zeros_like(dv)
-        hi = dv.copy()
-
-        def seg(t):
-            return lam[0] * t**inst.p + lam[1] * (dv - t) ** inst.p
-
-        for _ in range(80):
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            better = seg(m1) <= seg(m2)
-            hi = np.where(better, m2, hi)
-            lo = np.where(better, lo, m1)
-        cost = seg(0.5 * (lo + hi)).reshape(diff.shape)
-    rows, cols = linear_sum_assignment(cost)
-    value = float(cost[rows, cols].sum() / n)
-    plan = TransportTensor((n, n), {(int(r), int(c)): 1.0 / n for r, c in zip(rows, cols)})
-    return value, plan
+        return MotResult(value=float(value), plan=plan, tolerance=0.0, value_exact=value)
+    return MotResult(value=value, plan=plan, tolerance=tolerance)
 
 
 def extract_barycenter(plan: TransportTensor, inst: BaryInstance, tol: float = 1e-8):
@@ -505,29 +414,26 @@ def borgwardt_2approx(inst: BaryInstance, cap: int = DEFAULT_LP_CAP):
             f"union-support LP with {n_plan + s} variables exceeds cap {cap}",
             required=n_plan + s, cap=cap,
         )
-    k = inst.k
-    offs = np.cumsum([0] + [ni * s for ni in sizes])
-    w_off = offs[-1]
-    nvar = w_off + s
-    rows = sum(sizes) + k * s
-    A = np.zeros((rows, nvar))
-    b = np.zeros(rows)
-    cost = np.zeros(nvar)
-    r = 0
-    for i, mu in enumerate(inst.measures):
-        ci = _pairwise_cost(mu.atoms, union.astype(float), inst.p, inst.q)
-        cost[offs[i] : offs[i + 1]] = inst.weights[i] * ci.ravel()
-        for j in range(sizes[i]):
-            A[r, offs[i] + j * s : offs[i] + (j + 1) * s] = 1.0
-            b[r] = mu.masses[j]
-            r += 1
-    for i in range(k):
-        for l in range(s):
-            A[r, offs[i] + l : offs[i + 1] : s] = 1.0
-            A[r, w_off + l] = -1.0
-            r += 1
+    # variables: the k plans (measure i -> union, C order), then the weights;
+    # each plan's marginal rows, with -weights on its union-side rows
+    plans = sparse.block_diag([_marginal_matrix((ni, s)) for ni in sizes])
+    starts = np.cumsum([0] + [ni + s for ni in sizes])[:-1]
+    w_rows = np.concatenate([r + ni + np.arange(s) for r, ni in zip(starts, sizes)])
+    w_cols = np.tile(np.arange(s), inst.k)
+    weights = sparse.csr_array(
+        (-np.ones(w_rows.size), (w_rows, w_cols)), shape=(plans.shape[0], s)
+    )
+    A = sparse.hstack([plans, weights], format="csr")
+    b = np.concatenate([np.concatenate([mu.masses, np.zeros(s)]) for mu in inst.measures])
+    cost = np.concatenate(
+        [
+            lam * _pairwise_cost(mu.atoms, union, inst.p, inst.q).ravel()
+            for lam, mu in zip(inst.weights, inst.measures)
+        ]
+        + [np.zeros(s)]
+    )
     value, x = solve_lp(A, b, cost)
-    w = np.maximum(x[w_off:], 0.0)
+    w = np.maximum(x[n_plan:], 0.0)
     keep = w > 1e-12
     nu = DiscreteMeasure(union[keep], w[keep] / w[keep].sum())
     return {"value": float(value), "nu": nu}

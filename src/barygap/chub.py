@@ -1,12 +1,15 @@
 """Brute-force hub-selection solver: minimize F_{p,q} over all n^k tuples.
 
-Enumeration is exhaustive and lexicographic.  Inner solves are cached per
+Enumeration is exhaustive, in the package's one tuple order (numpy C order,
+``graph._iter_tuple_chunks``).  Inner solves are cached per
 tuple-equivalence class: two tuples whose selected point matrices agree up
 to a coordinate permutation have the same value, so the multiset of columns
 is a sound cache key.  For embedded configs that key collapses to the
 induced edge pattern (plus the degree profile for the q=inf embedding),
 which is computed vectorized for the whole tuple space.  Every tuple is
-still enumerated and assigned its value; caching never prunes.
+still enumerated and assigned its value; caching never prunes.  With
+``keep_per_tuple`` the result carries every tuple's value as a flat array
+in that order.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class ChubResult:
     tolerance: float
     method: str
     value_exact: Fraction | None = None
-    per_tuple: dict | None = None
+    per_tuple: np.ndarray | None = None  # flat, C order over (n,) * k
 
     def to_json(self):
         out = {
@@ -50,7 +53,6 @@ def _check_cap(n, k, cap):
         raise ResourceCapError(
             f"enumerating {total} tuples exceeds cap {cap}", required=total, cap=cap
         )
-    return total
 
 
 def _pair_list(k):
@@ -94,30 +96,32 @@ def solve_chub(
 ) -> ChubResult:
     """Minimize F_{p,q} over all tuples of ``config``.
 
-    Inner solves run at tolerance tol/2 so the reported minimum carries at
-    most ``tol`` additive error.  ``exact`` (default: automatic for the
-    p=q=2 regime) switches to integer closed-form arithmetic; the result
-    then carries an exact Fraction value.  ``force_per_tuple_solve``
-    disables class caching (test hook).
+    Inner solves run at tolerance tol/2; the reported ``tolerance`` is the
+    larger of ``tol`` and the largest tolerance an inner solve reports.
+    ``exact`` (default: automatic for the p=q=2 regime) switches to integer
+    closed-form arithmetic; the result then carries an exact Fraction value.
+    ``keep_per_tuple`` keeps every tuple's value (float64, or Fractions on
+    the exact path).  ``force_per_tuple_solve`` disables class caching
+    (test hook).
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
     n, k = config.n, config.k
-    total = _check_cap(n, k, cap)
+    shape = (n,) * k
+    _check_cap(n, k, cap)
     if exact is None:
         exact = config.regime == "Q22"
 
     if exact:
         if config.regime != "Q22":
             raise InputError("exact mode is defined for the p=q=2 regime")
-        return _solve_chub_exact_22(config, total, chunk, keep_per_tuple)
+        return _solve_chub_exact_22(config, chunk, keep_per_tuple)
 
     graph, emb = (None, None) if force_per_tuple_solve else _source_graph(config)
-    values = np.empty(total, dtype=float)
-    tolerances = []
+    tolerances = [0.0]
 
     if graph is not None:
-        keys = _class_keys_embedded(config, graph, emb, total, chunk)
+        keys = _class_keys_embedded(config, graph, emb, chunk)
         if keys.shape[1] == 1:
             uniq, rep_idx, inverse = np.unique(
                 keys[:, 0], return_index=True, return_inverse=True
@@ -127,54 +131,49 @@ def solve_chub(
                 keys, axis=0, return_index=True, return_inverse=True
             )
         class_vals = np.empty(len(uniq), dtype=float)
-        for cls in range(len(uniq)):
-            vt = _flat_to_tuple(int(rep_idx[cls]), n, k)
+        reps = np.stack(np.unravel_index(rep_idx, shape), axis=1)
+        for cls, vt in enumerate(reps):
             sol = solve_fpq(
                 FpqProblem(config.dense_tuple(vt).astype(float), config.p, config.q),
                 tol=tol / 2,
             )
             class_vals[cls] = sol.value
             tolerances.append(sol.tolerance)
-        values = class_vals[inverse]
+        values = class_vals[inverse.ravel()]
         method = f"class-cache[{len(uniq)}]"
     else:
         cache = {}
-        for flat in range(total):
-            vt = _flat_to_tuple(flat, n, k)
-            pts = config.dense_tuple(vt)
-            key = _column_signature(pts)
-            if key not in cache:
-                sol = solve_fpq(
-                    FpqProblem(pts.astype(float), config.p, config.q), tol=tol / 2
-                )
-                cache[key] = sol.value
-                tolerances.append(sol.tolerance)
-            values[flat] = cache[key]
+        values = []
+        for cols in _iter_tuple_chunks(shape, chunk):
+            for vt in cols:
+                pts = config.dense_tuple(vt)
+                key = _column_signature(pts)
+                if key not in cache:
+                    sol = solve_fpq(
+                        FpqProblem(pts.astype(float), config.p, config.q), tol=tol / 2
+                    )
+                    cache[key] = sol.value
+                    tolerances.append(sol.tolerance)
+                values.append(cache[key])
+        values = np.array(values)
         method = f"signature-cache[{len(cache)}]"
 
     vmin = float(values.min())
     arg = int(np.nonzero(values <= vmin + tol)[0][0])
-    per = None
-    if keep_per_tuple:
-        per = {_flat_to_tuple(i, n, k): float(values[i]) for i in range(total)}
-    inner_tol = max(tolerances) if tolerances else 0.0
     return ChubResult(
         value=vmin,
-        argmin=_flat_to_tuple(arg, n, k),
-        tolerance=min(tol, 2 * inner_tol) if inner_tol > 0 else tol,
+        argmin=_unravel(arg, shape),
+        tolerance=max(tol, *tolerances),
         method=method,
-        per_tuple=per,
+        per_tuple=values if keep_per_tuple else None,
     )
 
 
-def _flat_to_tuple(flat, n, k):
-    out = []
-    for i in range(k):
-        out.append((flat // (n ** (k - 1 - i))) % n)
-    return tuple(out)
+def _unravel(flat, shape):
+    return tuple(int(v) for v in np.unravel_index(flat, shape))
 
 
-def _class_keys_embedded(config, graph, emb, total, chunk):
+def _class_keys_embedded(config, graph, emb, chunk):
     """Per-tuple class keys, vectorized: edge-pattern bits (+ degrees for xi)."""
     n, k = config.n, config.k
     pairs = _pair_list(k)
@@ -184,9 +183,9 @@ def _class_keys_embedded(config, graph, emb, total, chunk):
     deg = np.asarray(graph.degrees, dtype=np.int64)
     need_deg = emb == "xi" and not graph.is_regular()
     width = 1 + (k if need_deg else 0)
-    keys = np.empty((total, width), dtype=np.int64)
+    keys = np.empty((n**k, width), dtype=np.int64)
     start = 0
-    for cols in _iter_tuple_chunks(n, k, chunk):
+    for cols in _iter_tuple_chunks((n,) * k, chunk):
         bits = np.zeros(cols.shape[0], dtype=np.int64)
         for idx, (i, j) in enumerate(pairs):
             bits |= adj[cols[:, i], cols[:, j]].astype(np.int64) << idx
@@ -197,7 +196,7 @@ def _class_keys_embedded(config, graph, emb, total, chunk):
     return keys
 
 
-def _solve_chub_exact_22(config, total, chunk, keep_per_tuple):
+def _solve_chub_exact_22(config, chunk, keep_per_tuple):
     """Vectorized integer closed form: k*F(tuple) = k*S - ||sum x||^2."""
     n, k = config.n, config.k
     # Gram tensors over all (group, vertex) points
@@ -206,29 +205,23 @@ def _solve_chub_exact_22(config, total, chunk, keep_per_tuple):
     )
     gram = pts @ pts.T  # (k*n, k*n)
     norms = np.diag(gram).reshape(k, n)
-    pairs = _pair_list(k)
-    best = None
-    best_arg = None
-    per = {} if keep_per_tuple else None
+    kf = np.zeros(n**k, dtype=np.int64)
     start = 0
-    for cols in _iter_tuple_chunks(n, k, chunk):
-        kf = np.zeros(cols.shape[0], dtype=np.int64)
+    for cols in _iter_tuple_chunks((n,) * k, chunk):
+        part = kf[start : start + cols.shape[0]]  # a view: updates fill kf
         for i in range(k):
-            kf += (k - 1) * norms[i, cols[:, i]]
-        for i, j in pairs:
-            kf -= 2 * gram[i * n + cols[:, i], j * n + cols[:, j]]
-        am = int(kf.argmin())
-        if best is None or kf[am] < best:
-            best = int(kf[am])
-            best_arg = start + am
-        if per is not None:
-            for row in range(cols.shape[0]):
-                per[tuple(int(v) for v in cols[row])] = Fraction(int(kf[row]), k)
+            part += (k - 1) * norms[i, cols[:, i]]
+        for i, j in _pair_list(k):
+            part -= 2 * gram[i * n + cols[:, i], j * n + cols[:, j]]
         start += cols.shape[0]
-    exact = Fraction(best, k)
+    arg = int(kf.argmin())
+    exact = Fraction(int(kf[arg]), k)
+    per = None
+    if keep_per_tuple:
+        per = np.array([Fraction(v, k) for v in kf.tolist()], dtype=object)
     return ChubResult(
         value=float(exact),
-        argmin=_flat_to_tuple(best_arg, n, k),
+        argmin=_unravel(arg, (n,) * k),
         tolerance=0.0,
         method="closed-form-22-exact",
         value_exact=exact,

@@ -62,7 +62,6 @@ def _report(args, results, timings, extra_config=None):
             {"argv": args._argv, "extra": extra_config or {}}
         ),
         "seed": getattr(args, "seed", 0),
-        "threads": getattr(args, "threads", 1),
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "results": results,
         "version": __version__,
@@ -190,10 +189,11 @@ def _cmd_reduce(args):
     truth = oracle_decision(inst)
     timings["oracle"] = time.time() - t2
     timings["total"] = time.time() - t0
+    has = decision["hasClique"]
     results = {
         "decision": decision,
         "oracle": truth,
-        "agree": decision["hasClique"] == truth,
+        "agree": None if has is None else has == truth,
         "gamma": decision["certificate"]["gamma"],
         "delta": decision["certificate"]["delta"],
         "value": decision["value"],
@@ -202,7 +202,7 @@ def _cmd_reduce(args):
     if args.report:
         _dump(rep, args.report)
     _emit(args, rep)
-    return 0 if results["agree"] else 1
+    return 1 if results["agree"] is False else 0
 
 
 def _cmd_verify(args):
@@ -227,9 +227,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="root seed for all randomness (default 0)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker count for partitioned enumerations "
-                        "(results are independent of it)")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help="suppress the summary line")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
@@ -241,7 +238,7 @@ def build_parser():
         description="Exact small-scale generalized Wasserstein barycenters and "
         "clique-gap gadget verification.",
     )
-    top.set_defaults(seed=0, threads=1, quiet=False, json=False)
+    top.set_defaults(seed=0, quiet=False, json=False)
     sub = top.add_subparsers(dest="cmd", required=True)
 
     pg = sub.add_parser("graph", help="graph utilities")

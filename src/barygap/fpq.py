@@ -297,9 +297,8 @@ def _solve_lbfgs(x, w, lam, p, q, seed=0):
     return best
 
 
-def _solve_subgradient(x, w, lam, p, q, iters=5000, seed=0, lower_bound=None):
-    """Projected subgradient on the bounding box; Polyak steps when a lower
-    bound is available, 1/sqrt(t) decay otherwise."""
+def _solve_subgradient(x, w, lam, p, q, iters=5000, seed=0):
+    """Projected subgradient on the bounding box with 1/sqrt(t) step decay."""
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     lamv = np.ones(x.shape[0]) if lam is None else lam
@@ -332,10 +331,7 @@ def _solve_subgradient(x, w, lam, p, q, iters=5000, seed=0, lower_bound=None):
         f = _wobj(x, w, y, p, q, lam)
         if f < best_f:
             best_f, best_y = f, y.copy()
-        if lower_bound is not None and f > lower_bound:
-            step = (f - lower_bound) / (gn * gn)
-        else:
-            step = 0.1 * diam / (gn * math.sqrt(it))
+        step = 0.1 * diam / (gn * math.sqrt(it))
         y = np.clip(y - step * g, lo, hi)
     f = _wobj(x, w, y, p, q, lam)
     if f < best_f:
@@ -350,31 +346,30 @@ def _q1_oracle(x, w, g):
     return y, t, float((g * t).sum())
 
 
+def _qinf_constraints(x):
+    """Epigraph rows of t_i >= |x_ij - y_j| over variables [y_1..y_c, t_1..t_k].
+
+    Row 2(i c + j) is y_j - t_i <= x_ij and the row after it is
+    -y_j - t_i <= -x_ij.
+    """
+    k, c = x.shape
+    rows = np.arange(2 * k * c).reshape(k, c, 2)
+    A = np.zeros((2 * k * c, c + k))
+    A[rows[:, :, 0], np.arange(c)] = 1.0
+    A[rows[:, :, 1], np.arange(c)] = -1.0
+    A[rows, c + np.arange(k)[:, None, None]] = -1.0
+    return A, np.stack([x, -x], axis=2).ravel()
+
+
 def _qinf_oracle(x, g, lo, hi):
     """min_y sum_i g_i ||x_i - y||_inf via one LP (HiGHS)."""
     k, c = x.shape
     if c == 0:
         return np.zeros(0), np.zeros(k), 0.0
-    # variables: [y_1..y_c, t_1..t_k]
-    rows = []
-    rhs = []
-    for i in range(k):
-        for j in range(c):
-            r = np.zeros(c + k)
-            r[j] = 1.0
-            r[c + i] = -1.0
-            rows.append(r)
-            rhs.append(x[i, j])
-            r2 = np.zeros(c + k)
-            r2[j] = -1.0
-            r2[c + i] = -1.0
-            rows.append(r2)
-            rhs.append(-x[i, j])
+    A, rhs = _qinf_constraints(x)
     cost = np.concatenate([np.zeros(c), np.maximum(g, 0.0)])
     bounds = [(float(a), float(b)) for a, b in zip(lo, hi)] + [(0.0, None)] * k
-    res = sciopt.linprog(
-        cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs"
-    )
+    res = sciopt.linprog(cost, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
     if not res.success:
         raise SolverError(f"LP oracle failed: {res.message}")
     y = res.x[:c]
@@ -603,13 +598,3 @@ def qinf_clique_witness(config, vertex_tuple) -> np.ndarray:
     pts = config.dense_tuple(vertex_tuple)
     y = np.where((pts == -1).any(axis=0), -0.5, 0.5)
     return y
-
-
-def power_gap_lower_bound(t, t_prime, gamma, T):
-    """Reference inequality used in the monotonicity argument:
-    t^g - t'^g >= (t - t')^g for g >= 1, and >= (g/T)(t - t') for g in (0,1)."""
-    if not 0 <= t_prime <= t <= T or T < 1:
-        raise InputError("need 0 <= t' <= t <= T and T >= 1")
-    if gamma >= 1:
-        return (t - t_prime) ** gamma
-    return gamma / T * (t - t_prime)

@@ -122,17 +122,17 @@ def induced_edge_count(g: Graph, t) -> int:
     )
 
 
-def _iter_tuple_chunks(n, k, chunk=65536):
-    """Yield lexicographically ordered (chunk, k) int arrays covering [n]^k."""
-    total = n**k
-    weights = np.array([n ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        cols = (flat[:, None] // weights[None, :]) % n
-        yield cols
-        start = stop
+def _iter_tuple_chunks(shape, chunk=65536):
+    """Yield (rows, len(shape)) int arrays of the index tuples of ``shape``.
+
+    The tuples come in numpy C order (lexicographic, last index fastest), so
+    the row at flat position f is ``np.unravel_index(f, shape)``: the one
+    tuple order of the package.
+    """
+    total = int(np.prod(shape))
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield np.stack(np.unravel_index(flat, shape), axis=1)
 
 
 def max_multiset_edges(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> int:
@@ -149,7 +149,7 @@ def max_multiset_edges(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> int:
     adj = g.adjacency_matrix()
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     best = 0
-    for cols in _iter_tuple_chunks(g.n, k):
+    for cols in _iter_tuple_chunks((g.n,) * k):
         counts = np.zeros(cols.shape[0], dtype=np.int64)
         for i, j in pairs:
             counts += adj[cols[:, i], cols[:, j]]

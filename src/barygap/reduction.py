@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .bary import BaryInstance, DiscreteMeasure, bary_value_mot
 from .chub import solve_chub
 from .embed import PointConfig, collection_from_pattern, embed_auto, regime_for
@@ -194,7 +192,10 @@ def decide_clique(
     """Compare the computed instance value against gamma + Delta/2.
 
     ``solver`` is "chub-bruteforce" (min over tuples, threshold on the hub
-    scale) or "bary-mot" (transport LP value, threshold divided by k).
+    scale) or "bary-mot" (transport LP over the sweep's tuple costs,
+    threshold divided by k).  The LP value is at least F*/k, so "bary-mot"
+    answers True when it is at most the threshold, False only when the
+    sweep's minimum F* lies above the threshold, and None otherwise.
     ``reuse`` accepts a ChubResult for this instance's points (same tol or
     tighter) so sweeps can share the tuple enumeration between solvers.
     """
@@ -207,36 +208,33 @@ def decide_clique(
         res = reuse if reuse is not None else solve_chub(inst.points, tol=tol, cap=enum_cap)
         value = res.value
         threshold = cert.threshold()
-        has = value <= threshold
-        margin = threshold - value
+        has = bool(value <= threshold)
         detail = {"chub": res.to_json()}
     elif solver == "bary-mot":
         k = inst.k
-        if inst.regime == "Q22":
-            mot = bary_value_mot(inst.bary, tol=tol / k, cap=lp_cap)
-        else:
-            sweep = reuse
-            if sweep is None or sweep.per_tuple is None:
-                sweep = solve_chub(
-                    inst.points, tol=tol, cap=min(enum_cap, lp_cap), keep_per_tuple=True
-                )
-            shape = tuple(m.size for m in inst.bary.measures)
-            total = int(np.prod(shape))
-            costs = np.empty(total)
-            for flat, t in enumerate(np.ndindex(shape)):
-                costs[flat] = sweep.per_tuple[t] / k
-            mot = bary_value_mot(inst.bary, tol=tol / k, cap=lp_cap, cost_values=costs)
+        sweep = reuse
+        if sweep is None or sweep.per_tuple is None:
+            sweep = solve_chub(
+                inst.points, tol=tol, cap=min(enum_cap, lp_cap), keep_per_tuple=True
+            )
+        mot = bary_value_mot(
+            inst.bary, tol=tol / k, cap=lp_cap, cost_values=sweep.per_tuple / k
+        )
         value = mot.value
         threshold = cert.threshold() / k
-        has = value <= threshold
-        margin = threshold - value
+        if value <= threshold:
+            has = True
+        elif sweep.value > cert.threshold():
+            has = False
+        else:
+            has = None
         detail = {"mot_plan_support": len(mot.plan.entries)}
     else:
         raise InputError(f"unknown solver {solver!r}")
     return {
-        "hasClique": bool(has),
+        "hasClique": has,
         "value": float(value),
-        "margin": float(margin),
+        "margin": float(threshold - value),
         "threshold": float(threshold),
         "solver": solver,
         "regime": inst.regime,
@@ -256,7 +254,7 @@ def unique_triangle_graph() -> Graph:
 
     Characterizes the limit of the bary-mot decision route: uniform
     marginals cannot be coupled through the lone clique alone, so the MOT
-    value strictly exceeds F*/k.
+    value strictly exceeds F*/k and the route answers None, not False.
     """
     edges = [
         (0, 1), (0, 2), (1, 2),

@@ -1,10 +1,11 @@
-"""Dense two-phase simplex over floats or exact rationals.
+"""LP entry point: HiGHS for floats, a dense two-phase tableau for rationals.
 
-Small LP core for the transportation problems in this package (marginal
-constraint matrices have at most a few hundred rows).  Pivoting uses
-Dantzig's rule with an automatic switch to Bland's rule after a run of
-degenerate pivots, which guarantees termination; in exact mode every
-comparison is against literal zero, so results are exact rationals.
+Float LPs go to HiGHS (``scipy.optimize.linprog(method="highs")``), which
+takes dense or scipy-sparse constraint matrices.  The tableau runs only in
+exact mode: every entry is a ``Fraction`` and every comparison is against
+literal zero, so results are exact rationals.  Pivoting uses Dantzig's rule
+with an automatic switch to Bland's rule after a run of degenerate pivots,
+which guarantees termination.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import InputError, SolverError
 
@@ -32,45 +34,39 @@ def solve_lp(A, b, c, exact=False):
     """Minimize c @ x subject to A x = b, x >= 0.
 
     Returns (value, x).  Raises InputError when infeasible and SolverError
-    when unbounded or out of iterations.  With ``exact=True`` all data is
-    converted to Fractions and the solve is exact.
+    when unbounded or out of iterations.  Floats are solved by HiGHS; with
+    ``exact=True`` all data is converted to Fractions and the solve is exact
+    (``A`` must then be dense).
     """
-    if exact:
-        A = _to_fraction_array(A)
-        b = _to_fraction_array(b)
-        c = _to_fraction_array(c)
-        zero = Fraction(0)
-        tol = zero
-    else:
-        A = np.asarray(A, dtype=float).copy()
-        b = np.asarray(b, dtype=float).copy()
-        c = np.asarray(c, dtype=float)
-        zero = 0.0
-        tol = 1e-9
-    m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise InputError(f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}")
+    m, n = np.shape(A)
+    if np.shape(b) != (m,) or np.shape(c) != (n,):
+        raise InputError(f"shape mismatch: A {np.shape(A)}, b {np.shape(b)}, c {np.shape(c)}")
+    if not exact:
+        res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        if res.status == 2:
+            raise InputError(f"LP infeasible: {res.message}")
+        if res.status != 0:
+            raise SolverError(f"HiGHS failed: {res.message}")
+        return float(res.fun), res.x
 
+    A = _to_fraction_array(A)
+    b = _to_fraction_array(b)
+    c = _to_fraction_array(c)
+    zero = Fraction(0)
     neg = b < zero
     if neg.any():
         A[neg] = -A[neg]
         b[neg] = -b[neg]
 
     # Phase 1 tableau: [A | I | b], basis = artificials.
-    if exact:
-        T = np.empty((m, n + m + 1), dtype=object)
-        T[:, :n] = A
-        T[:, n : n + m] = _to_fraction_array(np.eye(m))
-        T[:, -1] = b
-        phase1_cost = np.array([zero] * n + [Fraction(1)] * m, dtype=object)
-    else:
-        T = np.hstack([A, np.eye(m), b[:, None]])
-        phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    T = np.empty((m, n + m + 1), dtype=object)
+    T[:, :n] = A
+    T[:, n : n + m] = _to_fraction_array(np.eye(m))
+    T[:, -1] = b
+    phase1_cost = np.array([zero] * n + [Fraction(1)] * m, dtype=object)
     basis = list(range(n, n + m))
-
-    _run_simplex(T, basis, phase1_cost, tol, allow=n + m)
-    phase1_val = sum(T[i, -1] for i in range(m) if basis[i] >= n)
-    if phase1_val > (tol * max(1.0, float(abs(np.asarray(b, dtype=float)).sum())) if not exact else zero):
+    _run_simplex(T, basis, phase1_cost, allow=n + m)
+    if any(T[i, -1] != 0 for i in range(m) if basis[i] >= n):
         raise InputError("LP infeasible")
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -79,83 +75,51 @@ def solve_lp(A, b, c, exact=False):
         if basis[i] < n:
             keep_rows.append(i)
             continue
-        pivot_col = None
-        for j in range(n):
-            if (T[i, j] > tol) or (T[i, j] < -tol):
-                pivot_col = j
-                break
+        pivot_col = next((j for j in range(n) if T[i, j] != 0), None)
         if pivot_col is None:
             continue  # redundant constraint
         _pivot(T, i, pivot_col)
         basis[i] = pivot_col
         keep_rows.append(i)
-    if len(keep_rows) < m:
-        T = T[keep_rows]
-        basis = [basis[i] for i in keep_rows]
-        m = len(keep_rows)
+    basis = [basis[i] for i in keep_rows]
 
     # Phase 2 on the original columns only.
-    if exact:
-        T2 = np.empty((m, n + 1), dtype=object)
-        T2[:, :n] = T[:, :n]
-        T2[:, -1] = T[:, -1]
-        full_cost = np.array(list(c), dtype=object)
-    else:
-        T2 = np.hstack([T[:, :n], T[:, -1:]])
-        full_cost = np.asarray(c, dtype=float)
-    _run_simplex(T2, basis, full_cost, tol, allow=n)
+    T2 = T[keep_rows][:, list(range(n)) + [n + m]]
+    _run_simplex(T2, basis, c, allow=n)
 
-    x = np.array([zero] * n, dtype=object if exact else float)
+    x = np.array([zero] * n, dtype=object)
     for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T2[i, -1]
-    value = sum(c[j] * x[j] for j in range(n)) if exact else float(full_cost @ x)
-    return value, x
+        x[bi] = T2[i, -1]
+    return sum(c * x, zero), x
 
 
 def _pivot(T, row, col):
-    piv = T[row, col]
-    T[row] = T[row] / piv
+    T[row] = T[row] / T[row, col]
     for i in range(T.shape[0]):
         if i != row and T[i, col] != 0:
             T[i] = T[i] - T[i, col] * T[row]
 
 
-def _run_simplex(T, basis, cost, tol, allow):
+def _run_simplex(T, basis, cost, allow):
     """Minimize cost over the tableau in place; columns >= allow are barred."""
     m = T.shape[0]
-    exact = T.dtype == object
+    cb = np.array([cost[b] for b in basis], dtype=object)
+    red = cost[:allow] - cb @ T[:, :allow]  # reduced costs, updated by each pivot
     degenerate_run = 0
     for _ in range(_MAX_ITERS):
-        cb = np.array([cost[b] for b in basis], dtype=T.dtype)
-        red = cost[:allow] - cb @ T[:, :allow]
-        if exact:
-            improving = [j for j in range(allow) if red[j] < 0]
-        else:
-            improving = np.nonzero(red < -tol)[0]
-        if len(improving) == 0:
+        improving = [j for j in range(allow) if red[j] < 0]
+        if not improving:
             return
         if degenerate_run >= _DEGENERATE_LIMIT:
-            j = int(improving[0])  # Bland: least index
+            j = improving[0]  # Bland: least index
         else:
-            if exact:
-                j = min(improving, key=lambda jj: (red[jj], jj))
-            else:
-                j = int(improving[np.argmin(red[improving])])
-        colj = T[:, j]
-        if exact:
-            rows = [i for i in range(m) if colj[i] > 0]
-        else:
-            rows = np.nonzero(colj > tol)[0]
-        if len(rows) == 0:
+            j = min(improving, key=lambda jj: (red[jj], jj))
+        rows = [i for i in range(m) if T[i, j] > 0]
+        if not rows:
             raise SolverError("LP unbounded")
-        ratios = [(T[i, -1] / colj[i], basis[i], i) for i in rows]
-        best = min(ratios, key=lambda r: (r[0], r[1]))
-        leave = best[2]
-        if best[0] == 0 or (not exact and float(best[0]) <= tol):
-            degenerate_run += 1
-        else:
-            degenerate_run = 0
+        ratio, _, leave = min((T[i, -1] / T[i, j], basis[i], i) for i in rows)
+        degenerate_run = degenerate_run + 1 if ratio == 0 else 0
         _pivot(T, leave, j)
+        red = red - red[j] * T[leave, :allow]
         basis[leave] = j
     raise SolverError("simplex iteration limit reached")

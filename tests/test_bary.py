@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import barygap.bary
 from barygap.bary import (
     BaryInstance,
     DiscreteMeasure,
@@ -93,20 +97,69 @@ def test_ot_plan_marginals():
 
 
 def test_assignment_fast_path_matches_lp():
+    # equal-size uniform marginals take the assignment branch at every size;
+    # the reference is the transportation LP itself, solved here by HiGHS
     rng = np.random.default_rng(8)
-    atoms_a = rng.random((70, 2))
-    atoms_b = rng.random((70, 2))
-    mu, nu = DiscreteMeasure.uniform(atoms_a), DiscreteMeasure.uniform(atoms_b)
-    fast, _ = ot_cost(mu, nu, 2, 2)  # size 70 > 64 triggers assignment
-    small_mu = DiscreteMeasure.uniform(atoms_a[:20])
-    small_nu = DiscreteMeasure.uniform(atoms_b[:20])
-    v_lp, _ = ot_cost(small_mu, small_nu, 2, 2)  # 20 <= 64: simplex route
-    from scipy.optimize import linear_sum_assignment
+    for n in (3, 20, 70):
+        atoms_a, atoms_b = rng.random((n, 2)), rng.random((n, 2))
+        mu, nu = DiscreteMeasure.uniform(atoms_a), DiscreteMeasure.uniform(atoms_b)
+        value, plan = ot_cost(mu, nu, 2, 2)
+        assert len(plan.entries) == n
+        assert plan.max_marginal_violation([mu, nu]) < 1e-12
+        cost = ((atoms_a[:, None, :] - atoms_b[None, :, :]) ** 2).sum(axis=2)
+        A = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+        ref = linprog(cost.ravel(), A_eq=A, b_eq=np.full(2 * n, 1.0 / n), method="highs")
+        assert ref.status == 0
+        assert abs(value - ref.fun) < 1e-9
 
-    cost = ((atoms_a[:20, None, :] - atoms_b[None, :20, :]) ** 2).sum(axis=2)
-    r, c = linear_sum_assignment(cost)
-    assert abs(v_lp - cost[r, c].sum() / 20) < 1e-9
-    assert fast >= 0
+
+def _random_measures(seed, sizes, d):
+    rng = np.random.default_rng(seed)
+    return [DiscreteMeasure(rng.random((m, d)), rng.dirichlet(np.ones(m))) for m in sizes]
+
+
+def _moved(measures, rng, c=1.0):
+    """The measures in another order, atoms and coordinates permuted, scaled by c."""
+    cols = rng.permutation(measures[0].d)
+    out = []
+    for i in rng.permutation(len(measures)):
+        perm = rng.permutation(measures[i].size)
+        out.append(DiscreteMeasure(c * measures[i].atoms[perm][:, cols], measures[i].masses[perm]))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    d=st.integers(1, 3),
+    c=st.floats(0.25, 4.0),
+)
+def test_ot_cost_metamorphic_22(seed, sizes, d, c):
+    ms = _random_measures(seed, sizes, d)
+    base, _ = ot_cost(ms[0], ms[1], 2, 2)
+    rng = np.random.default_rng(seed + 1)
+    a, b = _moved(ms, rng)
+    assert abs(ot_cost(a, b, 2, 2)[0] - base) <= 1e-9
+    a, b = _moved(ms, rng, c)
+    assert abs(ot_cost(a, b, 2, 2)[0] - c * c * base) <= 1e-9 * max(1.0, c * c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    d=st.integers(1, 3),
+    c=st.floats(0.25, 4.0),
+)
+def test_mot_value_metamorphic_22(seed, sizes, d, c):
+    ms = _random_measures(seed, sizes, d)
+    base = bary_value_mot(BaryInstance(ms, 2, 2)).value
+    rng = np.random.default_rng(seed + 1)
+    moved = bary_value_mot(BaryInstance(_moved(ms, rng), 2, 2)).value
+    assert abs(moved - base) <= 1e-9
+    scaled = bary_value_mot(BaryInstance(_moved(ms, rng, c), 2, 2)).value
+    assert abs(scaled - c * c * base) <= 1e-9 * max(1.0, c * c)
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +347,20 @@ def test_uniformize_guards():
     with pytest.raises(ResourceCapError) as exc:
         uniformize(BaryInstance([inside, inside], 2, 2), 1e-9)
     assert exc.value.required is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mot_tolerance_covers_hub_solves(seed, monkeypatch):
+    reported = []
+
+    def recording(prob, tol):
+        sol = solve_fpq(prob, tol=tol)
+        reported.append(sol.tolerance)
+        return sol
+
+    monkeypatch.setattr(barygap.bary, "solve_fpq", recording)
+    rng = np.random.default_rng(seed)
+    ms = [DiscreteMeasure(rng.random((4, 3)), rng.dirichlet(np.ones(4))) for _ in range(3)]
+    res = bary_value_mot(BaryInstance(ms, 2, 1), tol=1e-6)
+    assert len(reported) == 64
+    assert res.tolerance >= max(reported)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import barygap.chub
 from barygap.chub import chub_closed_form_22, solve_chub
 from barygap.embed import PointConfig, embed_phi, embed_psi, embed_xi
 from barygap.errors import InputError, ResourceCapError
+from barygap.fpq import solve_fpq
 from barygap.graph import (
     Graph,
     complete_graph,
@@ -115,7 +117,7 @@ def test_group_permutation_invariance():
     recovered = tuple(int(np.nonzero(perms[i] == base.argmin[i])[0][0]) for i in range(3))
     assert moved.per_tuple is None
     full = solve_chub(shuffled, keep_per_tuple=True)
-    assert full.per_tuple[recovered] == base.value_exact
+    assert full.per_tuple[np.ravel_multi_index(recovered, (5, 5, 5))] == base.value_exact
 
 
 def test_signature_cache_without_source_metadata():
@@ -137,3 +139,18 @@ def test_max_multiset_consistency():
         m = Fraction(g.regular_degree() * (k - 1) ** 2)
         best = Fraction(k * (m - val), 2)
         assert best == max_multiset_edges(g, k)
+
+
+def test_reported_tolerance_covers_inner_solves(monkeypatch):
+    # Frank-Wolfe inner solves on K5, k=4, (p,q)=(2,1) end far above tol/2
+    reported = []
+
+    def recording(prob, tol):
+        sol = solve_fpq(prob, tol=tol)
+        reported.append(sol.tolerance)
+        return sol
+
+    monkeypatch.setattr(barygap.chub, "solve_fpq", recording)
+    res = solve_chub(embed_psi(complete_graph(5), 4, p=2.0), tol=1e-3)
+    assert max(reported) > 1e-3
+    assert res.tolerance >= max(reported)

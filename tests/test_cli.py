@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import barygap
+import barygap.reduction
 from barygap.cli import main
 from barygap.verify import SUITES, verify_lemma
 
@@ -59,6 +60,16 @@ def test_reduce_mot_and_inf_q(tmp_path):
         "reduce", "--graph", str(g), "--k", "3", "--p", "2", "--q", "2",
         "--solver", "mot", "--quiet",
     ]) == 0
+    # an inconclusive transport-LP route reports agree null and exits 0
+    barygap.reduction.unique_triangle_graph().save(g)
+    rep = tmp_path / "rep.json"
+    assert main([
+        "reduce", "--graph", str(g), "--k", "3", "--p", "2", "--q", "2",
+        "--solver", "mot", "--report", str(rep), "--quiet",
+    ]) == 0
+    results = json.loads(rep.read_text())["results"]
+    assert results["decision"]["hasClique"] is None
+    assert results["agree"] is None and results["oracle"] is True
 
 
 def test_bary_subcommands(tmp_path):

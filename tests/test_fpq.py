@@ -10,6 +10,7 @@ from barygap.embed import canonical_clique_collection, embed_phi, embed_psi, emb
 from barygap.errors import InputError
 from barygap.fpq import (
     FpqProblem,
+    _qinf_constraints,
     fpq_closed_form_22,
     fpq_gradient,
     fpq_objective,
@@ -243,3 +244,23 @@ def test_residual_identity():
         x = rng.integers(-1, 2, size=(3, 8)).astype(float)
         sol = solve_fpq(FpqProblem(x, p, q), tol=1e-6)
         assert abs(sol.value - fpq_objective(x, sol.minimizer, p, q)) < 1e-9
+
+
+def test_qinf_constraints_match_row_loop():
+    # the vectorized build must hand HiGHS the same rows, in the same order,
+    # as the per-(i, j) loop it replaced
+    rng = np.random.default_rng(11)
+    for k, c in [(1, 1), (2, 3), (4, 5), (6, 2)]:
+        x = rng.normal(size=(k, c))
+        rows, rhs = [], []
+        for i in range(k):
+            for j in range(c):
+                for sign in (1.0, -1.0):
+                    r = np.zeros(c + k)
+                    r[j] = sign
+                    r[c + i] = -1.0
+                    rows.append(r)
+                    rhs.append(sign * x[i, j])
+        A, b = _qinf_constraints(x)
+        assert np.array_equal(A, np.array(rows))
+        assert np.array_equal(b, np.array(rhs))

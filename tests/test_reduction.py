@@ -202,3 +202,15 @@ def test_unique_triangle_characterization():
     fstar_over_k = float(chub_closed_form_22(g, 3)) / 3
     mot = bary_value_mot(inst.bary)
     assert mot.value > fstar_over_k + 1e-3
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (1, 2), (2, 1.5), (1, math.inf), (2, math.inf)])
+def test_bary_mot_never_answers_a_wrong_no(p, q):
+    # the lone triangle leaves the LP value above threshold/k; the route must
+    # then stay inconclusive rather than deny the clique
+    inst = build_instance(unique_triangle_graph(), 3, p, q)
+    tol = inst.certificate.delta / 20
+    sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)
+    mot = decide_clique(inst, "bary-mot", tol=tol, reuse=sweep)
+    assert mot["hasClique"] is not False
+    assert decide_clique(inst, "chub-bruteforce", tol=tol, reuse=sweep)["hasClique"] is True

@@ -71,3 +71,27 @@ def test_degenerate_problem_terminates():
     c = np.array([-1.0, -2.0, 0.0, 0.0])
     val, x = solve_lp(A, b, c)
     assert abs(val - (-2.0)) < 1e-9
+
+
+def test_exact_tableau_edge_cases():
+    # float LPs go to HiGHS, so the tableau is exercised here in Fractions
+    with pytest.raises(InputError):
+        solve_lp(np.array([[1, 1], [1, 1]]), [Fraction(1), Fraction(2)], [0, 0], exact=True)
+    with pytest.raises(SolverError):
+        solve_lp(np.array([[1, -1]]), [Fraction(0)], [-1, 0], exact=True)
+    val, x = solve_lp(np.array([[1, 1], [2, 2]]), [Fraction(1), Fraction(2)], [1, 3], exact=True)
+    assert val == 1 and list(x) == [1, 0]
+    A = np.array([[1, 1, 1, 0], [1, 0, 0, 1]])
+    val, _ = solve_lp(A, [Fraction(1), Fraction(1)], [-1, -2, 0, 0], exact=True)
+    assert val == -2
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(3, 8))
+        A = rng.integers(-3, 4, size=(m, n))
+        b = A @ rng.integers(0, 3, size=n)
+        c = rng.integers(0, 6, size=n)
+        val, x = solve_lp(A, b, c, exact=True)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * n, method="highs")
+        assert abs(float(val) - ref.fun) < 1e-9
+        assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+        assert (A @ x == b).all()
