@@ -49,18 +49,26 @@ def _dump(obj, path=None):
     return text
 
 
-def _config_hash(payload):
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()
+# the input-file options of embed, reduce, chub, bary solve and bary uniformize
+_INPUT_FILES = ("graph", "points", "instance")
 
 
-def _report(args, results, timings, extra_config=None):
+def _config_hash(args):
+    """sha256 over argv and the sha256 of every input file the command reads."""
+    inputs = {}
+    for name in _INPUT_FILES:
+        path = getattr(args, name, None)
+        if path:
+            with open(path, "rb") as fh:
+                inputs[name] = hashlib.sha256(fh.read()).hexdigest()
+    payload = {"argv": args._argv, "inputs": inputs}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _report(args, results, timings):
     return {
         "command": " ".join(args._argv),
-        "config_hash": _config_hash(
-            {"argv": args._argv, "extra": extra_config or {}}
-        ),
+        "config_hash": args._config_hash,
         "seed": getattr(args, "seed", 0),
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "results": results,
@@ -117,7 +125,6 @@ def _cmd_embed(args):
         args,
         {"regime": cfg.regime, "k": cfg.k, "n": cfg.n, "d": cfg.d, "out": args.out},
         {"total": time.time() - t0},
-        extra_config={"graph_sha256": cfg.source.get("graph_sha256")},
     )
     _emit(args, rep)
     return 0
@@ -309,6 +316,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     args._argv = argv
     try:
+        args._config_hash = _config_hash(args)
         return args.func(args)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

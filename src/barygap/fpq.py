@@ -6,16 +6,14 @@ algorithm that is simultaneously exact, certified and fast across the whole
 
 * p = q = 2            -- closed form (weighted mean).
 * q = 1,  p = 1        -- exact per-coordinate weighted median.
-* q = 1,  p > 1        -- subgradient warm start + Frank-Wolfe polish over the
-                          achievable-distance polytope; the linear oracle is a
-                          per-coordinate weighted median, so every iterate
-                          carries a certified lower bound.
 * q = inf, p = 1       -- one exact LP (epigraph form).
-* q = inf, p > 1       -- subgradient upper bound + Fenchel/LP lower bound,
-                          with optional Frank-Wolfe polish.
+* q in {1, inf}, p > 1 -- pairwise Frank-Wolfe from the weighted mean over the
+                          achievable-distance polytope; the linear oracle is a
+                          per-coordinate weighted median (q = 1) or one LP
+                          (q = inf), and every oracle call carries a Fenchel
+                          lower bound, so each solve is certified.
 * q in (1, inf)        -- Weiszfeld for (p, q) = (1, 2); otherwise L-BFGS-B
-                          multistart with analytic gradients (projected
-                          subgradient fallback available).
+                          multistart with analytic gradients.
 
 Before dispatch, coordinates with identical values across all k points are
 fixed at that shared value and duplicate coordinate columns are merged into
@@ -25,6 +23,7 @@ what makes brute-force enumeration over embedded instances cheap.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,8 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .errors import InputError, SolverError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -289,54 +290,13 @@ def _solve_lbfgs(x, w, lam, p, q, seed=0):
     best = min(cands, key=lambda c: c[1])
     spread = max(c[1] for c in cands) - best[1]
     if spread > 1e-9 * (1.0 + abs(best[1])):
+        logger.debug("l-bfgs starts disagree by %.3e; taking 3 random restarts", spread)
         rng = np.random.default_rng(seed)
         for _ in range(3):
             cand = run(lo + rng.random(x.shape[1]) * (hi - lo))
             if cand[1] < best[1]:
                 best = cand
     return best
-
-
-def _solve_subgradient(x, w, lam, p, q, iters=5000, seed=0):
-    """Projected subgradient on the bounding box with 1/sqrt(t) step decay."""
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    lamv = np.ones(x.shape[0]) if lam is None else lam
-    y = (lamv[:, None] * x).sum(axis=0) / max(lamv.sum(), 1e-30)
-    y = np.clip(y, lo, hi)
-    diam = float(np.linalg.norm(hi - lo)) or 1.0
-    best_y, best_f = y.copy(), _wobj(x, w, y, p, q, lam)
-    for it in range(1, iters + 1):
-        if q == math.inf:
-            diff = y[None, :] - x
-            absd = np.abs(diff)
-            m = absd.max(axis=1) if x.shape[1] else np.zeros(x.shape[0])
-            g = np.zeros_like(y)
-            cstar = absd.argmax(axis=1) if x.shape[1] else None
-            for i in range(x.shape[0]):
-                if m[i] <= 0:
-                    continue
-                c = cstar[i]
-                g[c] += lamv[i] * p * m[i] ** (p - 1) * np.sign(diff[i, c])
-        elif q == 1:
-            diff = y[None, :] - x
-            t = _l1_dists(x, w, y)
-            scale = lamv * p * np.where(t > 0, t ** (p - 1.0), 0.0)
-            g = (scale[:, None] * w[None, :] * np.sign(diff)).sum(axis=0)
-        else:
-            g = _wgrad(x, w, y, p, q, lam)
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-15:
-            break
-        f = _wobj(x, w, y, p, q, lam)
-        if f < best_f:
-            best_f, best_y = f, y.copy()
-        step = 0.1 * diam / (gn * math.sqrt(it))
-        y = np.clip(y - step * g, lo, hi)
-    f = _wobj(x, w, y, p, q, lam)
-    if f < best_f:
-        best_f, best_y = f, y
-    return best_y, best_f
 
 
 def _q1_oracle(x, w, g):
@@ -377,9 +337,18 @@ def _qinf_oracle(x, g, lo, hi):
     return y, t, float(res.fun)
 
 
-def _frank_wolfe(x, w, lam, p, q, y0, tol, max_iters=4000):
-    """Certified minimization of sum_i lam_i t_i^p over achievable q-distance
-    vectors, for the polyhedral norms q in {1, inf}."""
+def _frank_wolfe(x, w, lam, p, q, tol, max_iters=1000):
+    """Pairwise Frank-Wolfe for the polyhedral norms q in {1, inf}, p > 1.
+
+    Minimizes phi(t) = sum_i lam_i t_i^p over convex combinations of oracle
+    vertices t_v = dists(y_v), starting from the clipped weighted mean.  Each
+    step moves weight from the away atom (largest g . t_v) to the oracle
+    vertex, which converges linearly on polytopes (Lacoste-Julien & Jaggi,
+    NeurIPS 2015).  Every oracle call also gives the Fenchel lower bound
+    g . t_s - phi*(g); the loop stops once phi(t) is within tol of the best
+    one.  Returns (y, phi(dists(y)), lower bound) for y = sum_v alpha_v y_v;
+    by convexity dists(y) <= t.
+    """
     lamv = np.ones(x.shape[0]) if lam is None else lam
     lo = x.min(axis=0)
     hi = x.max(axis=0)
@@ -390,45 +359,59 @@ def _frank_wolfe(x, w, lam, p, q, y0, tol, max_iters=4000):
     def fval(t):
         return float((lamv * t**p).sum())
 
-    y = y0.copy()
-    t = dists(y)
+    y0 = np.clip((lamv[:, None] * x).sum(axis=0) / max(lamv.sum(), 1e-30), lo, hi)
+    ys, ts, alpha = y0[None, :], dists(y0)[None, :], np.ones(1)
     best_lb = -math.inf
-    lp_calls = 0
-    for _ in range(max_iters):
+    for it in range(1, max_iters + 1):
+        t = alpha @ ts
         g = lamv * p * t ** (p - 1.0)
         if q == 1:
-            y_v, t_v, lpval = _q1_oracle(x, w, g)
+            y_s, t_s, lpval = _q1_oracle(x, w, g)
         else:
-            y_v, t_v, lpval = _qinf_oracle(x, g, lo, hi)
-            lp_calls += 1
-        lb = lpval - _conjugate_power_sum(g, p, lamv)
-        best_lb = max(best_lb, lb)
-        gap = fval(t) - best_lb
-        if gap <= tol:
+            y_s, t_s, lpval = _qinf_oracle(x, g, lo, hi)
+        best_lb = max(best_lb, lpval - _conjugate_power_sum(g, p, lamv))
+        if fval(t) - best_lb <= tol:
             break
-        # exact segment line search for p=2, golden-section otherwise
-        dt = t_v - t
-        if p == 2:
-            denom = float((lamv * dt * dt).sum())
-            gamma = 0.0 if denom <= 0 else min(1.0, max(0.0, -float((lamv * t * dt).sum()) / denom))
+        a = int(np.argmax(ts @ g))
+        dt = t_s - ts[a]
+        amax = alpha[a]
+
+        def slope(gamma):
+            return float((lamv * np.maximum(t + gamma * dt, 0.0) ** (p - 1.0) * dt).sum())
+
+        if slope(amax) <= 0:
+            gamma = amax  # drop step: the away atom leaves the active set
+        elif p == 2:
+            gamma = -float((lamv * t * dt).sum()) / float((lamv * dt * dt).sum())
+            gamma = min(amax, max(0.0, gamma))
         else:
-            a, b = 0.0, 1.0
-            for _ in range(40):
-                m1 = a + (b - a) / 3
-                m2 = b - (b - a) / 3
-                if fval(t + m1 * dt) <= fval(t + m2 * dt):
-                    b = m2
-                else:
-                    a = m1
-            gamma = 0.5 * (a + b)
+            lo_g, hi_g = 0.0, amax
+            for _ in range(50):
+                mid = 0.5 * (lo_g + hi_g)
+                lo_g, hi_g = (mid, hi_g) if slope(mid) < 0 else (lo_g, mid)
+            gamma = lo_g
         if gamma <= 0:
-            gamma = min(1.0, 2.0 / (2 + max(1, lp_calls)))
-        y = (1 - gamma) * y + gamma * y_v
-        t_seg = (1 - gamma) * t + gamma * t_v
-        t_at_y = dists(y)
-        # actual distances at the blended hub dominate the segment bound
-        t = np.minimum(t_seg, t_at_y)
-    return y, fval(dists(y)), best_lb
+            break  # no descent along the pairwise direction
+        same = np.nonzero((ys == y_s).all(axis=1))[0]
+        if same.size:
+            s = int(same[0])
+            if s == a:
+                break
+        else:
+            ys, ts = np.vstack([ys, y_s]), np.vstack([ts, t_s])
+            alpha, s = np.append(alpha, 0.0), len(alpha)
+        alpha[s] += gamma
+        alpha[a] = 0.0 if gamma == amax else amax - gamma
+        keep = alpha > 0
+        ys, ts, alpha = ys[keep], ts[keep], alpha[keep]
+    y = alpha @ ys
+    val = fval(dists(y))
+    if val - best_lb > tol:
+        logger.debug(
+            "frank-wolfe stopped after %d iterations with gap %.3e above tol %.3e",
+            it, val - best_lb, tol,
+        )
+    return y, val, best_lb
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +427,12 @@ def solve_fpq(
 ) -> FpqSolution:
     """Minimize sum_i w_i ||z_i - y||_q^p over y.
 
-    ``tol`` is the accuracy target; certified paths (q in {1, inf}) raise
-    SolverError carrying (lower, upper) when they cannot close the gap, the
-    smooth path reports an estimated tolerance.  ``force_iterative`` skips
-    the p=q=2 closed form (used by agreement tests).
+    ``tol`` is the accuracy target.  On the certified paths (q in {1, inf})
+    ``tolerance`` is value - lower_bound; pairwise Frank-Wolfe stops once it
+    is at most ``tol`` or after 1000 oracle calls, and with ``certify`` a gap
+    left above ``tol`` raises SolverError carrying (lower, upper).  The
+    smooth paths report ``tol`` as an estimate with no lower bound.
+    ``force_iterative`` skips the p=q=2 closed form (used by agreement tests).
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
@@ -472,39 +457,22 @@ def solve_fpq(
         y_red, val = _solve_median_q1p1(x, w, lam)
         return FpqSolution(val, red.expand(y_red), 0.0, "coordinate-q1", val)
 
-    if q == 1:  # p > 1
-        y0, up = _solve_subgradient(x, w, lam, p, q, iters=300, seed=seed)
-        y_red, val, lb = _frank_wolfe(x, w, lam, p, q, y0, tol)
+    if q == math.inf and p == 1:
+        ones = np.ones(k) if lam is None else lam
+        y_red, t, lpv = _qinf_oracle(x, ones, x.min(axis=0), x.max(axis=0))
+        sol_y = red.expand(y_red)
+        val = fpq_objective(x_full, sol_y, p, q, lam)
+        return FpqSolution(val, sol_y, max(val - lpv, 0.0), "lp-qinf", lpv)
+
+    if q in (1, math.inf):  # p > 1
+        y_red, val, lb = _frank_wolfe(x, w, lam, p, q, tol)
         if certify and val - lb > tol:
             raise SolverError(
                 f"frank-wolfe gap {val - lb:.3e} above tol {tol:.3e}", lower=lb, upper=val
             )
         sol_y = red.expand(y_red)
-        return FpqSolution(
-            fpq_objective(x_full, sol_y, p, q, lam), sol_y,
-            max(val - lb, 0.0), "subgradient+frank-wolfe", lb,
-        )
-
-    if q == math.inf:
-        lo = x.min(axis=0)
-        hi = x.max(axis=0)
-        if p == 1:
-            ones = np.ones(k) if lam is None else lam
-            y_red, t, lpv = _qinf_oracle(x, ones, lo, hi)
-            sol_y = red.expand(y_red)
-            val = fpq_objective(x_full, sol_y, p, q, lam)
-            return FpqSolution(val, sol_y, max(val - lpv, 0.0), "lp-qinf", lpv)
-        y0, up = _solve_subgradient(x, w, lam, p, q, iters=1500, seed=seed)
-        y_red, val, lb = _frank_wolfe(x, w, lam, p, q, y0, tol, max_iters=200)
-        if certify and val - lb > tol:
-            raise SolverError(
-                f"qinf gap {val - lb:.3e} above tol {tol:.3e}", lower=lb, upper=val
-            )
-        sol_y = red.expand(y_red)
-        return FpqSolution(
-            fpq_objective(x_full, sol_y, p, q, lam), sol_y,
-            max(val - lb, 0.0), "subgradient+frank-wolfe", lb,
-        )
+        val = fpq_objective(x_full, sol_y, p, q, lam)
+        return FpqSolution(val, sol_y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
 
     # q in (1, inf)
     if p == 1 and q == 2:

@@ -148,6 +148,21 @@ def test_cli_determinism(tmp_path):
     assert ga.read_text() == gb.read_text()
 
 
+def test_config_hash_identifies_input_files(tmp_path):
+    g, pts, rep = tmp_path / "g.json", tmp_path / "pts.json", tmp_path / "rep.json"
+    hashes = {}
+    for n in (4, 5):
+        main(["graph", "gen", "--family", "complete", "--n", str(n), "--out", str(g), "--quiet"])
+        main(["embed", "--graph", str(g), "--k", "3", "--p", "2", "--q", "2", "--out", str(pts), "--quiet"])
+        for argv in (
+            ["chub", "--points", str(pts), "--out", str(rep)],
+            ["reduce", "--graph", str(g), "--k", "3", "--p", "2", "--q", "2", "--report", str(rep)],
+        ):
+            assert main(argv + ["--quiet"]) == 0
+            hashes.setdefault(argv[0], set()).add(json.loads(rep.read_text())["config_hash"])
+    assert all(len(h) == 2 for h in hashes.values())
+
+
 def test_subprocess_entry_point(tmp_path):
     g = tmp_path / "k4.json"
     res = run_cli(["graph", "gen", "--family", "complete", "--n", "4", "--out", str(g)], tmp_path)

@@ -1,3 +1,4 @@
+import logging
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barygap.fpq
 from barygap.embed import canonical_clique_collection, embed_phi, embed_psi, embed_xi
 from barygap.errors import InputError
 from barygap.fpq import (
@@ -264,3 +266,65 @@ def test_qinf_constraints_match_row_loop():
         A, b = _qinf_constraints(x)
         assert np.array_equal(A, np.array(rows))
         assert np.array_equal(b, np.array(rhs))
+
+
+def _random_hub_problems(count=300):
+    # the fixed certification set: k in [2, 5], d in [1, 6], every fifth weighted
+    rng = np.random.default_rng(0)
+    probs = []
+    for i in range(count):
+        k = int(rng.integers(2, 6))
+        d = int(rng.integers(1, 7))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        q = [1.0, math.inf][int(rng.integers(2))]
+        x = rng.normal(size=(k, d))
+        w = rng.random(k) + 0.1 if i % 5 == 0 else None
+        probs.append(FpqProblem(x, p, q, weights=w))
+    return probs
+
+
+def test_frank_wolfe_certifies_random_hub_problems():
+    tol = 1e-6
+    for prob in _random_hub_problems():
+        sol = solve_fpq(prob, tol=tol)
+        assert sol.method == "pairwise-frank-wolfe"
+        assert sol.tolerance <= tol
+        assert sol.lower_bound <= sol.value + 1e-9 * max(1.0, abs(sol.value))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_frank_wolfe_metamorphic(data):
+    # point and coordinate permutations and translations keep the value;
+    # scaling by c multiplies it by c^p, all within the reported tolerances
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(2, 4))
+    d = data.draw(st.integers(1, 4))
+    p = data.draw(st.sampled_from([1.5, 2.0, 3.0]))
+    q = data.draw(st.sampled_from([1.0, math.inf]))
+    x = rng.normal(size=(k, d))
+    w = rng.random(k) + 0.1 if data.draw(st.booleans()) else None
+    base = solve_fpq(FpqProblem(x, p, q, weights=w), tol=1e-6)
+    rows, cols = rng.permutation(k), rng.permutation(d)
+    c = data.draw(st.floats(0.25, 4.0))
+    moved = [
+        (x[rows], None if w is None else w[rows], 1.0),
+        (x[:, cols], w, 1.0),
+        (x + rng.normal(size=d) * 10, w, 1.0),
+        (c * x, w, c**p),
+    ]
+    for pts, wts, factor in moved:
+        sol = solve_fpq(FpqProblem(pts, p, q, weights=wts), tol=1e-6)
+        slack = sol.tolerance + factor * base.tolerance + 1e-9 * max(1.0, sol.value)
+        assert abs(sol.value - factor * base.value) <= slack
+
+
+def test_frank_wolfe_logs_an_open_gap(monkeypatch, caplog):
+    monkeypatch.setattr(barygap.fpq._frank_wolfe, "__defaults__", (1,))
+    pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
+    with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
+        sol = solve_fpq(FpqProblem(pts, 2, 1), tol=1e-9)
+    assert sol.tolerance > 1e-9
+    records = [r for r in caplog.records if r.name == "barygap.fpq"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert "above tol" in records[0].getMessage()
