@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, ResourceCapError
-from .fpq import FpqProblem, solve_fpq
+from .fpq import FpqProblem, solve_fpq, unique_columns
 from .graph import _iter_tuple_chunks
 from .simplex import solve_lp
 
@@ -57,8 +57,7 @@ class DiscreteMeasure:
             raise InputError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > 1e-12:
             raise InputError(f"masses sum to {masses.sum()!r}, expected 1")
-        uniq = np.unique(atoms, axis=0)
-        if uniq.shape[0] != atoms.shape[0]:
+        if unique_columns(atoms.T)[0].shape[1] != atoms.shape[0]:
             raise InputError("atoms must be pairwise distinct")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", np.maximum(masses, 0.0))
@@ -405,7 +404,7 @@ def borgwardt_2approx(inst: BaryInstance, cap: int = DEFAULT_LP_CAP):
     One joint LP over the k transport plans and the nk support weights;
     the value is within a factor 2 of the optimum.
     """
-    union = np.unique(np.vstack([m.atoms for m in inst.measures]), axis=0)
+    union = unique_columns(np.vstack([m.atoms for m in inst.measures]).T)[0].T
     s = union.shape[0]
     sizes = [m.size for m in inst.measures]
     n_plan = sum(ni * s for ni in sizes)
@@ -534,8 +533,7 @@ def uniformize(inst: BaryInstance, eps: float, c: float = 4.0, max_atoms: int = 
                     y = y / nq
                 new_atoms.append(y)
         atoms = np.array(new_atoms)
-        uniq = np.unique(atoms, axis=0)
-        if uniq.shape[0] != atoms.shape[0]:
+        if unique_columns(atoms.T)[0].shape[1] != atoms.shape[0]:
             raise InputError(
                 f"split atoms collide at radius {r:.3e}; eps={eps} is too small "
                 f"for this support (atoms within {2 * r:.3e} of each other)"

@@ -1,13 +1,14 @@
 """Brute-force hub-selection solver: minimize F_{p,q} over all n^k tuples.
 
 Enumeration is exhaustive, in the package's one tuple order (numpy C order,
-``graph._iter_tuple_chunks``).  Inner solves are cached per
-tuple-equivalence class: two tuples whose selected point matrices agree up
-to a coordinate permutation have the same value, so the multiset of columns
-is a sound cache key.  For embedded configs that key collapses to the
-induced edge pattern (plus the degree profile for the q=inf embedding),
-which is computed vectorized for the whole tuple space.  Every tuple is
-still enumerated and assigned its value; caching never prunes.  With
+``graph._iter_tuple_chunks``).  Every inner solve goes through
+``fpq.solve_fpq``, whose memo is keyed on the canonical hub problem, so two
+tuples whose selected point matrices agree up to a point or coordinate
+permutation are usually solved once.  For embedded configs the tuples are
+first grouped by their induced edge pattern (plus the degree profile for
+the q=inf embedding), computed vectorized for the whole tuple space, and
+only one representative per class is handed to ``solve_fpq``.  Every tuple
+is still enumerated and assigned its value; caching never prunes.  With
 ``keep_per_tuple`` the result carries every tuple's value as a flat array
 in that order.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from .embed import PointConfig
 from .errors import InputError, ResourceCapError
-from .fpq import FpqProblem, solve_fpq
+from .fpq import FpqProblem, solve_fpq, unique_columns
 from .graph import DEFAULT_ENUM_CAP, Graph, _iter_tuple_chunks
 
 
@@ -57,13 +58,6 @@ def _check_cap(n, k, cap):
 
 def _pair_list(k):
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
-def _column_signature(points):
-    """Canonical multiset-of-columns key; exact but O(k d log d) per tuple."""
-    x = np.asarray(points)
-    cols, counts = np.unique(x, axis=1, return_counts=True)
-    return cols.tobytes() + counts.tobytes()
 
 
 def _source_graph(config: PointConfig):
@@ -101,8 +95,9 @@ def solve_chub(
     ``exact`` (default: automatic for the p=q=2 regime) switches to integer
     closed-form arithmetic; the result then carries an exact Fraction value.
     ``keep_per_tuple`` keeps every tuple's value (float64, or Fractions on
-    the exact path).  ``force_per_tuple_solve`` disables class caching
-    (test hook).
+    the exact path).  ``force_per_tuple_solve`` skips the edge-pattern
+    classes and hands every tuple to ``solve_fpq`` (test hook); the method
+    is then ``signature-cache[N]`` with N distinct tuple values.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
@@ -118,52 +113,30 @@ def solve_chub(
         return _solve_chub_exact_22(config, chunk, keep_per_tuple)
 
     graph, emb = (None, None) if force_per_tuple_solve else _source_graph(config)
-    tolerances = [0.0]
-
     if graph is not None:
         keys = _class_keys_embedded(config, graph, emb, chunk)
-        if keys.shape[1] == 1:
-            uniq, rep_idx, inverse = np.unique(
-                keys[:, 0], return_index=True, return_inverse=True
-            )
-        else:
-            uniq, rep_idx, inverse = np.unique(
-                keys, axis=0, return_index=True, return_inverse=True
-            )
-        class_vals = np.empty(len(uniq), dtype=float)
-        reps = np.stack(np.unravel_index(rep_idx, shape), axis=1)
-        for cls, vt in enumerate(reps):
-            sol = solve_fpq(
-                FpqProblem(config.dense_tuple(vt).astype(float), config.p, config.q),
-                tol=tol / 2,
-            )
-            class_vals[cls] = sol.value
-            tolerances.append(sol.tolerance)
-        values = class_vals[inverse.ravel()]
-        method = f"class-cache[{len(uniq)}]"
+        _, reps, inverse, _ = unique_columns(keys.T)
     else:
-        cache = {}
-        values = []
-        for cols in _iter_tuple_chunks(shape, chunk):
-            for vt in cols:
-                pts = config.dense_tuple(vt)
-                key = _column_signature(pts)
-                if key not in cache:
-                    sol = solve_fpq(
-                        FpqProblem(pts.astype(float), config.p, config.q), tol=tol / 2
-                    )
-                    cache[key] = sol.value
-                    tolerances.append(sol.tolerance)
-                values.append(cache[key])
-        values = np.array(values)
-        method = f"signature-cache[{len(cache)}]"
+        reps = inverse = np.arange(n**k)
+    values = np.empty(len(reps))
+    worst = 0.0
+    for cls, flat in enumerate(reps):
+        pts = config.dense_tuple(np.unravel_index(flat, shape)).astype(float)
+        sol = solve_fpq(FpqProblem(pts, config.p, config.q), tol=tol / 2)
+        values[cls] = sol.value
+        worst = max(worst, sol.tolerance)
+    values = values[inverse]
+    if graph is not None:
+        method = f"class-cache[{len(reps)}]"
+    else:
+        method = f"signature-cache[{len(np.unique(values))}]"
 
     vmin = float(values.min())
     arg = int(np.nonzero(values <= vmin + tol)[0][0])
     return ChubResult(
         value=vmin,
         argmin=_unravel(arg, shape),
-        tolerance=max(tol, *tolerances),
+        tolerance=max(tol, worst),
         method=method,
         per_tuple=values if keep_per_tuple else None,
     )

@@ -15,17 +15,22 @@ algorithm that is simultaneously exact, certified and fast across the whole
 * q in (1, inf)        -- Weiszfeld for (p, q) = (1, 2); otherwise L-BFGS-B
                           multistart with analytic gradients.
 
-Before dispatch, coordinates with identical values across all k points are
-fixed at that shared value and duplicate coordinate columns are merged into
-one weighted column: both reductions are exact for every norm, and they are
-what makes brute-force enumeration over embedded instances cheap.
+Every call goes through one canonical hub problem.  Coordinates with
+identical values across all k points are fixed at that shared value,
+duplicate coordinate columns are merged into one weighted column, and the
+rows are sorted with their weights by a signature that ignores column order:
+all three are exact for every norm, and they are what makes brute-force
+enumeration over embedded instances cheap.  Solutions are memoized on that
+canonical form plus (p, q), so a problem met again in another tuple class,
+instance or certificate sweep, or under a point or coordinate permutation,
+is looked up rather than solved again.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -103,65 +108,63 @@ def fpq_gradient(points, y, p, q, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# Column reduction
+# Canonical form
 
 
-@dataclass
-class _Reduced:
-    x: np.ndarray        # (k, C) distinct non-constant columns
-    w: np.ndarray        # (C,) column multiplicities
-    fixed_cols: np.ndarray
-    fixed_vals: np.ndarray
-    var_cols_inverse: np.ndarray  # original column -> reduced column id
-    var_mask: np.ndarray
-    d: int
+def unique_columns(x):
+    """Distinct columns of x by one lexsort: (uniq, first, inverse, counts).
 
-    def expand(self, y_red):
-        y = np.empty(self.d, dtype=float)
-        y[self.fixed_cols] = self.fixed_vals
-        y[self.var_mask] = y_red[self.var_cols_inverse]
-        return y
-
-
-def _reduce_columns(points):
-    """Fix constant columns and merge duplicate columns (exact for any norm).
-
-    Permuting identical columns of y leaves the objective unchanged, so by
-    convexity some optimum is constant on each duplicate class; a constant
-    column is optimally matched exactly.
+    The same arrays, in the same order, as numpy's ``unique`` over axis 1
+    with index, inverse and counts: columns sorted lexicographically (row 0
+    first), each represented by its first occurrence.  The distinct rows of
+    ``a`` are ``unique_columns(a.T)``.
     """
-    x = np.asarray(points, dtype=float)
-    k, d = x.shape
-    const = (x == x[0]).all(axis=0)
-    fixed_cols = np.nonzero(const)[0]
-    fixed_vals = x[0, fixed_cols]
-    var_mask = ~const
-    xv = x[:, var_mask]
-    if xv.shape[1] == 0:
-        uniq = np.zeros((k, 0))
-        counts = np.zeros(0)
-        inverse = np.zeros(0, dtype=np.int64)
-    else:
-        uniq, inverse, counts = np.unique(
-            xv, axis=1, return_inverse=True, return_counts=True
-        )
-    return _Reduced(
-        x=uniq, w=counts.astype(float), fixed_cols=fixed_cols,
-        fixed_vals=fixed_vals, var_cols_inverse=inverse, var_mask=var_mask, d=d,
-    )
+    x = np.asarray(x)
+    d = x.shape[1]
+    order = np.lexsort(x[::-1]) if x.shape[0] else np.arange(d)
+    xs = x[:, order]
+    new = np.ones(d, dtype=bool)
+    new[1:] = (xs[:, 1:] != xs[:, :-1]).any(axis=0)
+    group = np.cumsum(new) - 1
+    inverse = np.empty(d, dtype=np.intp)
+    inverse[order] = group
+    first = order[new]
+    return x[:, first], first, inverse, np.bincount(group, minlength=len(first))
+
+
+def _canonical(points, lam, p, q):
+    """Canonical form of a hub problem: (x, w, lam, column map, var, key).
+
+    Constant columns are matched exactly; permuting identical columns of y
+    leaves the objective unchanged, so by convexity some optimum is constant
+    on each duplicate class, which becomes one column of multiplicity w.
+    Rows are sorted with their weights by the multiset of (value, w) pairs
+    they hold, then the columns are merged again; ``x[:, col_of]`` is the
+    call's own non-constant columns ``points[:, var]``, rows reordered.
+    Equal keys mean equal problems; equal problems whose rows tie on the
+    signature may still get different keys.
+    """
+    k = points.shape[0]
+    lam = np.ones(k) if lam is None else lam
+    var = ~(points == points[0]).all(axis=0)
+    xv, _, inv, counts = unique_columns(points[:, var])
+    pairs = np.sort(xv + 1j * counts, axis=1)  # complex sort: by value, then w
+    rows = np.lexsort(np.hstack([lam[:, None], pairs.real, pairs.imag]).T[::-1])
+    x, first, col_of, _ = unique_columns(xv[rows])
+    w = counts[first].astype(float)
+    lam = lam[rows]
+    key = (p, q, lam.tobytes(), x.shape, x.tobytes(), w.tobytes())
+    return x, w, lam, col_of[inv], var, key
 
 
 def _wobj(x, w, y, p, q, lam):
     """Objective on reduced columns with multiplicities w."""
     diff = np.abs(x - y[None, :])
     if q == math.inf:
-        norms = diff.max(axis=1) if x.shape[1] else np.zeros(x.shape[0])
+        norms = diff.max(axis=1)
     else:
         norms = ((diff**q) * w[None, :]).sum(axis=1) ** (1.0 / q)
-    vals = norms**p
-    if lam is not None:
-        vals = vals * lam
-    return float(vals.sum())
+    return float((lam * norms**p).sum())
 
 
 def _wgrad(x, w, y, p, q, lam):
@@ -169,9 +172,7 @@ def _wgrad(x, w, y, p, q, lam):
     absd = np.abs(diff)
     s = ((absd**q) * w[None, :]).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = p * np.where(s > 0, s ** (p / q - 1.0), 0.0)
-    if lam is not None:
-        scale = scale * lam
+        scale = lam * p * np.where(s > 0, s ** (p / q - 1.0), 0.0)
     return (scale[:, None] * w[None, :] * absd ** (q - 1.0) * np.sign(diff)).sum(axis=0)
 
 
@@ -180,16 +181,12 @@ def _l1_dists(x, w, y):
 
 
 def _linf_dists(x, y):
-    if x.shape[1] == 0:
-        return np.zeros(x.shape[0])
     return np.abs(x - y[None, :]).max(axis=1)
 
 
 def _weighted_median_columns(x, g):
     """argmin_y sum_i g_i |x_ic - y_c| per column, all columns at once."""
     k, c = x.shape
-    if c == 0:
-        return np.zeros(0)
     order = np.argsort(x, axis=0, kind="stable")
     gw = np.broadcast_to(g[:, None], (k, c))
     g_sorted = np.take_along_axis(gw, order, axis=0)
@@ -207,7 +204,6 @@ def _conjugate_power_sum(g, p, lam):
     if p == 1:
         # conjugate is 0 where g <= lam, +inf otherwise; callers keep g <= lam
         return 0.0
-    lam = np.ones_like(g) if lam is None else lam
     out = 0.0
     pos = lam > 0
     r = p / (p - 1.0)
@@ -221,40 +217,36 @@ def _conjugate_power_sum(g, p, lam):
 
 
 def _solve_mean_22(x, w, lam):
-    tw = np.ones(x.shape[0]) if lam is None else lam
-    if tw.sum() <= 0:
+    if lam.sum() <= 0:
         return np.zeros(x.shape[1]), 0.0
-    y = (tw[:, None] * x).sum(axis=0) / tw.sum()
+    y = (lam[:, None] * x).sum(axis=0) / lam.sum()
     return y, _wobj(x, w, y, 2.0, 2.0, lam)
 
 
 def _solve_median_q1p1(x, w, lam):
-    lamv = np.ones(x.shape[0]) if lam is None else lam
-    y = _weighted_median_columns(x, lamv)
+    y = _weighted_median_columns(x, lam)
     return y, _wobj(x, w, y, 1.0, 1.0, lam)
 
 
 def _solve_weiszfeld(x, w, lam, iters=10000, tol=1e-14):
     """Geometric median of the rows of x under the w-weighted l2 metric."""
     xt = x * np.sqrt(w)[None, :]
-    lamv = np.ones(x.shape[0]) if lam is None else lam
-    y = (lamv[:, None] * xt).sum(axis=0) / lamv.sum()
+    y = (lam[:, None] * xt).sum(axis=0) / lam.sum()
     for _ in range(iters):
         dist = np.linalg.norm(xt - y[None, :], axis=1)
         hit = dist < 1e-13
         if hit.any():
-            j = int(np.nonzero(hit)[0][0])
             rest = ~hit
             if not rest.any():
                 break
             r = (
-                lamv[rest, None] * (xt[rest] - y[None, :]) / dist[rest, None]
+                lam[rest, None] * (xt[rest] - y[None, :]) / dist[rest, None]
             ).sum(axis=0)
-            if np.linalg.norm(r) <= lamv[hit].sum() + 1e-12:
+            if np.linalg.norm(r) <= lam[hit].sum() + 1e-12:
                 break  # subgradient optimality at the data point
-            y = y + (np.linalg.norm(r) - lamv[hit].sum()) / lamv.sum() * r / np.linalg.norm(r)
+            y = y + (np.linalg.norm(r) - lam[hit].sum()) / lam.sum() * r / np.linalg.norm(r)
             continue
-        wts = lamv / dist
+        wts = lam / dist
         y_new = (wts[:, None] * xt).sum(axis=0) / wts.sum()
         if np.linalg.norm(y_new - y) <= tol * (1.0 + np.linalg.norm(y)):
             y = y_new
@@ -270,7 +262,6 @@ def _solve_lbfgs(x, w, lam, p, q, seed=0):
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     bounds = list(zip(lo, hi))
-    lamv = np.ones(x.shape[0]) if lam is None else lam
 
     def run(y0):
         res = sciopt.minimize(
@@ -284,7 +275,7 @@ def _solve_lbfgs(x, w, lam, p, q, seed=0):
         return res.x, _wobj(x, w, res.x, p, q, lam)
 
     cands = [
-        run((lamv[:, None] * x).sum(axis=0) / max(lamv.sum(), 1e-30)),
+        run((lam[:, None] * x).sum(axis=0) / max(lam.sum(), 1e-30)),
         run(np.sort(x, axis=0)[(x.shape[0] - 1) // 2]),
     ]
     best = min(cands, key=lambda c: c[1])
@@ -324,8 +315,6 @@ def _qinf_constraints(x):
 def _qinf_oracle(x, g, lo, hi):
     """min_y sum_i g_i ||x_i - y||_inf via one LP (HiGHS)."""
     k, c = x.shape
-    if c == 0:
-        return np.zeros(0), np.zeros(k), 0.0
     A, rhs = _qinf_constraints(x)
     cost = np.concatenate([np.zeros(c), np.maximum(g, 0.0)])
     bounds = [(float(a), float(b)) for a, b in zip(lo, hi)] + [(0.0, None)] * k
@@ -349,7 +338,6 @@ def _frank_wolfe(x, w, lam, p, q, tol, max_iters=1000):
     one.  Returns (y, phi(dists(y)), lower bound) for y = sum_v alpha_v y_v;
     by convexity dists(y) <= t.
     """
-    lamv = np.ones(x.shape[0]) if lam is None else lam
     lo = x.min(axis=0)
     hi = x.max(axis=0)
 
@@ -357,19 +345,19 @@ def _frank_wolfe(x, w, lam, p, q, tol, max_iters=1000):
         return _l1_dists(x, w, y) if q == 1 else _linf_dists(x, y)
 
     def fval(t):
-        return float((lamv * t**p).sum())
+        return float((lam * t**p).sum())
 
-    y0 = np.clip((lamv[:, None] * x).sum(axis=0) / max(lamv.sum(), 1e-30), lo, hi)
+    y0 = np.clip((lam[:, None] * x).sum(axis=0) / max(lam.sum(), 1e-30), lo, hi)
     ys, ts, alpha = y0[None, :], dists(y0)[None, :], np.ones(1)
     best_lb = -math.inf
     for it in range(1, max_iters + 1):
         t = alpha @ ts
-        g = lamv * p * t ** (p - 1.0)
+        g = lam * p * t ** (p - 1.0)
         if q == 1:
             y_s, t_s, lpval = _q1_oracle(x, w, g)
         else:
             y_s, t_s, lpval = _qinf_oracle(x, g, lo, hi)
-        best_lb = max(best_lb, lpval - _conjugate_power_sum(g, p, lamv))
+        best_lb = max(best_lb, lpval - _conjugate_power_sum(g, p, lam))
         if fval(t) - best_lb <= tol:
             break
         a = int(np.argmax(ts @ g))
@@ -377,12 +365,12 @@ def _frank_wolfe(x, w, lam, p, q, tol, max_iters=1000):
         amax = alpha[a]
 
         def slope(gamma):
-            return float((lamv * np.maximum(t + gamma * dt, 0.0) ** (p - 1.0) * dt).sum())
+            return float((lam * np.maximum(t + gamma * dt, 0.0) ** (p - 1.0) * dt).sum())
 
         if slope(amax) <= 0:
             gamma = amax  # drop step: the away atom leaves the active set
         elif p == 2:
-            gamma = -float((lamv * t * dt).sum()) / float((lamv * dt * dt).sum())
+            gamma = -float((lam * t * dt).sum()) / float((lam * dt * dt).sum())
             gamma = min(amax, max(0.0, gamma))
         else:
             lo_g, hi_g = 0.0, amax
@@ -417,6 +405,34 @@ def _frank_wolfe(x, w, lam, p, q, tol, max_iters=1000):
 # ---------------------------------------------------------------------------
 # Public entry points
 
+_MEMO_CAP = 4096  # canonical solutions kept; the memo is emptied when full
+_MEMO = {}
+
+
+def _solve_canonical(x, w, lam, p, q, tol, force_iterative, seed):
+    """Dispatch on (p, q) over a canonical problem; minimizer in its columns."""
+    if x.shape[1] == 0:
+        return FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
+    if p == 2 and q == 2 and not force_iterative:
+        y, val = _solve_mean_22(x, w, lam)
+        return FpqSolution(val, y, 0.0, "closed-form-22", val)
+    if q == 1 and p == 1:
+        y, val = _solve_median_q1p1(x, w, lam)
+        return FpqSolution(val, y, 0.0, "coordinate-q1", val)
+    if q == math.inf and p == 1:
+        y, _, lpv = _qinf_oracle(x, lam, x.min(axis=0), x.max(axis=0))
+        val = _wobj(x, w, y, p, q, lam)
+        return FpqSolution(val, y, max(val - lpv, 0.0), "lp-qinf", lpv)
+    if q in (1, math.inf):  # p > 1
+        y, val, lb = _frank_wolfe(x, w, lam, p, q, tol)
+        return FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
+    # q in (1, inf)
+    if p == 1 and q == 2:
+        y, val = _solve_weiszfeld(x, w, lam)
+        return FpqSolution(val, y, tol, "weiszfeld")
+    y, val = _solve_lbfgs(x, w, lam, p, q, seed=seed)
+    return FpqSolution(val, y, tol, "lbfgs")
+
 
 def solve_fpq(
     prob: FpqProblem,
@@ -432,60 +448,28 @@ def solve_fpq(
     is at most ``tol`` or after 1000 oracle calls, and with ``certify`` a gap
     left above ``tol`` raises SolverError carrying (lower, upper).  The
     smooth paths report ``tol`` as an estimate with no lower bound.
-    ``force_iterative`` skips the p=q=2 closed form (used by agreement tests).
+    A memoized solution of the same canonical problem is reused when its
+    ``tolerance`` is at most ``tol``.  ``force_iterative`` skips the p=q=2
+    closed form and the memo (used by agreement tests).
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
-    x_full = prob.points
-    k, d = x_full.shape
-    p, q, lam = prob.p, prob.q, prob.weights
-    if k == 1:
-        return FpqSolution(0.0, x_full[0].astype(float).copy(), 0.0, "single-point", 0.0)
-
-    red = _reduce_columns(x_full)
-    x, w = red.x, red.w
-
-    if x.shape[1] == 0:
-        y = red.expand(np.zeros(0))
-        return FpqSolution(0.0, y, 0.0, "constant", 0.0)
-
-    if p == 2 and q == 2 and not force_iterative:
-        y_red, val = _solve_mean_22(x, w, lam)
-        return FpqSolution(val, red.expand(y_red), 0.0, "closed-form-22", val)
-
-    if q == 1 and p == 1:
-        y_red, val = _solve_median_q1p1(x, w, lam)
-        return FpqSolution(val, red.expand(y_red), 0.0, "coordinate-q1", val)
-
-    if q == math.inf and p == 1:
-        ones = np.ones(k) if lam is None else lam
-        y_red, t, lpv = _qinf_oracle(x, ones, x.min(axis=0), x.max(axis=0))
-        sol_y = red.expand(y_red)
-        val = fpq_objective(x_full, sol_y, p, q, lam)
-        return FpqSolution(val, sol_y, max(val - lpv, 0.0), "lp-qinf", lpv)
-
-    if q in (1, math.inf):  # p > 1
-        y_red, val, lb = _frank_wolfe(x, w, lam, p, q, tol)
-        if certify and val - lb > tol:
-            raise SolverError(
-                f"frank-wolfe gap {val - lb:.3e} above tol {tol:.3e}", lower=lb, upper=val
-            )
-        sol_y = red.expand(y_red)
-        val = fpq_objective(x_full, sol_y, p, q, lam)
-        return FpqSolution(val, sol_y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
-
-    # q in (1, inf)
-    if p == 1 and q == 2:
-        y_red, val = _solve_weiszfeld(x, w, lam)
-        sol_y = red.expand(y_red)
-        return FpqSolution(
-            fpq_objective(x_full, sol_y, p, q, lam), sol_y, tol, "weiszfeld", None
+    x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
+    sol = None if force_iterative else _MEMO.get(key)
+    if sol is None or sol.tolerance > tol:
+        sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative, seed)
+        if not force_iterative:
+            if len(_MEMO) >= _MEMO_CAP:
+                _MEMO.clear()
+            _MEMO[key] = sol
+    if certify and sol.tolerance > tol:
+        raise SolverError(
+            f"{sol.method} gap {sol.tolerance:.3e} above tol {tol:.3e}",
+            lower=sol.lower_bound, upper=sol.value,
         )
-    y_red, val = _solve_lbfgs(x, w, lam, p, q, seed=seed)
-    sol_y = red.expand(y_red)
-    return FpqSolution(
-        fpq_objective(x_full, sol_y, p, q, lam), sol_y, tol, "lbfgs", None
-    )
+    y = prob.points[0].copy()
+    y[var] = sol.minimizer[col_of]
+    return replace(sol, minimizer=y)
 
 
 def fpq_closed_form_22(points, weights=None) -> FpqSolution:

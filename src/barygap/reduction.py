@@ -16,6 +16,9 @@ Certificate sources per regime:
 * QIN  -- solver-certified: gamma from the canonical clique collection,
   Delta from an exhaustive sweep over all 2^C(k,2) overlap patterns at the
   given (k, D), halved as a safety factor.  Artifact-level, not closed form.
+  The sweep runs on every call; its solves are ``fpq`` memo hits after the
+  first, and so are the phi-embedded class problems of the same gadget,
+  which are these pattern problems once their columns are merged.
 """
 
 from __future__ import annotations
@@ -59,9 +62,6 @@ class GapCertificate:
         if self.separation is not None:
             out["separation"] = self.separation
         return out
-
-
-_QIN_CACHE = {}
 
 
 def _qin_pattern_sweep(k, D, p, q, tol):
@@ -119,24 +119,14 @@ def gap_certificate(n, k, D, p, q, tol=1e-7) -> GapCertificate:
         floor = 2.0 if k == 3 else 2.0 + (k - 2) / 2.0**p
         return GapCertificate(regime, gamma, floor - gamma, "closed-form", params)
 
-    # QIN: exhaustive pattern calibration, cached per (k, D, p, q)
-    key = (k, D, p, q, tol)
-    if key not in _QIN_CACHE:
-        f_clique, f_other = _qin_pattern_sweep(k, D, p, q, tol)
-        sep = f_other - f_clique
-        delta = 0.5 * (sep - 2 * tol)
-        if delta <= 10 * tol:
-            raise InputError(
-                f"calibrated gap {sep:.3e} too small against solver tol {tol:.1e}"
-            )
-        _QIN_CACHE[key] = GapCertificate(
-            "QIN", f_clique + tol, delta, "solver-computed", params,
-            tol=tol, separation=sep,
-        )
-    cached = _QIN_CACHE[key]
+    # QIN: exhaustive pattern calibration
+    f_clique, f_other = _qin_pattern_sweep(k, D, p, q, tol)
+    sep = f_other - f_clique
+    delta = 0.5 * (sep - 2 * tol)
+    if delta <= 10 * tol:
+        raise InputError(f"calibrated gap {sep:.3e} too small against solver tol {tol:.1e}")
     return GapCertificate(
-        "QIN", cached.gamma, cached.delta, "solver-computed", params,
-        tol=cached.tol, separation=cached.separation,
+        "QIN", f_clique + tol, delta, "solver-computed", params, tol=tol, separation=sep
     )
 
 

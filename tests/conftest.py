@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import barygap.fpq
 from barygap.graph import (
     complete_graph,
     cycle_graph,
@@ -37,6 +38,13 @@ def full_corpus():
     out = dict(NAMED_CORPUS)
     out.update(random_corpus())
     return out
+
+
+@pytest.fixture(autouse=True)
+def fresh_fpq_memo():
+    """Every test starts with an empty hub-solve memo, so a test that patches
+    solver internals sees a fresh solve rather than an earlier answer."""
+    barygap.fpq._MEMO.clear()
 
 
 SWEEP_PQS = [(2, 2), (1, 2), (2, 1.5), (1, 1), (2, 1), (1, math.inf), (2, math.inf)]

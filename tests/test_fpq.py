@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import barygap.fpq
-from barygap.embed import canonical_clique_collection, embed_phi, embed_psi, embed_xi
+from barygap.embed import (
+    canonical_clique_collection,
+    collection_from_pattern,
+    embed_phi,
+    embed_psi,
+    embed_xi,
+)
 from barygap.errors import InputError
 from barygap.fpq import (
     FpqProblem,
@@ -20,6 +27,7 @@ from barygap.fpq import (
     q1_value_formula,
     qinf_clique_witness,
     solve_fpq,
+    unique_columns,
 )
 from barygap.graph import complete_graph, cycle_graph
 
@@ -57,9 +65,15 @@ def test_closed_form_22_examples():
 
 
 def test_closed_form_matches_generic_solver():
+    # force_iterative neither fills nor reads the memo: the closed form in
+    # between does not hide the iterative path, and is not hidden by it
     cfg = embed_phi(K4, 3)
     pts = cfg.dense_tuple((0, 1, 2)).astype(float)
     generic = solve_fpq(FpqProblem(pts, 2, 2), force_iterative=True)
+    closed = solve_fpq(FpqProblem(pts, 2, 2))
+    again = solve_fpq(FpqProblem(pts, 2, 2), force_iterative=True)
+    assert generic.method == again.method == "lbfgs"
+    assert closed.method == "closed-form-22"
     assert abs(generic.value - 10.0) < 1e-8
 
 
@@ -328,3 +342,97 @@ def test_frank_wolfe_logs_an_open_gap(monkeypatch, caplog):
     records = [r for r in caplog.records if r.name == "barygap.fpq"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     assert "above tol" in records[0].getMessage()
+
+
+@st.composite
+def _column_matrices(draw):
+    k = draw(st.integers(0, 4))
+    d = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        dtype, elements = np.int64, st.integers(-2, 2)
+    else:
+        # few distinct values, so columns collide; -0.0 and 0.0 mix
+        dtype = np.float64
+        elements = st.sampled_from([-1.5, -0.0, 0.0, 0.5]) | st.floats(-3, 3)
+    col = draw(hnp.arrays(dtype, (k, 1), elements=elements))
+    if draw(st.booleans()):
+        return np.repeat(col, d, axis=1)  # all columns equal, up to the zero sign
+    return draw(hnp.arrays(dtype, (k, d), elements=elements))
+
+
+@given(_column_matrices())
+@settings(max_examples=300, deadline=None)
+def test_unique_columns_matches_numpy(x):
+    want = np.unique(x, axis=1, return_index=True, return_inverse=True, return_counts=True)
+    got = unique_columns(x)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+
+
+def test_unique_columns_edge_shapes():
+    for x in [np.zeros((3, 0)), np.zeros((0, 4)), np.array([[2.0], [-0.0]]),
+              np.array([[0.0, -0.0, 0.0]]), np.ones((2, 5), dtype=np.int64)]:
+        want = np.unique(x, axis=1, return_index=True, return_inverse=True, return_counts=True)
+        for a, b in zip(unique_columns(x), want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(barygap.fpq, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(barygap.fpq, name, wrapper)
+    return calls
+
+
+def _qin_problem():
+    # a path-pattern overlap collection: the problem the QIN certificate sweep
+    # and the phi-embedded class problems share
+    return collection_from_pattern(4, 2, [(0, 1), (1, 2)]).vectors.astype(float)
+
+
+def test_memo_solves_a_permuted_problem_once(monkeypatch):
+    calls = _counting(monkeypatch, "_solve_lbfgs")
+    x = _qin_problem()
+    rng = np.random.default_rng(5)
+    moved = x[[2, 0, 3, 1]][:, rng.permutation(x.shape[1])]
+    a = solve_fpq(FpqProblem(x, 2, 1.5), tol=1e-8)
+    b = solve_fpq(FpqProblem(moved, 2, 1.5), tol=1e-8)
+    assert len(calls) == 1
+    assert a.value == b.value and a.method == b.method == "lbfgs"
+    assert abs(b.value - fpq_objective(moved, b.minimizer, 2, 1.5)) < 1e-9
+
+
+def test_memo_reuses_only_a_tight_enough_entry(monkeypatch):
+    calls = _counting(monkeypatch, "_solve_lbfgs")
+    prob = FpqProblem(_qin_problem(), 2, 1.5)
+    assert solve_fpq(prob, tol=1e-2).tolerance == 1e-2
+    assert solve_fpq(prob, tol=1e-8).tolerance == 1e-8
+    assert len(calls) == 2
+    assert solve_fpq(prob, tol=1e-2).tolerance == 1e-8  # the tighter entry serves
+    assert solve_fpq(prob, tol=1e-8).tolerance == 1e-8
+    assert len(calls) == 2
+
+
+def test_memo_keeps_weights_p_and_q_apart(monkeypatch):
+    calls = _counting(monkeypatch, "_solve_lbfgs")
+    x = _qin_problem()
+    variants = [
+        FpqProblem(x, 2, 1.5),
+        FpqProblem(x, 2, 1.5, weights=np.array([1.0, 1.0, 1.0, 2.0])),
+        FpqProblem(x, 2, 1.5, weights=np.array([2.0, 1.0, 1.0, 1.0])),
+        FpqProblem(x, 3, 1.5),
+        FpqProblem(x, 2, 3.0),
+    ]
+    values = [solve_fpq(prob, tol=1e-8).value for prob in variants]
+    assert len(calls) == len(variants)
+    assert len(set(values)) == len(variants)
+    for prob, value in zip(variants, values):
+        assert solve_fpq(prob, tol=1e-8).value == value
+    assert len(calls) == len(variants)
