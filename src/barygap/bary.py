@@ -7,8 +7,9 @@ one tuple order (numpy C order: ``np.unravel_index`` maps a flat position to
 its tuple); entries of its cost tensor are inner hub solves (closed form at
 p=q=2).  One helper solves every transport LP, two-marginal and k-marginal:
 an assignment when two equal-size uniform marginals make the optimum a
-permutation (Birkhoff), otherwise HiGHS on a sparse marginal matrix, or the
-exact rational tableau.  Desk-scale caps guard every enumeration.
+permutation (Birkhoff), otherwise HiGHS on a sparse marginal matrix, whose
+vertex exact mode proves optimal in rationals (``simplex.solve_lp``).
+Desk-scale caps guard every enumeration.
 """
 
 from __future__ import annotations
@@ -216,13 +217,21 @@ def _rationals(values):
     return [v if isinstance(v, Fraction) else Fraction(v).limit_denominator(10**12) for v in values]
 
 
+def _integer_atoms(measures):
+    """Each measure's atoms as an object array of Python ints; InputError unless integer."""
+    for m in measures:
+        if not (m.atoms == np.round(m.atoms)).all():
+            raise InputError("exact mode needs integer-valued atoms")
+    return [np.array([[int(v) for v in row] for row in m.atoms], dtype=object) for m in measures]
+
+
 def _transport_lp(measures, costs, exact=False):
     """Cheapest coupling of ``measures`` under flat C-order tuple ``costs``.
 
     Returns (value, plan).  Two equal-size uniform marginals make the
     optimum a permutation (Birkhoff), found as an assignment; every other
-    float LP goes to HiGHS.  ``exact`` solves in Fractions and returns a
-    Fraction value and plan.
+    float LP goes to HiGHS.  ``exact`` certifies HiGHS's vertex in Fractions
+    on the same sparse marginal matrix and returns a Fraction value and plan.
     """
     shape = tuple(m.size for m in measures)
     if (
@@ -239,7 +248,7 @@ def _transport_lp(measures, costs, exact=False):
     A = _marginal_matrix(shape)
     b = np.concatenate([m.masses for m in measures])
     if exact:
-        value, x = solve_lp(A.toarray(), _rationals(b), _rationals(costs), exact=True)
+        value, x = solve_lp(A, _rationals(b), _rationals(costs), exact=True)
         support = np.nonzero(x > 0)[0]
     else:
         value, x = solve_lp(A, b, np.asarray(costs, dtype=float))
@@ -249,7 +258,11 @@ def _transport_lp(measures, costs, exact=False):
 
 
 def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEFAULT_LP_CAP):
-    """Optimal value and plan of the transportation LP with cost ||x-y||_q^p."""
+    """Optimal value and plan of the transportation LP with cost ||x-y||_q^p.
+
+    ``exact`` (p=q=2, integer atoms) computes the squared distances in
+    integers and returns a certified Fraction value and plan.
+    """
     if mu.d != nu.d:
         raise InputError(f"dimension mismatch: {mu.d} vs {nu.d}")
     nm, nn = mu.size, nu.size
@@ -258,8 +271,13 @@ def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEF
             f"OT LP with {nm * nn} variables exceeds cap {cap}",
             required=nm * nn, cap=cap,
         )
-    cost = _pairwise_cost(mu.atoms, nu.atoms, p, q)
-    return _transport_lp([mu, nu], cost.ravel(), exact)
+    if not exact:
+        return _transport_lp([mu, nu], _pairwise_cost(mu.atoms, nu.atoms, p, q).ravel())
+    if p != 2 or q != 2:
+        raise InputError("exact OT mode is defined for p=q=2")
+    a, b = _integer_atoms([mu, nu])
+    diff = a[:, None, :] - b[None, :, :]
+    return _transport_lp([mu, nu], (diff * diff).sum(axis=2).ravel().tolist(), exact=True)
 
 
 def wasserstein_pq(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, cap=DEFAULT_LP_CAP):
@@ -289,40 +307,16 @@ class MotResult:
     value_exact: Fraction | None = None
 
 
-def _cost_closed_form_22(inst):
-    """Vectorized p=q=2 costs over all tuples: sum lam ||x||^2 - ||sum lam x||^2 / sum lam."""
-    shape = tuple(m.size for m in inst.measures)
-    lam = inst.weights
+def _cost_22(atoms, lam, shape):
+    """p=q=2 costs over all tuples: sum lam ||x||^2 - ||sum lam x||^2 / sum lam.
+
+    Floats give floats; integer atoms in object arrays with Fraction
+    weights give exact Fractions.
+    """
     idx = np.unravel_index(np.arange(int(np.prod(shape))), shape)
-    costs = np.zeros(idx[0].size)
-    acc = np.zeros((idx[0].size, inst.d))
-    for i, m in enumerate(inst.measures):
-        costs += lam[i] * np.einsum("ij,ij->i", m.atoms, m.atoms)[idx[i]]
-        acc += lam[i] * m.atoms[idx[i]]
-    costs -= np.einsum("ij,ij->i", acc, acc) / lam.sum()
-    return costs
-
-
-def _cost_exact_22(inst):
-    """Exact rational p=q=2 costs; needs integer atoms and rational weights."""
-    shape = tuple(m.size for m in inst.measures)
-    for m in inst.measures:
-        if not np.allclose(m.atoms, np.round(m.atoms)):
-            raise InputError("exact mode needs integer-valued atoms")
-    atoms = [np.round(m.atoms).astype(int) for m in inst.measures]
-    lam = [Fraction(w).limit_denominator(10**9) for w in inst.weights]
-    costs = []
-    for cols in _iter_tuple_chunks(shape):
-        for t in cols:
-            xs = [a[j] for a, j in zip(atoms, t)]
-            s = sum(l * int(x @ x) for l, x in zip(lam, xs))
-            acc = [Fraction(0)] * inst.d
-            for l, x in zip(lam, xs):
-                for c in range(inst.d):
-                    acc[c] += l * int(x[c])
-            s -= sum(a * a for a in acc) / sum(lam)
-            costs.append(s)
-    return costs
+    costs = sum(l * (a * a).sum(axis=1)[ix] for l, a, ix in zip(lam, atoms, idx))
+    acc = sum(l * a[ix] for l, a, ix in zip(lam, atoms, idx))
+    return costs - (acc * acc).sum(axis=1) / sum(lam)
 
 
 def bary_value_mot(
@@ -355,9 +349,10 @@ def bary_value_mot(
     elif exact:
         if inst.p != 2 or inst.q != 2:
             raise InputError("exact MOT mode is defined for p=q=2")
-        costs = _cost_exact_22(inst)
+        lam = [Fraction(w).limit_denominator(10**9) for w in inst.weights]
+        costs = _cost_22(_integer_atoms(inst.measures), lam, shape)
     elif inst.p == 2 and inst.q == 2:
-        costs = _cost_closed_form_22(inst)
+        costs = _cost_22([m.atoms for m in inst.measures], inst.weights, shape)
     else:
         costs = []
         for cols in _iter_tuple_chunks(shape):

@@ -1,11 +1,12 @@
-"""LP entry point: HiGHS for floats, a dense two-phase tableau for rationals.
+"""LP entry point: HiGHS solves every LP; exact mode certifies its vertex.
 
-Float LPs go to HiGHS (``scipy.optimize.linprog(method="highs")``), which
-takes dense or scipy-sparse constraint matrices.  The tableau runs only in
-exact mode: every entry is a ``Fraction`` and every comparison is against
-literal zero, so results are exact rationals.  Pivoting uses Dantzig's rule
-with an automatic switch to Bland's rule after a run of degenerate pivots,
-which guarantees termination.
+Every LP goes to HiGHS (``scipy.optimize.linprog(method="highs")``) on a
+dense or scipy-sparse matrix.  Exact mode then proves that vertex optimal
+in rationals (Applegate, Cook, Dash and Espinoza, *Exact solutions to linear
+programming problems*, 2007): it picks a basis of ``[A | I]`` that agrees
+with HiGHS's primal and dual solutions, solves it for x and y in
+``Fraction``s, and checks x >= 0, A x = b, c - A^T y >= 0 and c x = b y,
+raising SolverError rather than returning an unproven vertex.
 """
 
 from __future__ import annotations
@@ -13,113 +14,115 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InputError, SolverError
 
-_DEGENERATE_LIMIT = 30
-_MAX_ITERS = 200000
-
-
-def _to_fraction_array(a):
-    out = np.empty(np.shape(a), dtype=object)
-    flat_in = np.asarray(a, dtype=object).ravel()
-    flat = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat[i] = v if isinstance(v, Fraction) else Fraction(v)
-    return out
+_ZERO = 1e-9  # HiGHS values this close to zero mark basis candidates
 
 
 def solve_lp(A, b, c, exact=False):
     """Minimize c @ x subject to A x = b, x >= 0.
 
     Returns (value, x).  Raises InputError when infeasible and SolverError
-    when unbounded or out of iterations.  Floats are solved by HiGHS; with
-    ``exact=True`` all data is converted to Fractions and the solve is exact
-    (``A`` must then be dense).
+    when unbounded or when HiGHS fails.  ``A`` may be dense or scipy-sparse.
+    With ``exact=True`` b and c are read as exact rationals (Fractions as
+    they are, floats at their binary value), A's entries at their float
+    value (exact for integers), and the result is a certified optimal
+    Fraction value with an object array of Fractions; SolverError is raised
+    when the certificate does not hold.
     """
     m, n = np.shape(A)
     if np.shape(b) != (m,) or np.shape(c) != (n,):
         raise InputError(f"shape mismatch: A {np.shape(A)}, b {np.shape(b)}, c {np.shape(c)}")
+    A = A if sparse.issparse(A) else np.asarray(A, dtype=float)
+    res = linprog(
+        np.asarray(c, dtype=float), A_eq=A, b_eq=np.asarray(b, dtype=float),
+        bounds=(0, None), method="highs",
+    )
+    if res.status == 2:
+        raise InputError(f"LP infeasible: {res.message}")
+    if res.status != 0:
+        raise SolverError(f"HiGHS failed: {res.message}")
     if not exact:
-        res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        if res.status == 2:
-            raise InputError(f"LP infeasible: {res.message}")
-        if res.status != 0:
-            raise SolverError(f"HiGHS failed: {res.message}")
         return float(res.fun), res.x
+    return _certify(sparse.csc_array(A), [Fraction(v) for v in b], [Fraction(v) for v in c], res)
 
-    A = _to_fraction_array(A)
-    b = _to_fraction_array(b)
-    c = _to_fraction_array(c)
+
+def _certify(A, b, c, res):
+    """Exact optimal vertex from HiGHS's solution ``res``, or SolverError."""
+    m, n = A.shape
     zero = Fraction(0)
-    neg = b < zero
-    if neg.any():
-        A[neg] = -A[neg]
-        b[neg] = -b[neg]
+    spans = list(zip(A.indptr[:-1], A.indptr[1:]))
+    data = [Fraction(a) for a in A.data]
+    cost = c + [zero] * m  # over the columns of [A | I]
 
-    # Phase 1 tableau: [A | I | b], basis = artificials.
-    T = np.empty((m, n + m + 1), dtype=object)
-    T[:, :n] = A
-    T[:, n : n + m] = _to_fraction_array(np.eye(m))
-    T[:, -1] = b
-    phase1_cost = np.array([zero] * n + [Fraction(1)] * m, dtype=object)
-    basis = list(range(n, n + m))
-    _run_simplex(T, basis, phase1_cost, allow=n + m)
-    if any(T[i, -1] != 0 for i in range(m) if basis[i] >= n):
-        raise InputError("LP infeasible")
+    def column(j):  # column j of [A | I], exact
+        out = [zero] * m
+        if j >= n:
+            out[j - n] = Fraction(1)
+            return out
+        lo, hi = spans[j]
+        for i, a in zip(A.indices[lo:hi], data[lo:hi]):
+            out[i] = a
+        return out
 
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep_rows = []
-    for i in range(m):
-        if basis[i] < n:
-            keep_rows.append(i)
-            continue
-        pivot_col = next((j for j in range(n) if T[i, j] != 0), None)
-        if pivot_col is None:
-            continue  # redundant constraint
-        _pivot(T, i, pivot_col)
-        basis[i] = pivot_col
-        keep_rows.append(i)
-    basis = [basis[i] for i in keep_rows]
+    # A basis of [A | I], greedily: the support of x, the columns HiGHS
+    # prices at zero, then the row slacks, zero duals first (HiGHS keeps
+    # slacks basic on degenerate LPs; the rest only complete the basis, and
+    # the checks below reject a wrong one).  A basic slack pins its row's
+    # dual to 0 and, for A x = b to hold, its own value to 0.
+    reduced = np.abs(res.lower.marginals)
+    priced = np.flatnonzero((reduced <= _ZERO) & (res.x <= _ZERO))
+    candidates = np.concatenate([
+        np.flatnonzero(res.x > _ZERO),
+        priced[np.argsort(reduced[priced], kind="stable")],
+        n + np.argsort(np.abs(res.eqlin.marginals), kind="stable"),
+    ])
+    basis, pivots = [], []
+    for j in candidates:
+        v = column(j)
+        for row, piv in pivots:
+            f = v[row]
+            if f:
+                v = [a - f * t if t else a for a, t in zip(v, piv)]
+        row = next((i for i, a in enumerate(v) if a), None)
+        if row is not None:
+            inv = 1 / v[row]
+            pivots.append((row, [a * inv if a else a for a in v]))
+            basis.append(int(j))
+            if len(basis) == m:
+                break
 
-    # Phase 2 on the original columns only.
-    T2 = T[keep_rows][:, list(range(n)) + [n + m]]
-    _run_simplex(T2, basis, c, allow=n)
+    B = [column(j) for j in basis]  # the rows of B^T
+    z = _solve([list(r) for r in zip(*B)], b)
+    y = _solve(B, [cost[j] for j in basis])
+    x = np.full(n + m, zero, dtype=object)
+    x[basis] = z
+    if any(x[n:]) or any(zj < 0 for zj in z):
+        raise SolverError("HiGHS vertex failed the exact primal check")
+    for j, (lo, hi) in enumerate(spans):
+        if c[j] < sum((a * y[i] for i, a in zip(A.indices[lo:hi], data[lo:hi])), zero):
+            raise SolverError(f"HiGHS vertex failed the exact dual check at column {j}")
+    value = sum((cost[j] * zj for j, zj in zip(basis, z)), zero)
+    if value != sum((bi * yi for bi, yi in zip(b, y)), zero):
+        raise SolverError("HiGHS vertex failed the exact duality check")
+    return value, x[:n]
 
-    x = np.array([zero] * n, dtype=object)
-    for i, bi in enumerate(basis):
-        x[bi] = T2[i, -1]
-    return sum(c * x, zero), x
 
-
-def _pivot(T, row, col):
-    T[row] = T[row] / T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0:
-            T[i] = T[i] - T[i, col] * T[row]
-
-
-def _run_simplex(T, basis, cost, allow):
-    """Minimize cost over the tableau in place; columns >= allow are barred."""
-    m = T.shape[0]
-    cb = np.array([cost[b] for b in basis], dtype=object)
-    red = cost[:allow] - cb @ T[:, :allow]  # reduced costs, updated by each pivot
-    degenerate_run = 0
-    for _ in range(_MAX_ITERS):
-        improving = [j for j in range(allow) if red[j] < 0]
-        if not improving:
-            return
-        if degenerate_run >= _DEGENERATE_LIMIT:
-            j = improving[0]  # Bland: least index
-        else:
-            j = min(improving, key=lambda jj: (red[jj], jj))
-        rows = [i for i in range(m) if T[i, j] > 0]
-        if not rows:
-            raise SolverError("LP unbounded")
-        ratio, _, leave = min((T[i, -1] / T[i, j], basis[i], i) for i in rows)
-        degenerate_run = degenerate_run + 1 if ratio == 0 else 0
-        _pivot(T, leave, j)
-        red = red - red[j] * T[leave, :allow]
-        basis[leave] = j
-    raise SolverError("simplex iteration limit reached")
+def _solve(M, rhs):
+    """Solve M z = rhs exactly by Gauss-Jordan (M square, as a list of rows)."""
+    rows = [r + [v] for r, v in zip(M, rhs)]
+    for col in range(len(rows)):
+        p = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if p is None:
+            raise SolverError("singular basis in the exact certificate")
+        rows[col], rows[p] = rows[p], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = piv = [a * inv if a else a for a in rows[col]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != col:
+                rows[r] = [a - f * t if t else a for a, t in zip(row, piv)]
+    return [row[-1] for row in rows]

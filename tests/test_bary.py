@@ -97,6 +97,32 @@ def test_ot_plan_marginals():
     assert plan.max_marginal_violation([mu, nu]) < 1e-9
 
 
+
+def test_exact_ot_needs_p_q_2_and_integer_atoms():
+    # at (1, 2) the value holds square roots, which no Fraction equals
+    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
+    nu = DiscreteMeasure(np.array([[1.0, 1.0], [3.0, 2.0]]), np.array([0.25, 0.75]))
+    with pytest.raises(InputError):
+        ot_cost(mu, nu, 1, 2, exact=True)
+    with pytest.raises(InputError):
+        ot_cost(DiscreteMeasure(mu.atoms + 0.5, mu.masses), nu, 2, 2, exact=True)
+
+
+def test_exact_ot_squares_distances_in_integers():
+    # squared distances near 1e16 lie past the integers floats hold exactly
+    big = 10**8
+    a = [(0, 0), (1, 0)]
+    b = [(big + 1, 1), (big + 3, 2)]
+    mu = DiscreteMeasure(np.array(a, dtype=float), np.array([0.5, 0.5]))
+    nu = DiscreteMeasure(np.array(b, dtype=float), np.array([0.25, 0.75]))
+    value, plan = ot_cost(mu, nu, 2, 2, exact=True)
+    cost = [[(x0 - y0) ** 2 + (x1 - y1) ** 2 for y0, y1 in b] for x0, x1 in a]
+    # the plans are t * [[1, -1], [-1, 1]] + [[0, 1/2], [1/4, 1/4]], t in [0, 1/4]
+    ends = [[[t, Fraction(1, 2) - t], [Fraction(1, 4) - t, Fraction(1, 4) + t]] for t in (0, Fraction(1, 4))]
+    want = min(sum(p[i][j] * cost[i][j] for i in range(2) for j in range(2)) for p in ends)
+    assert value == want and value.denominator <= 4
+    assert all(isinstance(v, Fraction) for v in plan.entries.values())
+
 def test_assignment_fast_path_matches_lp():
     # equal-size uniform marginals take the assignment branch at every size;
     # the reference is the transportation LP itself, solved here by HiGHS

@@ -282,9 +282,9 @@ def test_qinf_constraints_match_row_loop():
         assert np.array_equal(b, np.array(rhs))
 
 
-def _random_hub_problems(count=300):
+def _random_hub_problems(count=300, seed=0):
     # the fixed certification set: k in [2, 5], d in [1, 6], every fifth weighted
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     probs = []
     for i in range(count):
         k = int(rng.integers(2, 6))
@@ -305,6 +305,18 @@ def test_frank_wolfe_certifies_random_hub_problems():
         assert sol.tolerance <= tol
         assert sol.lower_bound <= sol.value + 1e-9 * max(1.0, abs(sol.value))
 
+
+
+def test_frank_wolfe_cap_miss_reports_an_honest_interval(monkeypatch):
+    # weighted p=3, q=1, k=5, d=3: Frank-Wolfe stops at its 1000-call cap
+    # with a gap above tol, since its Fenchel bound lags the primal value;
+    # the interval it reports must still hold the optimum
+    prob = _random_hub_problems(400, seed=3)[365]
+    sol = solve_fpq(prob, tol=1e-6)
+    monkeypatch.setattr(barygap.fpq._frank_wolfe, "__defaults__", (5000,))
+    opt = solve_fpq(prob, tol=1e-12, force_iterative=True)
+    assert opt.tolerance <= 1e-12
+    assert sol.value - sol.tolerance <= opt.lower_bound <= opt.value <= sol.value
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)

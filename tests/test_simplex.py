@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import barygap.simplex
+from barygap.bary import _marginal_matrix
 from barygap.errors import InputError, SolverError
 from barygap.simplex import solve_lp
 
@@ -74,7 +76,7 @@ def test_degenerate_problem_terminates():
 
 
 def test_exact_tableau_edge_cases():
-    # float LPs go to HiGHS, so the tableau is exercised here in Fractions
+    # exact mode on the edge cases: infeasible, unbounded, redundant, degenerate
     with pytest.raises(InputError):
         solve_lp(np.array([[1, 1], [1, 1]]), [Fraction(1), Fraction(2)], [0, 0], exact=True)
     with pytest.raises(SolverError):
@@ -95,3 +97,70 @@ def test_exact_tableau_edge_cases():
         assert abs(float(val) - ref.fun) < 1e-9
         assert all(isinstance(v, Fraction) and v >= 0 for v in x)
         assert (A @ x == b).all()
+
+
+def _fake_vertex(monkeypatch, x):
+    # HiGHS's own result for the LP, with its primal point replaced by x
+    def fake(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.x = np.asarray(x, dtype=float)
+        return res
+
+    monkeypatch.setattr(barygap.simplex, "linprog", fake)
+
+
+def test_certificate_rejects_a_wrong_vertex(monkeypatch):
+    # 2x2 transportation: the optimum is x = (1/3, 0, 1/6, 1/2) at value 1/6
+    A = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
+    b = [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(1, 2)]
+    c = [0, 1, 1, 0]
+    assert solve_lp(A, b, c, exact=True)[0] == Fraction(1, 6)
+    # a feasible vertex of value 5/6: its dual prices column 0 below zero
+    _fake_vertex(monkeypatch, [0, 1 / 3, 1 / 2, 1 / 6])
+    with pytest.raises(SolverError):
+        solve_lp(A, b, c, exact=True)
+    # the optimum with x[1] nudged to 0.1, off A x = b: its support admits
+    # no nonnegative solution of A x = b
+    _fake_vertex(monkeypatch, [1 / 3, 0.1, 1 / 6, 1 / 2])
+    with pytest.raises(SolverError):
+        solve_lp(A, b, c, exact=True)
+
+
+def _degenerate_lps(count, seed):
+    # integer entries in [-3, 3], a doubled redundant row every third LP,
+    # b from a sparse integer point (primal degeneracy), costs in [0, 3]
+    # with many ties (dual degeneracy)
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(3, 11))
+        A = rng.integers(-3, 4, size=(m, n))
+        if t % 3 == 0:
+            A = np.vstack([A, 2 * A[0]])
+        b = A @ (rng.integers(0, 3, size=n) * (rng.random(n) < 0.4))
+        yield A, [Fraction(int(v)) for v in b], [int(v) for v in rng.integers(0, 4, size=n)]
+
+
+def _tied_transport_lps(count, seed):
+    # k-marginal transportation on the sparse marginal matrix, with rational
+    # marginals and small integer costs full of ties
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = tuple(int(s) for s in rng.integers(2, 5, size=int(rng.integers(2, 4))))
+        b = []
+        for s in shape:
+            parts = rng.integers(1, 4, size=s)
+            b += [Fraction(int(v), int(parts.sum())) for v in parts]
+        c = [int(v) for v in rng.integers(0, 3, size=int(np.prod(shape)))]
+        yield _marginal_matrix(shape), b, c
+
+
+def test_exact_lp_certified_on_degenerate_and_transport_lps():
+    lps = list(_degenerate_lps(300, 11)) + list(_tied_transport_lps(60, 12))
+    for A, b, c in lps:
+        dense = A.toarray().astype(int) if hasattr(A, "toarray") else A
+        val, x = solve_lp(A, b, c, exact=True)
+        ref = linprog(c, A_eq=A, b_eq=[float(v) for v in b], bounds=(0, None), method="highs")
+        assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+        assert list(dense @ x) == b
+        assert val == sum(ci * xi for ci, xi in zip(c, x))
+        assert abs(float(val) - ref.fun) <= 1e-9
