@@ -6,24 +6,32 @@ algorithm that is simultaneously exact, certified and fast across the whole
 
 * p = q = 2            -- closed form (weighted mean).
 * q = 1,  p = 1        -- exact per-coordinate weighted median.
-* q = inf, p = 1       -- one exact LP (epigraph form).
-* q in {1, inf}, p > 1 -- pairwise Frank-Wolfe from the weighted mean over the
+* q = 1,  p > 1        -- pairwise Frank-Wolfe from the weighted mean over the
                           achievable-distance polytope; the linear oracle is a
-                          per-coordinate weighted median (q = 1) or one LP
-                          (q = inf), and every oracle call carries a Fenchel
-                          lower bound, so each solve is certified.
+                          per-coordinate weighted median, and every oracle call
+                          carries a Fenchel lower bound, so each solve is
+                          certified.
+* q = inf              -- in distance space: l_inf is hyperconvex, so the
+                          problem is min sum_i w_i t_i^p over radii with
+                          t_i + t_l >= ||z_i - z_l||_inf, and a hub is read off
+                          any feasible radii coordinate by coordinate.  p = 1
+                          is one k-variable LP; p > 1 is sequential quadratic
+                          programming with NNLS steps.  The lower bound is the
+                          Lagrange dual at a point z >= 0 in both cases.
 * q in (1, inf)        -- Weiszfeld for (p, q) = (1, 2); otherwise L-BFGS-B
                           multistart with analytic gradients.
 
-Every call goes through one canonical hub problem.  Coordinates with
-identical values across all k points are fixed at that shared value,
+Every call at q < inf goes through one canonical hub problem.  Coordinates
+with identical values across all k points are fixed at that shared value,
 duplicate coordinate columns are merged into one weighted column, and the
 rows are sorted with their weights by a signature that ignores column order:
 all three are exact for every norm, and they are what makes brute-force
 enumeration over embedded instances cheap.  Solutions are memoized on that
 canonical form plus (p, q), so a problem met again in another tuple class,
 instance or certificate sweep, or under a point or coordinate permutation,
-is looked up rather than solved again.
+is looked up rather than solved again.  At q = inf the memo is keyed on the
+weights and the pairwise distances alone, rows sorted, and holds radii: a
+hit rebuilds the hub from the caller's own points.
 """
 
 from __future__ import annotations
@@ -159,11 +167,7 @@ def _canonical(points, lam, p, q):
 
 def _wobj(x, w, y, p, q, lam):
     """Objective on reduced columns with multiplicities w."""
-    diff = np.abs(x - y[None, :])
-    if q == math.inf:
-        norms = diff.max(axis=1)
-    else:
-        norms = ((diff**q) * w[None, :]).sum(axis=1) ** (1.0 / q)
+    norms = ((np.abs(x - y[None, :]) ** q) * w[None, :]).sum(axis=1) ** (1.0 / q)
     return float((lam * norms**p).sum())
 
 
@@ -178,10 +182,6 @@ def _wgrad(x, w, y, p, q, lam):
 
 def _l1_dists(x, w, y):
     return (np.abs(x - y[None, :]) * w[None, :]).sum(axis=1)
-
-
-def _linf_dists(x, y):
-    return np.abs(x - y[None, :]).max(axis=1)
 
 
 def _weighted_median_columns(x, g):
@@ -297,66 +297,32 @@ def _q1_oracle(x, w, g):
     return y, t, float((g * t).sum())
 
 
-def _qinf_constraints(x):
-    """Epigraph rows of t_i >= |x_ij - y_j| over variables [y_1..y_c, t_1..t_k].
-
-    Row 2(i c + j) is y_j - t_i <= x_ij and the row after it is
-    -y_j - t_i <= -x_ij.
-    """
-    k, c = x.shape
-    rows = np.arange(2 * k * c).reshape(k, c, 2)
-    A = np.zeros((2 * k * c, c + k))
-    A[rows[:, :, 0], np.arange(c)] = 1.0
-    A[rows[:, :, 1], np.arange(c)] = -1.0
-    A[rows, c + np.arange(k)[:, None, None]] = -1.0
-    return A, np.stack([x, -x], axis=2).ravel()
-
-
-def _qinf_oracle(x, g, lo, hi):
-    """min_y sum_i g_i ||x_i - y||_inf via one LP (HiGHS)."""
-    k, c = x.shape
-    A, rhs = _qinf_constraints(x)
-    cost = np.concatenate([np.zeros(c), np.maximum(g, 0.0)])
-    bounds = [(float(a), float(b)) for a, b in zip(lo, hi)] + [(0.0, None)] * k
-    res = sciopt.linprog(cost, A_ub=A, b_ub=rhs, bounds=bounds, method="highs")
-    if not res.success:
-        raise SolverError(f"LP oracle failed: {res.message}")
-    y = res.x[:c]
-    t = _linf_dists(x, y)
-    return y, t, float(res.fun)
-
-
-def _frank_wolfe(x, w, lam, p, q, tol, max_iters=1000):
-    """Pairwise Frank-Wolfe for the polyhedral norms q in {1, inf}, p > 1.
+def _frank_wolfe(x, w, lam, p, tol, max_iters=1000):
+    """Pairwise Frank-Wolfe for q = 1, p > 1.
 
     Minimizes phi(t) = sum_i lam_i t_i^p over convex combinations of oracle
-    vertices t_v = dists(y_v), starting from the clipped weighted mean.  Each
-    step moves weight from the away atom (largest g . t_v) to the oracle
-    vertex, which converges linearly on polytopes (Lacoste-Julien & Jaggi,
-    NeurIPS 2015).  Every oracle call also gives the Fenchel lower bound
-    g . t_s - phi*(g); the loop stops once phi(t) is within tol of the best
-    one.  Returns (y, phi(dists(y)), lower bound) for y = sum_v alpha_v y_v;
-    by convexity dists(y) <= t.
+    vertices t_v = dists(y_v), the w-weighted l1 distances, starting from the
+    clipped weighted mean.  Each step moves weight from the away atom
+    (largest g . t_v) to the oracle vertex, which converges linearly on
+    polytopes (Lacoste-Julien & Jaggi, NeurIPS 2015).  Every oracle call
+    also gives the Fenchel lower bound g . t_s - phi*(g); the loop stops
+    once phi(t) is within tol of the best one.  Returns (y, phi(dists(y)),
+    lower bound) for y = sum_v alpha_v y_v; by convexity dists(y) <= t.
     """
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-
     def dists(y):
-        return _l1_dists(x, w, y) if q == 1 else _linf_dists(x, y)
+        return _l1_dists(x, w, y)
 
     def fval(t):
         return float((lam * t**p).sum())
 
-    y0 = np.clip((lam[:, None] * x).sum(axis=0) / max(lam.sum(), 1e-30), lo, hi)
+    y0 = (lam[:, None] * x).sum(axis=0) / max(lam.sum(), 1e-30)
+    y0 = np.clip(y0, x.min(axis=0), x.max(axis=0))
     ys, ts, alpha = y0[None, :], dists(y0)[None, :], np.ones(1)
     best_lb = -math.inf
     for it in range(1, max_iters + 1):
         t = alpha @ ts
         g = lam * p * t ** (p - 1.0)
-        if q == 1:
-            y_s, t_s, lpval = _q1_oracle(x, w, g)
-        else:
-            y_s, t_s, lpval = _qinf_oracle(x, g, lo, hi)
+        y_s, t_s, lpval = _q1_oracle(x, w, g)
         best_lb = max(best_lb, lpval - _conjugate_power_sum(g, p, lam))
         if fval(t) - best_lb <= tol:
             break
@@ -403,10 +369,191 @@ def _frank_wolfe(x, w, lam, p, q, tol, max_iters=1000):
 
 
 # ---------------------------------------------------------------------------
+# q = inf in distance space
+#
+# l_inf is hyperconvex (Aronszajn & Panitchpakdi, Pacific J. Math. 1956):
+# balls B(x_i, t_i) share a point exactly when t_i + t_l >= D_il :=
+# ||x_i - x_l||_inf for every pair.  So min_y sum_i lam_i ||x_i - y||^p is
+# min sum_i lam_i t_i^p over radii t >= 0 with t_i + t_l >= D_il, which
+# depends on (lam, D) alone.  With z >= 0 on the pair rows and s_i the sum of
+# z over the pairs holding i, the Lagrange dual is
+# h(z) = sum_e D_e z_e - sum_i (p-1) lam_i (s_i / (p lam_i))^(p/(p-1)),
+# or sum_e D_e z_e under s <= lam at p = 1; every such z bounds the optimum
+# from below.
+
+
+def _pairwise_linf(x):
+    return np.abs(x[:, None, :] - x[None, :, :]).max(axis=2)
+
+
+def _make_feasible(t, D):
+    """One sequential sweep t_a <- max(t_a, max_l D_al - t_l); feasible after it."""
+    t = t.copy()
+    for a in range(len(t)):
+        t[a] = max(t[a], float((D[a] - t).max()))
+    return t
+
+
+def _hub_from_radii(x, t):
+    """y_j: midpoint of [max_i x_ij - t_i, min_i x_ij + t_i], nonempty for feasible t."""
+    return 0.5 * ((x - t[:, None]).max(axis=0) + (x + t[:, None]).min(axis=0))
+
+
+def _pair_rows(k):
+    """Incidence rows of the k(k-1)/2 pairs (i, l), i < l, in lexicographic order."""
+    i, l = np.array([(a, b) for a in range(k) for b in range(a + 1, k)]).reshape(-1, 2).T
+    B = np.zeros((len(i), k))
+    B[np.arange(len(i)), i] = 1.0
+    B[np.arange(len(i)), l] = 1.0
+    return B, i, l
+
+
+def _radii_lp(D, lam):
+    """p = 1: one LP in k radii; the bound is D . z with HiGHS's pair duals,
+    clipped to z >= 0 and scaled down until s <= lam."""
+    B, i, l = _pair_rows(len(lam))
+    De = D[i, l]
+    res = sciopt.linprog(lam, A_ub=-B, b_ub=-De, bounds=(0, None), method="highs")
+    if not res.success:
+        raise SolverError(f"radii LP failed: {res.message}")
+    t = _make_feasible(np.maximum(res.x, 0.0), D)
+    z = np.maximum(-res.ineqlin.marginals, 0.0)
+    s = B.T @ z
+    z *= min(1.0, float(np.min(lam / np.maximum(s, 1e-300))))
+    return t, float(lam @ t), float(De @ z)
+
+
+def _nnls(A, b):
+    """argmin ||A u - b|| over u >= 0 by Lawson & Hanson's active-set method
+    (Solving Least Squares Problems, ch. 23), at most 3n outer steps.
+
+    Not scipy.optimize.nnls: on some degenerate steps of the radii SQP it
+    returns a point that fails the optimality conditions, and the dual bound
+    read from it is worthless.
+    """
+    n = A.shape[1]
+    tiny = 10 * np.finfo(float).eps * max(A.shape) * float(np.abs(A).sum(axis=0).max())
+    free = np.zeros(n, dtype=bool)
+    u = np.zeros(n)
+    grad = A.T @ b
+    for _ in range(3 * n):
+        if free.all() or grad[~free].max() <= tiny:
+            break
+        free[np.argmax(np.where(free, -np.inf, grad))] = True
+        while True:
+            v = np.zeros(n)
+            v[free] = np.linalg.lstsq(A[:, free], b, rcond=None)[0]
+            if v[free].min(initial=np.inf) > 0:
+                break
+            out = free & (v <= 0)  # step back to the first column that leaves
+            u += float(np.min(u[out] / (u[out] - v[out]))) * (v - u)
+            free &= u > tiny
+            u[~free] = 0.0
+        u = v
+        grad = A.T @ (b - A @ u)
+    return u
+
+
+def _radii_sqp(D, lam, p, tol, max_steps=50):
+    """p > 1: sequential quadratic programming over the radii polyhedron.
+
+    Each step minimizes the separable quadratic model of sum lam_i t_i^p at
+    t over {t >= 0, t_i + t_l >= D_il} exactly, as a least-distance problem
+    solved by NNLS (Lawson & Hanson, ch. 23), then backtracks along the
+    segment to the model's minimizer, which stays feasible.  At p = 2 the
+    model is the objective and one step is exact.  The model's pair
+    multipliers z >= 0 give the dual bound h(z).  The model curvature is
+    taken at t >= floor, which changes h by at most about
+    1e-12 max(D)^p max(lam).  Returns (feasible radii, sum lam t^p, best
+    bound).
+    """
+    top = float(D.max())
+    if top == 0:
+        return np.zeros(len(lam)), 0.0, 0.0
+    # solve at unit scale: radii in units of top, values in units of top^p lam.max()
+    unit_value = top**p * float(lam.max())
+    D, lam, tol = D / top, lam / lam.max(), tol / unit_value
+    k = len(lam)
+    B, i, l = _pair_rows(k)
+    m = len(i)
+    De = D[i, l]
+    G = np.vstack([B, np.eye(k)])  # G t >= lo
+    lo = np.concatenate([De, np.zeros(k)])
+    e_last = np.zeros(k + 1)
+    e_last[k] = 1.0
+    floor = 1e-12 ** (1.0 / p)
+
+    def phi(t):
+        return float((lam * t**p).sum())
+
+    t = _make_feasible(0.5 * D.max(axis=1), D)
+    upper, lower = phi(t), 0.0  # h(0) = 0
+    steps = 0
+    while steps < max_steps and upper - lower > tol:
+        steps += 1
+        ts = np.maximum(t, floor)
+        g = p * lam * ts ** (p - 1.0)
+        a = (p - 1.0) * g / ts
+        c = t - g / a  # unconstrained minimizer of the model
+        sa = 1.0 / np.sqrt(a)
+        h = lo - G @ c
+        E = np.vstack([(G * sa).T, h])
+        u = _nnls(E, e_last)
+        den = 1.0 - float(h @ u)
+        z = u[:m] / den
+        lower = max(lower, float(De @ z) - _conjugate_power_sum(B.T @ z, p, lam))
+        d = np.maximum(c + sa * (E[:k] @ u) / den, 0.0) - t
+        slope = float((p * lam * t ** (p - 1.0)) @ d)
+        alpha = 1.0
+        while phi(t + alpha * d) > upper + 1e-4 * alpha * slope and alpha > 1e-10:
+            alpha *= 0.5
+        t_new = _make_feasible(t + alpha * d, D)
+        if not phi(t_new) < upper:
+            break  # no progress left at this precision
+        t, upper = t_new, phi(t_new)
+    if upper - lower > tol:
+        logger.debug(
+            "radii sqp stopped after %d steps with gap %.3e above tol %.3e",
+            steps, (upper - lower) * unit_value, tol * unit_value,
+        )
+    return t * top, upper * unit_value, lower * unit_value
+
+
+def _solve_qinf(points, lam, p, tol, force_iterative):
+    """q = inf through the radii problem; memo keyed on (p, lam, D), rows sorted."""
+    lam = np.ones(points.shape[0]) if lam is None else lam
+    x, lam = points[lam > 0], lam[lam > 0]  # weightless points constrain nothing
+    if x.shape[0] < 2:
+        y = (x if len(x) else points)[0].copy()
+        return FpqSolution(0.0, y, 0.0, "linf-radii", 0.0)
+    D = _pairwise_linf(x)
+    rows = np.lexsort(np.hstack([lam[:, None], np.sort(D, axis=1)]).T[::-1])
+    lam_s, D_s = lam[rows], D[np.ix_(rows, rows)]
+    key = (p, math.inf, lam_s.tobytes(), D_s.tobytes())
+    entry = None if force_iterative else _MEMO.get(key)
+    if entry is None or entry[1] - entry[2] > tol:
+        entry = _radii_lp(D_s, lam_s) if p == 1 else _radii_sqp(D_s, lam_s, p, tol)
+        if not force_iterative:
+            _remember(key, entry)
+    radii, _, lower = entry
+    t = np.empty(len(rows))
+    t[rows] = radii
+    y = _hub_from_radii(x, t)  # value <= sum lam t^p: the entry's gap bounds this one's
+    val = fpq_objective(x, y, p, math.inf, lam)
+    return FpqSolution(val, y, max(val - lower, 0.0), "linf-radii", lower)
+
+
+# ---------------------------------------------------------------------------
 # Public entry points
 
 _MEMO_CAP = 4096  # canonical solutions kept; the memo is emptied when full
 _MEMO = {}
+
+
+def _remember(key, entry):
+    if len(_MEMO) >= _MEMO_CAP:
+        _MEMO.clear()
+    _MEMO[key] = entry
 
 
 def _solve_canonical(x, w, lam, p, q, tol, force_iterative, seed):
@@ -419,12 +566,8 @@ def _solve_canonical(x, w, lam, p, q, tol, force_iterative, seed):
     if q == 1 and p == 1:
         y, val = _solve_median_q1p1(x, w, lam)
         return FpqSolution(val, y, 0.0, "coordinate-q1", val)
-    if q == math.inf and p == 1:
-        y, _, lpv = _qinf_oracle(x, lam, x.min(axis=0), x.max(axis=0))
-        val = _wobj(x, w, y, p, q, lam)
-        return FpqSolution(val, y, max(val - lpv, 0.0), "lp-qinf", lpv)
-    if q in (1, math.inf):  # p > 1
-        y, val, lb = _frank_wolfe(x, w, lam, p, q, tol)
+    if q == 1:  # p > 1
+        y, val, lb = _frank_wolfe(x, w, lam, p, tol)
         return FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
     # q in (1, inf)
     if p == 1 and q == 2:
@@ -444,32 +587,37 @@ def solve_fpq(
     """Minimize sum_i w_i ||z_i - y||_q^p over y.
 
     ``tol`` is the accuracy target.  On the certified paths (q in {1, inf})
-    ``tolerance`` is value - lower_bound; pairwise Frank-Wolfe stops once it
-    is at most ``tol`` or after 1000 oracle calls, and with ``certify`` a gap
-    left above ``tol`` raises SolverError carrying (lower, upper).  The
-    smooth paths report ``tol`` as an estimate with no lower bound.
-    A memoized solution of the same canonical problem is reused when its
-    ``tolerance`` is at most ``tol``.  ``force_iterative`` skips the p=q=2
-    closed form and the memo (used by agreement tests).
+    ``tolerance`` is value - lower_bound.  Pairwise Frank-Wolfe (q = 1) stops
+    once it is at most ``tol`` or after 1000 oracle calls; at q = inf the
+    radii problem is solved by one LP (p = 1) or by at most 50 SQP steps
+    (p > 1), and ``lower_bound`` is the Lagrange dual at a point z >= 0.
+    With ``certify`` a gap left above ``tol`` raises SolverError carrying
+    (lower, upper).  The smooth paths report ``tol`` as an estimate with no
+    lower bound.  A memoized solution of the same canonical problem (at
+    q = inf: the same weights and pairwise distances) is reused when its
+    gap is at most ``tol``.  ``force_iterative`` skips the p=q=2 closed form
+    and the memo (used by agreement tests).
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
-    x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
-    sol = None if force_iterative else _MEMO.get(key)
-    if sol is None or sol.tolerance > tol:
-        sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative, seed)
-        if not force_iterative:
-            if len(_MEMO) >= _MEMO_CAP:
-                _MEMO.clear()
-            _MEMO[key] = sol
+    if prob.q == math.inf:
+        sol = _solve_qinf(prob.points, prob.weights, prob.p, tol, force_iterative)
+    else:
+        x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
+        sol = None if force_iterative else _MEMO.get(key)
+        if sol is None or sol.tolerance > tol:
+            sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative, seed)
+            if not force_iterative:
+                _remember(key, sol)
+        y = prob.points[0].copy()
+        y[var] = sol.minimizer[col_of]
+        sol = replace(sol, minimizer=y)
     if certify and sol.tolerance > tol:
         raise SolverError(
             f"{sol.method} gap {sol.tolerance:.3e} above tol {tol:.3e}",
             lower=sol.lower_bound, upper=sol.value,
         )
-    y = prob.points[0].copy()
-    y[var] = sol.minimizer[col_of]
-    return replace(sol, minimizer=y)
+    return sol
 
 
 def fpq_closed_form_22(points, weights=None) -> FpqSolution:

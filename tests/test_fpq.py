@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import scipy.optimize
+from scipy.optimize import linprog
+
 import barygap.fpq
 from barygap.embed import (
     canonical_clique_collection,
@@ -19,7 +22,6 @@ from barygap.embed import (
 from barygap.errors import InputError
 from barygap.fpq import (
     FpqProblem,
-    _qinf_constraints,
     fpq_closed_form_22,
     fpq_gradient,
     fpq_objective,
@@ -262,24 +264,39 @@ def test_residual_identity():
         assert abs(sol.value - fpq_objective(x, sol.minimizer, p, q)) < 1e-9
 
 
-def test_qinf_constraints_match_row_loop():
-    # the vectorized build must hand HiGHS the same rows, in the same order,
-    # as the per-(i, j) loop it replaced
-    rng = np.random.default_rng(11)
-    for k, c in [(1, 1), (2, 3), (4, 5), (6, 2)]:
-        x = rng.normal(size=(k, c))
-        rows, rhs = [], []
-        for i in range(k):
-            for j in range(c):
-                for sign in (1.0, -1.0):
-                    r = np.zeros(c + k)
-                    r[j] = sign
-                    r[c + i] = -1.0
-                    rows.append(r)
-                    rhs.append(sign * x[i, j])
-        A, b = _qinf_constraints(x)
-        assert np.array_equal(A, np.array(rows))
-        assert np.array_equal(b, np.array(rhs))
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_linf_radii_reduction(data):
+    # l_inf is hyperconvex: radii with t_i + t_l >= D_il always leave a common
+    # point, read off coordinate by coordinate; at p = 1 the radii LP has the
+    # value of the y-space epigraph LP
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(1, 5))
+    x = rng.integers(-2, 3, size=(k, d)).astype(float) if data.draw(st.booleans()) \
+        else rng.normal(size=(k, d))
+    D = barygap.fpq._pairwise_linf(x)
+    t = barygap.fpq._make_feasible(rng.random(k) * D.max(initial=0.0), D)
+    assert (t[:, None] + t[None, :] >= D).all()
+    y = barygap.fpq._hub_from_radii(x, t)
+    assert (np.abs(x - y).max(axis=1) <= t + 1e-12).all()
+
+    lam = rng.random(k) + 0.1 if data.draw(st.booleans()) else np.ones(k)
+    sol = solve_fpq(FpqProblem(x, 1, math.inf, weights=lam), tol=1e-9)
+    # variables [y_1..y_d, t_1..t_k]: y_j - t_i <= x_ij and -y_j - t_i <= -x_ij
+    rows, rhs = [], []
+    for i in range(k):
+        for j in range(d):
+            for sign in (1.0, -1.0):
+                r = np.zeros(d + k)
+                r[j], r[d + i] = sign, -1.0
+                rows.append(r)
+                rhs.append(sign * x[i, j])
+    ref = linprog(np.concatenate([np.zeros(d), lam]), A_ub=np.array(rows), b_ub=rhs,
+                  bounds=[(None, None)] * d + [(0, None)] * k, method="highs")
+    assert ref.success
+    assert abs(sol.value - ref.fun) <= 1e-9
+    assert abs(sol.value - fpq_objective(x, sol.minimizer, 1, math.inf, lam)) <= 1e-12
 
 
 def _random_hub_problems(count=300, seed=0):
@@ -301,9 +318,72 @@ def test_frank_wolfe_certifies_random_hub_problems():
     tol = 1e-6
     for prob in _random_hub_problems():
         sol = solve_fpq(prob, tol=tol)
-        assert sol.method == "pairwise-frank-wolfe"
+        assert sol.method == ("pairwise-frank-wolfe" if prob.q == 1 else "linf-radii")
         assert sol.tolerance <= tol
         assert sol.lower_bound <= sol.value + 1e-9 * max(1.0, abs(sol.value))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_linf_radii_certify_random_hub_problems(seed):
+    tol = 1e-9
+    for prob in _random_hub_problems(400, seed):
+        if prob.q != math.inf:
+            continue
+        sol = solve_fpq(prob, tol=tol)
+        assert sol.tolerance <= tol
+        assert sol.lower_bound <= sol.value + 1e-12 * max(1.0, abs(sol.value))
+
+
+def test_linf_radii_certify_a_degenerate_integer_problem():
+    # optimum 14 at unit radii; one SQP step here is a degenerate 8 x 28
+    # least-distance problem on which scipy's nnls (1.17) stops at a
+    # non-optimal point, which left the bound at 0
+    x = np.array([[1, 0, 0, -1, 1], [1, 1, 1, -1, 0], [1, -1, 0, 1, 0], [-1, -1, 1, 0, 1],
+                  [1, 0, -1, 0, 0], [0, 1, 1, 1, 1], [-1, 0, 0, -1, 0]], dtype=float)
+    lam = np.array([3.0, 1.0, 0.5, 0.5, 3.0, 3.0, 3.0])
+    sol = solve_fpq(FpqProblem(x, 1.1, math.inf, weights=lam), tol=1e-9)
+    assert sol.lower_bound <= 14.0 + 1e-12 and abs(sol.value - 14.0) <= 1e-9
+    assert sol.tolerance <= 1e-9
+
+
+def test_linf_bound_is_never_above_the_optimum():
+    # optimum exactly 9.169: primal y = (0.85, -0.22) with radii
+    # (2.02, 0.71, 0.71, 2.02); dual z_14 = 4.04, z_23 = 1.42.  A bound read
+    # from an LP solver's objective sat 1.15e-7 above it with tolerance 0
+    x = np.array([[-1.17, 0.64], [1.32, 0.49], [0.16, -0.93], [2.87, 0.88]])
+    tol = 1e-9
+    sol = solve_fpq(FpqProblem(x, 2, math.inf), tol=tol)
+    assert sol.lower_bound <= 9.169 <= sol.value
+    assert sol.value - sol.lower_bound <= tol
+
+
+def test_linf_p_above_1_makes_no_lp_call(monkeypatch):
+    calls = []
+    inner = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    for prob in _random_hub_problems(60, seed=1):
+        if prob.q == math.inf:
+            solve_fpq(prob, tol=1e-9)
+    assert calls == []
+    solve_fpq(FpqProblem(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]), 1, math.inf))
+    assert len(calls) == 1
+
+
+def test_linf_radii_log_an_open_gap(monkeypatch, caplog):
+    monkeypatch.setattr(barygap.fpq._radii_sqp, "__defaults__", (0,))
+    pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
+    with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
+        sol = solve_fpq(FpqProblem(pts, 2, math.inf), tol=1e-9)
+    assert sol.tolerance > 1e-9
+    assert sol.lower_bound <= sol.value
+    records = [r for r in caplog.records if r.name == "barygap.fpq"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert "above tol" in records[0].getMessage()
 
 
 
@@ -448,3 +528,35 @@ def test_memo_keeps_weights_p_and_q_apart(monkeypatch):
     for prob, value in zip(variants, values):
         assert solve_fpq(prob, tol=1e-8).value == value
     assert len(calls) == len(variants)
+
+
+def test_memo_solves_equal_linf_distances_once(monkeypatch):
+    # at q = inf the memo is keyed on weights and pairwise distances: a
+    # reflected copy, rows permuted, with one more coordinate that never sets a
+    # distance, is the same problem; each hit rebuilds its hub from its own points
+    calls = _counting(monkeypatch, "_radii_sqp")
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(4, 3))
+    shortest = barygap.fpq._pairwise_linf(x)[np.triu_indices(4, 1)].min()
+    perm = [2, 0, 3, 1]
+    other = np.hstack([-x, 0.5 * shortest * rng.random((4, 1))])[perm]
+    lam = np.array([1.0, 2.0, 0.5, 1.5])
+    probs = [FpqProblem(x, 3, math.inf, weights=lam),
+             FpqProblem(other, 3, math.inf, weights=lam[perm])]
+    a, b = (solve_fpq(prob, tol=1e-9) for prob in probs)
+    assert len(calls) == 1
+    for prob, sol in zip(probs, (a, b)):
+        direct = fpq_objective(prob.points, sol.minimizer, 3, math.inf, prob.weights)
+        assert abs(sol.value - direct) <= 1e-9
+    for mine, theirs in ((a, b), (b, a)):
+        slack = 1e-12 * theirs.value  # the two hubs round differently
+        assert theirs.lower_bound <= mine.value <= theirs.value + slack
+
+    # an entry serves only requests at least as loose as its own gap
+    barygap.fpq._MEMO.clear()
+    loose = solve_fpq(probs[0], tol=1e-1)
+    assert 1e-9 < loose.tolerance <= 1e-1
+    assert solve_fpq(probs[1], tol=1e-9).tolerance <= 1e-9
+    assert len(calls) == 3
+    assert solve_fpq(probs[0], tol=1e-1).tolerance <= 1e-9  # the tighter entry serves
+    assert len(calls) == 3
