@@ -2,7 +2,8 @@
 
 The objective is convex for every p >= 1, q in [1, inf].  There is no single
 algorithm that is simultaneously exact, certified and fast across the whole
-(p, q) square, so the solver dispatches:
+(p, q) square, so the solver dispatches, and every path returns a lower
+bound with its value:
 
 * p = q = 2            -- closed form (weighted mean).
 * q = 1,  p = 1        -- exact per-coordinate weighted median.
@@ -18,8 +19,11 @@ algorithm that is simultaneously exact, certified and fast across the whole
                           is one k-variable LP; p > 1 is sequential quadratic
                           programming with NNLS steps.  The lower bound is the
                           Lagrange dual at a point z >= 0 in both cases.
-* q in (1, inf)        -- Weiszfeld for (p, q) = (1, 2); otherwise L-BFGS-B
-                          multistart with analytic gradients.
+* q in (1, inf)        -- damped Newton from the weighted mean, stopped by a
+                          Fenchel dual bound: the terms' gradients, split so
+                          they sum to zero, bound the optimum from below.  At
+                          p = 1 the data points are tested for optimality
+                          first.
 
 Every call at q < inf goes through one canonical hub problem.  Coordinates
 with identical values across all k points are fixed at that shared value,
@@ -103,16 +107,17 @@ def fpq_gradient(points, y, p, q, weights=None):
     if not (1 < q < math.inf):
         raise InputError("fpq_gradient is defined for q in (1, inf)")
     x = np.asarray(points, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diff = y[None, :] - x
-    absd = np.abs(diff)
-    s = (absd**q).sum(axis=1)  # ||x_i - y||_q^q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = p * np.where(s > 0, s ** (p / q - 1.0), 0.0)
-    if weights is not None:
-        scale = scale * weights
-    g = (scale[:, None] * absd ** (q - 1.0) * np.sign(diff)).sum(axis=0)
-    return g
+    lam = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    v = x - np.asarray(y, dtype=float)
+    return -_term_gradients(v, np.ones(x.shape[1]), lam, p, q).sum(axis=0)
+
+
+def _term_gradients(v, w, lam, p, q):
+    """Rows d/dv_i of lam_i ||v_i||^p in the w-weighted q-norm (0 where v_i = 0)."""
+    a = np.abs(v)
+    n = ((a**q) * w).sum(axis=-1, keepdims=True) ** (1.0 / q)
+    scale = lam[:, None] * p * np.where(n > 0, n, 1.0) ** (p - q)
+    return scale * w * a ** (q - 1.0) * np.sign(v)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +176,6 @@ def _wobj(x, w, y, p, q, lam):
     return float((lam * norms**p).sum())
 
 
-def _wgrad(x, w, y, p, q, lam):
-    diff = y[None, :] - x
-    absd = np.abs(diff)
-    s = ((absd**q) * w[None, :]).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = lam * p * np.where(s > 0, s ** (p / q - 1.0), 0.0)
-    return (scale[:, None] * w[None, :] * absd ** (q - 1.0) * np.sign(diff)).sum(axis=0)
-
-
 def _l1_dists(x, w, y):
     return (np.abs(x - y[None, :]) * w[None, :]).sum(axis=1)
 
@@ -228,66 +224,128 @@ def _solve_median_q1p1(x, w, lam):
     return y, _wobj(x, w, y, 1.0, 1.0, lam)
 
 
-def _solve_weiszfeld(x, w, lam, iters=10000, tol=1e-14):
-    """Geometric median of the rows of x under the w-weighted l2 metric."""
-    xt = x * np.sqrt(w)[None, :]
-    y = (lam[:, None] * xt).sum(axis=0) / lam.sum()
-    for _ in range(iters):
-        dist = np.linalg.norm(xt - y[None, :], axis=1)
-        hit = dist < 1e-13
-        if hit.any():
-            rest = ~hit
-            if not rest.any():
-                break
-            r = (
-                lam[rest, None] * (xt[rest] - y[None, :]) / dist[rest, None]
-            ).sum(axis=0)
-            if np.linalg.norm(r) <= lam[hit].sum() + 1e-12:
-                break  # subgradient optimality at the data point
-            y = y + (np.linalg.norm(r) - lam[hit].sum()) / lam.sum() * r / np.linalg.norm(r)
-            continue
-        wts = lam / dist
-        y_new = (wts[:, None] * xt).sum(axis=0) / wts.sum()
-        if np.linalg.norm(y_new - y) <= tol * (1.0 + np.linalg.norm(y)):
-            y = y_new
+def _dual_norms(u, w, q):
+    """Row norms dual to the w-weighted q-norm, (sum_c w_c^(1-r) |u_c|^r)^(1/r), r = q*."""
+    r = q / (q - 1.0)
+    return ((np.abs(u) ** r) * w ** (1.0 - r)).sum(axis=1) ** (1.0 / r)
+
+
+def _fenchel_bound(v, u, w, lam, p, q):
+    """Fenchel dual value sum_i <u_i, v_i> - lam_i (p-1) (||u_i||_* / (lam_i p))^(p/(p-1))
+    for rows u_i summing to 0, v_i = x_i - y (Rockafellar, Convex Analysis, sec. 31).
+
+    Every such u bounds the optimum from below.  At p = 1 the conjugate is the
+    indicator of ||u_i||_* <= lam_i, so u is scaled down until it holds.
+    """
+    dn = _dual_norms(u, w, q)
+    if p == 1:
+        return min(1.0, float(np.min(lam / np.maximum(dn, 1e-300)))) * float((u * v).sum())
+    return float((u * v).sum()) - _conjugate_power_sum(dn, p, lam)
+
+
+def _newton(x, w, lam, p, q, tol, max_steps=100):
+    """Damped Newton for 1 < q < inf, stopped once the Fenchel gap is <= tol.
+
+    From the weighted mean of the distinct rows, at unit scale.  The Hessian
+    takes |v_c| and ||v_i|| at >= 1e-12, Levenberg-Marquardt damping follows
+    the ratio of actual to predicted decrease, and a step that crosses a kink
+    competes with the reweighted-least-squares (majorizing) step.  At p = 1
+    the data points are tested first, and an iterate near a non-optimal one
+    leaves it along its steepest descent direction (Vardi & Zhang, PNAS
+    2000).  The bound splits the gradient sum over the terms by their
+    Hessians along the Newton step.  Returns (y, value, best bound).
+    """
+    keep = lam > 0
+    if not keep.any():
+        return x[0].copy(), 0.0, 0.0
+    rows, _, inv, _ = unique_columns(x[keep].T)  # equal points merge into one
+    pts, mass = rows.T, np.bincount(inv, lam[keep])
+    y0 = mass @ pts / mass.sum()
+    top = float(np.abs(pts - y0).max())
+    if top == 0:
+        return y0, 0.0, 0.0
+    unit = top**p * float(mass.max())
+    z, mass, tol = (pts - y0) / top, mass / mass.max(), tol / unit
+    k, c = z.shape
+
+    def parts(y):
+        v = z - y
+        a = np.abs(v)
+        n = ((a**q) * w).sum(axis=1) ** (1.0 / q)
+        return v, a, n, float(mass @ n**p)
+
+    if p == 1:
+        V = z[None, :, :] - z[:, None, :]  # V[j, i] = x_i - x_j
+        A = np.abs(V)
+        N = ((A**q) * w).sum(axis=2) ** (1.0 / q)
+        U = _term_gradients(V, w, mass, 1.0, q)  # U[j, i]: term i's gradient at x_j
+        R = U.sum(axis=1)
+        dn = _dual_norms(R, w, q)
+        j = int(np.argmin(np.where(dn <= mass, N @ mass, np.inf)))
+        if dn[j] <= mass[j]:  # x_j is optimal, and U[j] with -R[j] certifies it
+            U[j, j] = -R[j]
+            y, lower = pts[j].copy(), _fenchel_bound(V[j], U[j], w, mass, p, q)
+            return y, _wobj(x, w, y, p, q, lam), lower * unit
+        r = q / (q - 1.0)  # unit steepest descent directions out of each x_j
+        out = w ** (1.0 - r) * np.abs(R / dn[:, None]) ** (r - 1.0) * np.sign(R)
+        reach = np.where(np.eye(k, dtype=bool), np.inf, N).min(axis=1) * (dn - mass) / dn
+
+    y = np.zeros(c)
+    v, a, n, f = parts(y)
+    lower, mu = -math.inf, 0.0
+    for steps in range(max_steps + 1):
+        j = int(np.argmin(n))
+        if p == 1 and n[j] < 1e-3:
+            t = reach[j]
+            for _ in range(60):
+                trial = parts(z[j] + t * out[j])
+                if trial[3] <= f - 0.5 * t * (dn[j] - mass[j]):
+                    y, (v, a, n, f) = z[j] + t * out[j], trial
+                    break
+                t *= 0.5
+        b = w * a ** (q - 1.0) * np.sign(v)
+        n1 = np.where(n > 0, n, 1.0)
+        u = (mass * p * n1 ** (p - q))[:, None] * b  # d/dv of term i
+        coef = mass * p * np.maximum(n, 1e-12) ** (p - q)
+        rank = (p - q) / n1**q
+        diag = (q - 1.0) * w * np.maximum(a, 1e-12) ** (q - 2.0)
+        H = (b.T * (coef * rank)) @ b + np.diag(coef @ diag)
+        g = u.sum(axis=0)  # minus the gradient in y
+        damp = np.maximum(np.diag(H), 1e-12 * max(float(np.diag(H).max()), 1.0))
+        s = np.linalg.solve(H + np.diag((mu + 1e-12) * damp), g)
+        split = u - coef[:, None] * (rank[:, None] * (b @ s)[:, None] * b + diag * s)
+        split -= mass[:, None] / mass.sum() * split.sum(axis=0)
+        lower = max(lower, _fenchel_bound(v, split, w, mass, p, q))
+        if f - lower <= tol or steps == max_steps:
             break
-        y = y_new
-    y_back = np.divide(y, np.sqrt(w), out=np.zeros_like(y), where=w > 0)
-    return y_back, _wobj(x, w, y_back, 1.0, 2.0, lam)
-
-
-def _solve_lbfgs(x, w, lam, p, q, seed=0):
-    """Multistart L-BFGS-B: mean and median starts, random restarts only
-    when those two disagree (kinks can trap a single run)."""
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    bounds = list(zip(lo, hi))
-
-    def run(y0):
-        res = sciopt.minimize(
-            lambda y: _wobj(x, w, y, p, q, lam),
-            np.clip(y0, lo, hi),
-            jac=lambda y: _wgrad(x, w, y, p, q, lam),
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12},
+        trial = parts(y + s)
+        pred = float(g @ s) - 0.5 * float(s @ H @ s)
+        rho = (f - trial[3]) / pred if pred > 0 else -1.0
+        if rho < 0.25:
+            mu = max(4 * mu, 1e-3)
+        elif rho > 0.75:
+            mu = mu / 4 if mu > 1e-6 else 0.0
+        vs = v * (v - s)
+        if (q < 2 and (vs < 0).any()) or (p < 2 and (vs.sum(axis=1) < 0).any()):
+            mm = (b.T * (coef * np.maximum(rank, 0.0))) @ b
+            mm += np.diag(coef @ diag * max(1.0, 1.0 / (q - 1.0)) + 1e-12 * damp)
+            ym = y + np.linalg.solve(mm, g)
+            cand = parts(ym)
+            if cand[3] < min(trial[3], f):
+                y, (v, a, n, f) = ym, cand
+                continue
+        if rho > 1e-4:
+            y, (v, a, n, f) = y + s, trial
+        elif mu > 1e12:
+            break
+    y = y0 + top * y
+    val = _wobj(x, w, y, p, q, lam)
+    if val - lower * unit > tol * unit:
+        logger.debug(
+            "newton stopped after %d steps with gap %.3e above tol %.3e",
+            steps, val - lower * unit, tol * unit,
         )
-        return res.x, _wobj(x, w, res.x, p, q, lam)
-
-    cands = [
-        run((lam[:, None] * x).sum(axis=0) / max(lam.sum(), 1e-30)),
-        run(np.sort(x, axis=0)[(x.shape[0] - 1) // 2]),
-    ]
-    best = min(cands, key=lambda c: c[1])
-    spread = max(c[1] for c in cands) - best[1]
-    if spread > 1e-9 * (1.0 + abs(best[1])):
-        logger.debug("l-bfgs starts disagree by %.3e; taking 3 random restarts", spread)
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            cand = run(lo + rng.random(x.shape[1]) * (hi - lo))
-            if cand[1] < best[1]:
-                best = cand
-    return best
+    return y, val, lower * unit
 
 
 def _q1_oracle(x, w, g):
@@ -556,7 +614,7 @@ def _remember(key, entry):
     _MEMO[key] = entry
 
 
-def _solve_canonical(x, w, lam, p, q, tol, force_iterative, seed):
+def _solve_canonical(x, w, lam, p, q, tol, force_iterative):
     """Dispatch on (p, q) over a canonical problem; minimizer in its columns."""
     if x.shape[1] == 0:
         return FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
@@ -569,12 +627,8 @@ def _solve_canonical(x, w, lam, p, q, tol, force_iterative, seed):
     if q == 1:  # p > 1
         y, val, lb = _frank_wolfe(x, w, lam, p, tol)
         return FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
-    # q in (1, inf)
-    if p == 1 and q == 2:
-        y, val = _solve_weiszfeld(x, w, lam)
-        return FpqSolution(val, y, tol, "weiszfeld")
-    y, val = _solve_lbfgs(x, w, lam, p, q, seed=seed)
-    return FpqSolution(val, y, tol, "lbfgs")
+    y, val, lb = _newton(x, w, lam, p, q, tol)  # q in (1, inf)
+    return FpqSolution(val, y, max(val - lb, 0.0), "newton", lb)
 
 
 def solve_fpq(
@@ -582,18 +636,18 @@ def solve_fpq(
     tol: float = 1e-8,
     certify: bool = False,
     force_iterative: bool = False,
-    seed: int = 0,
 ) -> FpqSolution:
     """Minimize sum_i w_i ||z_i - y||_q^p over y.
 
-    ``tol`` is the accuracy target.  On the certified paths (q in {1, inf})
-    ``tolerance`` is value - lower_bound.  Pairwise Frank-Wolfe (q = 1) stops
-    once it is at most ``tol`` or after 1000 oracle calls; at q = inf the
-    radii problem is solved by one LP (p = 1) or by at most 50 SQP steps
-    (p > 1), and ``lower_bound`` is the Lagrange dual at a point z >= 0.
-    With ``certify`` a gap left above ``tol`` raises SolverError carrying
-    (lower, upper).  The smooth paths report ``tol`` as an estimate with no
-    lower bound.  A memoized solution of the same canonical problem (at
+    ``tol`` is the accuracy target, and every path but the closed forms
+    reports ``tolerance`` = value - lower_bound, a certified gap.  Pairwise
+    Frank-Wolfe (q = 1) stops once it is at most ``tol`` or after 1000
+    oracle calls; at q = inf the radii problem is solved by one LP (p = 1)
+    or by at most 50 SQP steps (p > 1), and ``lower_bound`` is the Lagrange
+    dual at a point z >= 0; at q in (1, inf) damped Newton stops once its
+    Fenchel dual bound is within ``tol`` or after 100 steps.  With
+    ``certify`` a gap left above ``tol`` raises SolverError carrying
+    (lower, upper).  A memoized solution of the same canonical problem (at
     q = inf: the same weights and pairwise distances) is reused when its
     gap is at most ``tol``.  ``force_iterative`` skips the p=q=2 closed form
     and the memo (used by agreement tests).
@@ -606,7 +660,7 @@ def solve_fpq(
         x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
         sol = None if force_iterative else _MEMO.get(key)
         if sol is None or sol.tolerance > tol:
-            sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative, seed)
+            sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative)
             if not force_iterative:
                 _remember(key, sol)
         y = prob.points[0].copy()

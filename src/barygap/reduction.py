@@ -13,9 +13,9 @@ Certificate sources per regime:
 * QINF -- gamma = k/2^p.  The non-clique floor is 2 + (k-2)/2^p except at
   k = 3 where that bound is provably wrong (a hub placed at the middle
   point of a path tuple achieves exactly 2); the floor 2 is used there.
-* QIN  -- solver-certified: gamma from the canonical clique collection,
-  Delta from an exhaustive sweep over all 2^C(k,2) overlap patterns at the
-  given (k, D), halved as a safety factor.  Artifact-level, not closed form.
+* QIN  -- solver-certified: over all 2^C(k,2) overlap patterns at (k, D),
+  gamma is the clique pattern's value and Delta half its distance to the
+  smallest certified lower bound of the others.  Artifact-level.
   The sweep runs on every call; its solves are ``fpq`` memo hits after the
   first, and so are the phi-embedded class problems of the same gadget,
   which are these pattern problems once their columns are merged.
@@ -40,12 +40,12 @@ class GapCertificate:
     regime: str
     gamma: float
     delta: float
-    provenance: str  # "closed-form" | "solver-computed"
+    provenance: str  # "closed-form" | "solver-certified"
     params: dict
     gamma_exact: Fraction | None = None
     delta_exact: Fraction | None = None
     tol: float = 0.0
-    separation: float | None = None  # QIN: measured min non-clique - clique gap
+    separation: float | None = None  # QIN: min non-clique lower bound - clique value
 
     def threshold(self):
         return self.gamma + self.delta / 2.0
@@ -65,13 +65,13 @@ class GapCertificate:
 
 
 def _qin_pattern_sweep(k, D, p, q, tol):
-    """Solve F over every overlap pattern at (k, D); returns (complete, min other)."""
+    """Solve F over every overlap pattern at (k, D): (complete value, min other lower)."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     npairs = len(pairs)
     if 2**npairs > 2**20:
         raise ResourceCapError(f"pattern sweep for k={k} has 2^{npairs} cases")
     f_complete = None
-    f_best_other = math.inf
+    lower_other = math.inf
     for mask in range(2**npairs):
         edges = [pairs[b] for b in range(npairs) if mask >> b & 1]
         coll = collection_from_pattern(k, D, edges)
@@ -79,8 +79,8 @@ def _qin_pattern_sweep(k, D, p, q, tol):
         if len(edges) == npairs:
             f_complete = sol.value
         else:
-            f_best_other = min(f_best_other, sol.value)
-    return f_complete, f_best_other
+            lower_other = min(lower_other, sol.lower_bound)
+    return f_complete, lower_other
 
 
 def gap_certificate(n, k, D, p, q, tol=1e-7) -> GapCertificate:
@@ -120,13 +120,13 @@ def gap_certificate(n, k, D, p, q, tol=1e-7) -> GapCertificate:
         return GapCertificate(regime, gamma, floor - gamma, "closed-form", params)
 
     # QIN: exhaustive pattern calibration
-    f_clique, f_other = _qin_pattern_sweep(k, D, p, q, tol)
-    sep = f_other - f_clique
-    delta = 0.5 * (sep - 2 * tol)
+    f_clique, lower_other = _qin_pattern_sweep(k, D, p, q, tol)
+    sep = lower_other - f_clique
+    delta = 0.5 * sep
     if delta <= 10 * tol:
-        raise InputError(f"calibrated gap {sep:.3e} too small against solver tol {tol:.1e}")
+        raise InputError(f"certified gap {sep:.3e} too small against solver tol {tol:.1e}")
     return GapCertificate(
-        "QIN", f_clique + tol, delta, "solver-computed", params, tol=tol, separation=sep
+        "QIN", f_clique, delta, "solver-certified", params, tol=tol, separation=sep
     )
 
 

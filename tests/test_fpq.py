@@ -74,7 +74,7 @@ def test_closed_form_matches_generic_solver():
     generic = solve_fpq(FpqProblem(pts, 2, 2), force_iterative=True)
     closed = solve_fpq(FpqProblem(pts, 2, 2))
     again = solve_fpq(FpqProblem(pts, 2, 2), force_iterative=True)
-    assert generic.method == again.method == "lbfgs"
+    assert generic.method == again.method == "newton"
     assert closed.method == "closed-form-22"
     assert abs(generic.value - 10.0) < 1e-8
 
@@ -436,6 +436,98 @@ def test_frank_wolfe_logs_an_open_gap(monkeypatch, caplog):
     assert "above tol" in records[0].getMessage()
 
 
+def _random_smooth_hub_problems(count=400, seed=0):
+    # the fixed smooth certification set: k in [2, 5], d in [1, 6], every
+    # fifth weighted, every seventh rounded to integers as gadget inputs are
+    rng = np.random.default_rng(seed)
+    probs = []
+    for i in range(count):
+        k = int(rng.integers(2, 6))
+        d = int(rng.integers(1, 7))
+        p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        q = float(rng.choice([1.5, 2.0, 3.0]))
+        x = rng.normal(size=(k, d))
+        if i % 7 == 0:
+            x = np.round(2 * x)
+        w = rng.random(k) + 0.1 if i % 5 == 0 else None
+        probs.append(FpqProblem(x, p, q, weights=w))
+    return probs
+
+
+def test_newton_certifies_random_smooth_hub_problems():
+    tol = 1e-6
+    for prob in _random_smooth_hub_problems():
+        sol = solve_fpq(prob, tol=tol, force_iterative=True)
+        assert sol.method == "newton" or not np.ptp(prob.points, axis=0).any()
+        assert sol.tolerance <= tol
+        assert sol.lower_bound <= sol.value + 1e-12 * max(1.0, sol.value)
+        assert abs(sol.value - fpq_objective(prob.points, sol.minimizer, prob.p, prob.q,
+                                             prob.weights)) <= 1e-12 * max(1.0, sol.value)
+
+
+@pytest.mark.parametrize("x, optimum", [
+    ([[-0.281590918492431, -0.11413892868304698, 0.9318229900520207],
+      [-0.047297453385549915, 0.2147128686174058, 0.7800318280865711],
+      [0.26676312084405873, 0.16649058918725823, 0.7661854100826598]], 0.2496434529),
+    ([[-1.0303631480379034, 0.13748915385826277, 0.34847300587891183],
+      [-0.9799455520128595, 0.17984781397298089, 0.44216133872916563],
+      [-0.9163064692178533, 0.25482291623691367, 0.10541576323511981]], 0.1355059123),
+])
+def test_newton_leaves_a_non_optimal_data_point(x, optimum):
+    # (1, 2) problems of the bary-generic benchmark whose optimum lies about
+    # 0.015 from a data point that is not optimal
+    sol = solve_fpq(FpqProblem(np.array(x), 1, 2, weights=np.full(3, 1 / 3)), tol=1e-8)
+    assert sol.method == "newton" and sol.tolerance <= 1e-8
+    assert abs(sol.value - optimum) <= 1e-9
+    assert sol.lower_bound <= optimum + 1e-10  # optimum is rounded to 1e-10
+
+
+def test_newton_stops_at_an_optimal_data_point():
+    # p = 1: x_0 weighs 3 against two pulls of dual norm 1 each, so it is the
+    # optimum, and the gradients there certify it exactly
+    x = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    sol = solve_fpq(FpqProblem(x, 1, 1.5, weights=np.array([3.0, 1.0, 1.0])), tol=1e-12)
+    assert sol.method == "newton"
+    assert np.array_equal(sol.minimizer, x[0]) and sol.value == 4.0
+    assert sol.lower_bound == pytest.approx(4.0, rel=1e-15)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fenchel_bound_is_below_every_objective_value(data):
+    # weak duality, apart from any engine: the term gradients at a point y,
+    # shifted to sum to zero, bound the objective at any point y' from below
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(1, 5))
+    c = data.draw(st.integers(1, 5))
+    p = data.draw(st.sampled_from([1.0, 1.3, 2.0, 3.0]))
+    q = data.draw(st.sampled_from([1.2, 1.5, 2.0, 3.0]))
+    x = rng.normal(size=(k, c))
+    w = rng.integers(1, 4, size=c).astype(float)
+    lam = rng.random(k) + 0.1
+    y, y_other = rng.normal(size=c), rng.normal(size=c)
+    v = x - y
+    n = ((np.abs(v) ** q) * w).sum(axis=1) ** (1 / q)
+    u = (lam * p * n ** (p - q))[:, None] * w * np.abs(v) ** (q - 1) * np.sign(v)
+    u -= lam[:, None] / lam.sum() * u.sum(axis=0)
+    bound = barygap.fpq._fenchel_bound(v, u, w, lam, p, q)
+    for point in (y, y_other):
+        value = sum(lam[i] * (w @ np.abs(x[i] - point) ** q) ** (p / q) for i in range(k))
+        assert bound <= value + 1e-12 * max(1.0, value)
+
+
+def test_newton_logs_an_open_gap(monkeypatch, caplog):
+    monkeypatch.setattr(barygap.fpq._newton, "__defaults__", (0,))
+    pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
+    with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
+        sol = solve_fpq(FpqProblem(pts, 2, 1.5), tol=1e-9)
+    assert sol.tolerance > 1e-9
+    assert sol.lower_bound <= sol.value
+    records = [r for r in caplog.records if r.name == "barygap.fpq"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert "above tol" in records[0].getMessage()
+
+
 @st.composite
 def _column_matrices(draw):
     k = draw(st.integers(0, 4))
@@ -490,30 +582,34 @@ def _qin_problem():
 
 
 def test_memo_solves_a_permuted_problem_once(monkeypatch):
-    calls = _counting(monkeypatch, "_solve_lbfgs")
+    calls = _counting(monkeypatch, "_newton")
     x = _qin_problem()
     rng = np.random.default_rng(5)
     moved = x[[2, 0, 3, 1]][:, rng.permutation(x.shape[1])]
     a = solve_fpq(FpqProblem(x, 2, 1.5), tol=1e-8)
     b = solve_fpq(FpqProblem(moved, 2, 1.5), tol=1e-8)
     assert len(calls) == 1
-    assert a.value == b.value and a.method == b.method == "lbfgs"
+    assert a.value == b.value and a.method == b.method == "newton"
+    assert a.tolerance <= 1e-8 and a.lower_bound <= a.value
     assert abs(b.value - fpq_objective(moved, b.minimizer, 2, 1.5)) < 1e-9
 
 
 def test_memo_reuses_only_a_tight_enough_entry(monkeypatch):
-    calls = _counting(monkeypatch, "_solve_lbfgs")
+    # an entry serves only requests at least as loose as its certified gap
+    calls = _counting(monkeypatch, "_newton")
     prob = FpqProblem(_qin_problem(), 2, 1.5)
-    assert solve_fpq(prob, tol=1e-2).tolerance == 1e-2
-    assert solve_fpq(prob, tol=1e-8).tolerance == 1e-8
+    loose = solve_fpq(prob, tol=1e-2)
+    assert 1e-8 < loose.tolerance <= 1e-2
+    tight = solve_fpq(prob, tol=1e-8)
+    assert tight.tolerance <= 1e-8
     assert len(calls) == 2
-    assert solve_fpq(prob, tol=1e-2).tolerance == 1e-8  # the tighter entry serves
-    assert solve_fpq(prob, tol=1e-8).tolerance == 1e-8
+    assert solve_fpq(prob, tol=1e-2).tolerance == tight.tolerance  # the tighter entry serves
+    assert solve_fpq(prob, tol=1e-8).tolerance == tight.tolerance
     assert len(calls) == 2
 
 
 def test_memo_keeps_weights_p_and_q_apart(monkeypatch):
-    calls = _counting(monkeypatch, "_solve_lbfgs")
+    calls = _counting(monkeypatch, "_newton")
     x = _qin_problem()
     variants = [
         FpqProblem(x, 2, 1.5),

@@ -54,7 +54,7 @@ def test_certificate_qinf():
 
 def test_certificate_qin_calibration():
     c = gap_certificate(4, 3, 3, 2, 1.5, tol=1e-7)
-    assert c.provenance == "solver-computed"
+    assert c.provenance == "solver-certified"
     assert c.delta > 10 * c.tol
     assert c.separation is not None and c.separation > 0
     # gamma sits just above the canonical clique collection value
