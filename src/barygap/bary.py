@@ -4,11 +4,13 @@ quantize-and-split uniformization transform.
 
 The k-marginal LP has one variable per support tuple, flat in the package's
 one tuple order (numpy C order: ``np.unravel_index`` maps a flat position to
-its tuple); entries of its cost tensor are inner hub solves (closed form at
-p=q=2).  One helper solves every transport LP, two-marginal and k-marginal:
-an assignment when two equal-size uniform marginals make the optimum a
-permutation (Birkhoff), otherwise HiGHS on a sparse marginal matrix, whose
-vertex exact mode proves optimal in rationals (``simplex.solve_lp``).
+its tuple); its cost tensor comes from the code the hub sweep uses
+(``chub.tuple_costs``: one Gram kernel at p=q=2, exact in integers in exact
+mode; one inner hub solve per tuple elsewhere).  One helper solves every
+transport LP, two-marginal and k-marginal: an assignment when two
+equal-size uniform marginals make the optimum a permutation (Birkhoff),
+otherwise HiGHS on a sparse marginal matrix, whose vertex exact mode proves
+optimal in rationals (``simplex.solve_lp``).
 Desk-scale caps guard every enumeration.
 """
 
@@ -23,9 +25,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
+from .chub import _gram_costs, tuple_costs
 from .errors import InputError, ResourceCapError
 from .fpq import FpqProblem, solve_fpq, unique_columns
-from .graph import _iter_tuple_chunks
 from .simplex import solve_lp
 
 DEFAULT_LP_CAP = 10**5
@@ -307,18 +309,6 @@ class MotResult:
     value_exact: Fraction | None = None
 
 
-def _cost_22(atoms, lam, shape):
-    """p=q=2 costs over all tuples: sum lam ||x||^2 - ||sum lam x||^2 / sum lam.
-
-    Floats give floats; integer atoms in object arrays with Fraction
-    weights give exact Fractions.
-    """
-    idx = np.unravel_index(np.arange(int(np.prod(shape))), shape)
-    costs = sum(l * (a * a).sum(axis=1)[ix] for l, a, ix in zip(lam, atoms, idx))
-    acc = sum(l * a[ix] for l, a, ix in zip(lam, atoms, idx))
-    return costs - (acc * acc).sum(axis=1) / sum(lam)
-
-
 def bary_value_mot(
     inst: BaryInstance,
     tol: float = 1e-6,
@@ -328,7 +318,7 @@ def bary_value_mot(
 ) -> MotResult:
     """Exact barycenter value as the k-marginal transport LP.
 
-    Cost entries are hub solves to tolerance tol/2 (closed form at p=q=2).
+    Cost entries are hub solves to tolerance tol/2 (``chub.tuple_costs``).
     The reported ``tolerance`` is the larger of ``tol`` and the largest
     tolerance a hub solve reports, which bounds the LP value's error.
     ``cost_values`` lets callers inject a precomputed flat cost array in the
@@ -350,19 +340,15 @@ def bary_value_mot(
         if inst.p != 2 or inst.q != 2:
             raise InputError("exact MOT mode is defined for p=q=2")
         lam = [Fraction(w).limit_denominator(10**9) for w in inst.weights]
-        costs = _cost_22(_integer_atoms(inst.measures), lam, shape)
-    elif inst.p == 2 and inst.q == 2:
-        costs = _cost_22([m.atoms for m in inst.measures], inst.weights, shape)
+        scale = math.lcm(*(l.denominator for l in lam))
+        a = [int(l * scale) for l in lam]
+        num = _gram_costs(_integer_atoms(inst.measures), a)
+        costs = [Fraction(v, scale * sum(a)) for v in num.tolist()]
     else:
-        costs = []
-        for cols in _iter_tuple_chunks(shape):
-            for t in cols:
-                pts = np.stack([m.atoms[j] for m, j in zip(inst.measures, t)])
-                sol = solve_fpq(
-                    FpqProblem(pts, inst.p, inst.q, weights=inst.weights), tol=tol / 2
-                )
-                costs.append(sol.value)
-                tolerance = max(tolerance, sol.tolerance)
+        costs, worst = tuple_costs(
+            [m.atoms for m in inst.measures], inst.p, inst.q, inst.weights, tol / 2
+        )
+        tolerance = max(tolerance, worst)
 
     value, plan = _transport_lp(inst.measures, costs, exact)
     if exact:

@@ -19,13 +19,4 @@ class ResourceCapError(BarygapError):
 
 
 class SolverError(BarygapError):
-    """Iterative solver failed to certify the requested tolerance.
-
-    Carries the best two-sided bounds found so the caller can decide
-    whether they are still usable.
-    """
-
-    def __init__(self, message, lower=None, upper=None):
-        super().__init__(message)
-        self.lower = lower
-        self.upper = upper
+    """A solver failed, or its answer failed an exact check."""

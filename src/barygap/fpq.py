@@ -634,7 +634,6 @@ def _solve_canonical(x, w, lam, p, q, tol, force_iterative):
 def solve_fpq(
     prob: FpqProblem,
     tol: float = 1e-8,
-    certify: bool = False,
     force_iterative: bool = False,
 ) -> FpqSolution:
     """Minimize sum_i w_i ||z_i - y||_q^p over y.
@@ -645,33 +644,24 @@ def solve_fpq(
     oracle calls; at q = inf the radii problem is solved by one LP (p = 1)
     or by at most 50 SQP steps (p > 1), and ``lower_bound`` is the Lagrange
     dual at a point z >= 0; at q in (1, inf) damped Newton stops once its
-    Fenchel dual bound is within ``tol`` or after 100 steps.  With
-    ``certify`` a gap left above ``tol`` raises SolverError carrying
-    (lower, upper).  A memoized solution of the same canonical problem (at
-    q = inf: the same weights and pairwise distances) is reused when its
-    gap is at most ``tol``.  ``force_iterative`` skips the p=q=2 closed form
+    Fenchel dual bound is within ``tol`` or after 100 steps.  A memoized
+    solution of the same canonical problem (at q = inf: the same weights
+    and pairwise distances) is reused when its gap is at most ``tol``.  ``force_iterative`` skips the p=q=2 closed form
     and the memo (used by agreement tests).
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
     if prob.q == math.inf:
-        sol = _solve_qinf(prob.points, prob.weights, prob.p, tol, force_iterative)
-    else:
-        x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
-        sol = None if force_iterative else _MEMO.get(key)
-        if sol is None or sol.tolerance > tol:
-            sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative)
-            if not force_iterative:
-                _remember(key, sol)
-        y = prob.points[0].copy()
-        y[var] = sol.minimizer[col_of]
-        sol = replace(sol, minimizer=y)
-    if certify and sol.tolerance > tol:
-        raise SolverError(
-            f"{sol.method} gap {sol.tolerance:.3e} above tol {tol:.3e}",
-            lower=sol.lower_bound, upper=sol.value,
-        )
-    return sol
+        return _solve_qinf(prob.points, prob.weights, prob.p, tol, force_iterative)
+    x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
+    sol = None if force_iterative else _MEMO.get(key)
+    if sol is None or sol.tolerance > tol:
+        sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative)
+        if not force_iterative:
+            _remember(key, sol)
+    y = prob.points[0].copy()
+    y[var] = sol.minimizer[col_of]
+    return replace(sol, minimizer=y)
 
 
 def fpq_closed_form_22(points, weights=None) -> FpqSolution:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bary import BaryInstance, DiscreteMeasure, bary_value_mot
+from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, bary_value_mot
 from .chub import solve_chub
 from .embed import PointConfig, collection_from_pattern, embed_auto, regime_for
 from .errors import InputError, ResourceCapError
@@ -175,19 +175,19 @@ def decide_clique(
     inst: ReductionInstance,
     solver: str = "chub-bruteforce",
     tol: float = 1e-6,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    lp_cap: int = 10**5,
     reuse=None,
 ) -> dict:
     """Compare the computed instance value against gamma + Delta/2.
 
     ``solver`` is "chub-bruteforce" (min over tuples, threshold on the hub
     scale) or "bary-mot" (transport LP over the sweep's tuple costs,
-    threshold divided by k).  The LP value is at least F*/k, so "bary-mot"
-    answers True when it is at most the threshold, False only when the
-    sweep's minimum F* lies above the threshold, and None otherwise.
-    ``reuse`` accepts a ChubResult for this instance's points (same tol or
-    tighter) so sweeps can share the tuple enumeration between solvers.
+    threshold divided by k).  A decision claims only what is proven: the
+    sweep's minimum F* lies in [value - tolerance, value], and the LP value
+    is at least F*/k.  So both routes answer True when their value is at
+    most the threshold, False only when the sweep's F* - tolerance lies
+    above the threshold, and None otherwise.  ``reuse`` accepts a ChubResult
+    for this instance's points (same tol or tighter) so sweeps can share the
+    tuple enumeration between solvers.
     """
     cert = inst.certificate
     if tol > cert.delta / 10.0:
@@ -195,36 +195,32 @@ def decide_clique(
             f"tol={tol} too coarse for certificate delta={cert.delta} (need <= delta/10)"
         )
     if solver == "chub-bruteforce":
-        res = reuse if reuse is not None else solve_chub(inst.points, tol=tol, cap=enum_cap)
-        value = res.value
+        sweep = reuse if reuse is not None else solve_chub(inst.points, tol=tol)
+        value, tolerance = sweep.value, sweep.tolerance
         threshold = cert.threshold()
-        has = bool(value <= threshold)
-        detail = {"chub": res.to_json()}
+        detail = {"chub": sweep.to_json()}
     elif solver == "bary-mot":
         k = inst.k
         sweep = reuse
         if sweep is None or sweep.per_tuple is None:
-            sweep = solve_chub(
-                inst.points, tol=tol, cap=min(enum_cap, lp_cap), keep_per_tuple=True
-            )
-        mot = bary_value_mot(
-            inst.bary, tol=tol / k, cap=lp_cap, cost_values=sweep.per_tuple / k
-        )
-        value = mot.value
+            sweep = solve_chub(inst.points, tol=tol, cap=DEFAULT_LP_CAP, keep_per_tuple=True)
+        mot = bary_value_mot(inst.bary, tol=tol / k, cost_values=sweep.per_tuple / k)
+        value, tolerance = mot.value, max(mot.tolerance, sweep.tolerance / k)
         threshold = cert.threshold() / k
-        if value <= threshold:
-            has = True
-        elif sweep.value > cert.threshold():
-            has = False
-        else:
-            has = None
         detail = {"mot_plan_support": len(mot.plan.entries)}
     else:
         raise InputError(f"unknown solver {solver!r}")
+    if value <= threshold:
+        has = True
+    elif sweep.value - sweep.tolerance > cert.threshold():
+        has = False
+    else:
+        has = None
     return {
         "hasClique": has,
         "value": float(value),
         "margin": float(threshold - value),
+        "tolerance": float(tolerance),
         "threshold": float(threshold),
         "solver": solver,
         "regime": inst.regime,

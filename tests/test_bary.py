@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-import barygap.bary
+import barygap.chub
 from barygap.bary import (
     BaryInstance,
     DiscreteMeasure,
@@ -187,6 +187,16 @@ def test_mot_value_metamorphic_22(seed, sizes, d, c):
     assert abs(moved - base) <= 1e-9
     scaled = bary_value_mot(BaryInstance(_moved(ms, rng, c), 2, 2)).value
     assert abs(scaled - c * c * base) <= 1e-9 * max(1.0, c * c)
+
+
+def test_mot_value_survives_a_large_common_offset():
+    # the p=q=2 value is translation invariant; an offset of 1e6 shared by
+    # every atom must not cancel away a spread of 1e-2
+    rng = np.random.default_rng(0)
+    ms = [DiscreteMeasure(rng.random((3, 2)) * 1e-2, rng.dirichlet(np.ones(3))) for _ in range(3)]
+    base = bary_value_mot(BaryInstance(ms, 2, 2)).value
+    far = [DiscreteMeasure(m.atoms + 1e6, m.masses) for m in ms]
+    assert abs(bary_value_mot(BaryInstance(far, 2, 2)).value - base) <= 1e-6 * base
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +399,7 @@ def test_mot_tolerance_covers_hub_solves(seed, monkeypatch):
         reported.append(sol.tolerance)
         return sol
 
-    monkeypatch.setattr(barygap.bary, "solve_fpq", recording)
+    monkeypatch.setattr(barygap.chub, "solve_fpq", recording)
     rng = np.random.default_rng(seed)
     ms = [DiscreteMeasure(rng.random((4, 3)), rng.dirichlet(np.ones(4))) for _ in range(3)]
     res = bary_value_mot(BaryInstance(ms, 2, 1), tol=1e-6)

@@ -1,15 +1,18 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barygap.chub
-from barygap.chub import chub_closed_form_22, solve_chub
+from barygap.chub import _gram_costs, chub_closed_form_22, solve_chub
 from barygap.embed import PointConfig, embed_phi, embed_psi, embed_xi
 from barygap.errors import InputError, ResourceCapError
-from barygap.fpq import solve_fpq
+from barygap.fpq import FpqProblem, solve_fpq
 from barygap.graph import (
     Graph,
     complete_graph,
@@ -85,18 +88,22 @@ def test_class_cache_agrees_with_per_tuple_solving():
     ]
     for cfg, tol in cases:
         fast = solve_chub(cfg, tol=tol)
-        slow = solve_chub(cfg, tol=tol, force_per_tuple_solve=True)
+        slow = solve_chub(dataclasses.replace(cfg, source={}), tol=tol)
         assert abs(fast.value - slow.value) <= 2 * tol + 1e-9, (cfg.regime, fast.value, slow.value)
 
 
-def test_partition_independence():
+def test_partition_independence(monkeypatch):
+    def solve_in_chunks(cfg, chunk):
+        monkeypatch.setattr(barygap.chub, "CHUNK", chunk)
+        return solve_chub(cfg)
+
     cfg = embed_psi(K4, 4, p=1.0)
-    a = solve_chub(cfg, chunk=7)
-    b = solve_chub(cfg, chunk=100000)
+    a = solve_in_chunks(cfg, 7)
+    b = solve_in_chunks(cfg, 100000)
     assert a.value == b.value and a.argmin == b.argmin
     cfgq = embed_phi(K4, 3)
-    a = solve_chub(cfgq, chunk=13)
-    b = solve_chub(cfgq, chunk=4096)
+    a = solve_in_chunks(cfgq, 13)
+    b = solve_in_chunks(cfgq, 4096)
     assert a.value_exact == b.value_exact and a.argmin == b.argmin
 
 
@@ -159,3 +166,41 @@ def test_reported_tolerance_covers_inner_solves(monkeypatch):
     res = solve_chub(embed_psi(complete_graph(5), 4, p=2.0), tol=1e-3)
     assert max(inner) <= 1e-3 / 2
     assert res.tolerance >= max(reported) > 1e-3
+
+
+@st.composite
+def _gram_case(draw):
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 4)) for _ in range(k)]
+    coord = st.integers(-5, 5)
+    groups = [
+        [[draw(coord) for _ in range(d)] for _ in range(size)] for size in sizes
+    ]
+    weights = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))) for _ in range(k)]
+    return groups, weights, draw(st.integers(1, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gram_case())
+def test_gram_costs_match_per_tuple_values(case):
+    groups, lam, chunk = case
+    k = len(groups)
+    shape = tuple(len(g) for g in groups)
+    scale = math.lcm(*(l.denominator for l in lam))
+    a = [int(l * scale) for l in lam]
+    exact_groups = [np.array(g, dtype=object) for g in groups]
+    float_groups = [np.array(g, dtype=float) for g in groups]
+    with mock.patch.object(barygap.chub, "CHUNK", chunk):
+        num = _gram_costs(exact_groups, a)
+        flo = _gram_costs(float_groups, np.array([float(l) for l in lam]))
+    assert num.shape == flo.shape == (math.prod(shape),)
+    assert list(_gram_costs(exact_groups, a)) == list(num)
+    for flat, t in enumerate(np.ndindex(*shape)):
+        pts = [groups[i][t[i]] for i in range(k)]
+        mean = [sum(l * x[c] for l, x in zip(lam, pts)) / sum(lam) for c in range(len(pts[0]))]
+        value = sum(l * sum((x[c] - mean[c]) ** 2 for c in range(len(mean))) for l, x in zip(lam, pts))
+        assert Fraction(num[flat], scale * sum(a)) == value
+        ref = solve_fpq(FpqProblem(np.array(pts, dtype=float), 2, 2, [float(l) for l in lam])).value
+        got = flo[flat] / float(sum(lam))
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))

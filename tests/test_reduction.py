@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -132,6 +133,23 @@ def test_decide_reuse_matches_fresh():
     m2 = decide_clique(inst, "bary-mot", tol=tol)
     assert m1["hasClique"] == m2["hasClique"]
     assert abs(m1["value"] - m2["value"]) < 1e-9
+
+
+def test_decisions_claim_only_what_the_tolerance_proves():
+    # C5 has no triangle; once the sweep's tolerance reaches below the
+    # threshold, its value no longer proves "no" on either route
+    inst = build_instance(C5, 3, 1, 2)
+    tol = inst.certificate.delta / 20
+    sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)
+    threshold = inst.certificate.threshold()
+    for solver in ("chub-bruteforce", "bary-mot"):
+        r = decide_clique(inst, solver, tol=tol, reuse=sweep)
+        assert r["hasClique"] is False and r["tolerance"] >= sweep.tolerance / inst.k
+    inflated = dataclasses.replace(sweep, tolerance=sweep.value - threshold)
+    for solver in ("chub-bruteforce", "bary-mot"):
+        r = decide_clique(inst, solver, tol=tol, reuse=inflated)
+        assert r["hasClique"] is None, solver
+        assert r["margin"] < 0 and r["tolerance"] >= inflated.tolerance / inst.k
 
 
 def test_oracle_decision_tracks_doubling():
