@@ -15,10 +15,11 @@ bound with its value:
 * q = inf              -- in distance space: l_inf is hyperconvex, so the
                           problem is min sum_i w_i t_i^p over radii with
                           t_i + t_l >= ||z_i - z_l||_inf, and a hub is read off
-                          any feasible radii coordinate by coordinate.  p = 1
-                          is one k-variable LP; p > 1 is sequential quadratic
-                          programming with NNLS steps.  The lower bound is the
-                          Lagrange dual at a point z >= 0 in both cases.
+                          any feasible radii coordinate by coordinate.  One
+                          loop of NNLS least-distance steps serves every p:
+                          sequential quadratic programming at p > 1, proximal
+                          point steps on the k-variable LP at p = 1.  The
+                          lower bound is the Lagrange dual at a point z >= 0.
 * q in (1, inf)        -- damped Newton from the weighted mean, stopped by a
                           Fenchel dual bound: the terms' gradients, split so
                           they sum to zero, bound the optimum from below.  At
@@ -46,9 +47,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize as sciopt
 
-from .errors import InputError, SolverError
+from .errors import InputError
 
 logger = logging.getLogger(__name__)
 
@@ -466,26 +466,11 @@ def _pair_rows(k):
     return B, i, l
 
 
-def _radii_lp(D, lam):
-    """p = 1: one LP in k radii; the bound is D . z with HiGHS's pair duals,
-    clipped to z >= 0 and scaled down until s <= lam."""
-    B, i, l = _pair_rows(len(lam))
-    De = D[i, l]
-    res = sciopt.linprog(lam, A_ub=-B, b_ub=-De, bounds=(0, None), method="highs")
-    if not res.success:
-        raise SolverError(f"radii LP failed: {res.message}")
-    t = _make_feasible(np.maximum(res.x, 0.0), D)
-    z = np.maximum(-res.ineqlin.marginals, 0.0)
-    s = B.T @ z
-    z *= min(1.0, float(np.min(lam / np.maximum(s, 1e-300))))
-    return t, float(lam @ t), float(De @ z)
-
-
 def _nnls(A, b):
     """argmin ||A u - b|| over u >= 0 by Lawson & Hanson's active-set method
     (Solving Least Squares Problems, ch. 23), at most 3n outer steps.
 
-    Not scipy.optimize.nnls: on some degenerate steps of the radii SQP it
+    Not scipy.optimize.nnls: on some degenerate radii steps it
     returns a point that fails the optimality conditions, and the dual bound
     read from it is worthless.
     """
@@ -512,17 +497,25 @@ def _nnls(A, b):
     return u
 
 
-def _radii_sqp(D, lam, p, tol, max_steps=50):
-    """p > 1: sequential quadratic programming over the radii polyhedron.
+def _radii(D, lam, p, tol, max_steps=50):
+    """min sum lam_i t_i^p over the radii polyhedron {t >= 0, t_i + t_l >= D_il}.
 
-    Each step minimizes the separable quadratic model of sum lam_i t_i^p at
-    t over {t >= 0, t_i + t_l >= D_il} exactly, as a least-distance problem
-    solved by NNLS (Lawson & Hanson, ch. 23), then backtracks along the
-    segment to the model's minimizer, which stays feasible.  At p = 2 the
-    model is the objective and one step is exact.  The model's pair
-    multipliers z >= 0 give the dual bound h(z).  The model curvature is
-    taken at t >= floor, which changes h by at most about
-    1e-12 max(D)^p max(lam).  Returns (feasible radii, sum lam t^p, best
+    Each step minimizes a separable quadratic model of the objective at t
+    exactly over the polyhedron, as a least-distance problem solved by NNLS
+    (Lawson & Hanson, ch. 23), then backtracks along the segment to the
+    model's minimizer, which stays feasible.  At p > 1 the model is the
+    second-order one, with its curvature taken at t >= floor (which changes
+    the bound by at most about 1e-12 max(D)^p max(lam)); at p = 2 it is the
+    objective and one step is exact.  At p = 1 it is the proximal model
+    sum_i lam_i (s_i + (s_i - t_i)^2 / (2 rho)), with rho doubling each
+    step (proximal point method, Rockafellar, SIAM J. Control Optim. 1976),
+    which ends finitely on an LP (Ferris, Math. Programming 1991): from an
+    optimal t the step stays put and its multipliers are LP dual optimal.
+    The model's pair multipliers z >= 0, scaled down at p = 1 until
+    s <= lam, give the dual bound h(z).  The loop stops once the gap is at
+    most tol or a few ulps of the value, when a step neither lowers the
+    value nor raises the bound, or when rounding has eaten the
+    least-distance solution.  Returns (feasible radii, sum lam t^p, best
     bound).
     """
     top = float(D.max())
@@ -546,32 +539,44 @@ def _radii_sqp(D, lam, p, tol, max_steps=50):
 
     t = _make_feasible(0.5 * D.max(axis=1), D)
     upper, lower = phi(t), 0.0  # h(0) = 0
-    steps = 0
-    while steps < max_steps and upper - lower > tol:
+    steps, rho, ulps = 0, 1.0, 8 * np.finfo(float).eps
+    while steps < max_steps and upper - lower > max(tol, ulps * upper):
         steps += 1
-        ts = np.maximum(t, floor)
-        g = p * lam * ts ** (p - 1.0)
-        a = (p - 1.0) * g / ts
+        if p == 1:
+            g, a = lam, lam / rho
+            rho *= 2.0
+        else:
+            ts = np.maximum(t, floor)
+            g = p * lam * ts ** (p - 1.0)
+            a = (p - 1.0) * g / ts
         c = t - g / a  # unconstrained minimizer of the model
         sa = 1.0 / np.sqrt(a)
         h = lo - G @ c
         E = np.vstack([(G * sa).T, h])
         u = _nnls(E, e_last)
         den = 1.0 - float(h @ u)
+        if not den > 0:
+            break  # the least-distance problem is lost in rounding
         z = u[:m] / den
-        lower = max(lower, float(De @ z) - _conjugate_power_sum(B.T @ z, p, lam))
+        s = B.T @ z
+        if p == 1:
+            z *= min(1.0, float(np.min(lam / np.maximum(s, 1e-300))))
+        bound = float(De @ z) - _conjugate_power_sum(s, p, lam)
         d = np.maximum(c + sa * (E[:k] @ u) / den, 0.0) - t
         slope = float((p * lam * t ** (p - 1.0)) @ d)
         alpha = 1.0
         while phi(t + alpha * d) > upper + 1e-4 * alpha * slope and alpha > 1e-10:
             alpha *= 0.5
         t_new = _make_feasible(t + alpha * d, D)
-        if not phi(t_new) < upper:
+        f_new = phi(t_new)
+        if not (f_new < upper or bound > lower):
             break  # no progress left at this precision
-        t, upper = t_new, phi(t_new)
+        lower = max(lower, bound)
+        if f_new < upper:
+            t, upper = t_new, f_new
     if upper - lower > tol:
         logger.debug(
-            "radii sqp stopped after %d steps with gap %.3e above tol %.3e",
+            "radii stopped after %d steps with gap %.3e above tol %.3e",
             steps, (upper - lower) * unit_value, tol * unit_value,
         )
     return t * top, upper * unit_value, lower * unit_value
@@ -590,7 +595,7 @@ def _solve_qinf(points, lam, p, tol, force_iterative):
     key = (p, math.inf, lam_s.tobytes(), D_s.tobytes())
     entry = None if force_iterative else _MEMO.get(key)
     if entry is None or entry[1] - entry[2] > tol:
-        entry = _radii_lp(D_s, lam_s) if p == 1 else _radii_sqp(D_s, lam_s, p, tol)
+        entry = _radii(D_s, lam_s, p, tol)
         if not force_iterative:
             _remember(key, entry)
     radii, _, lower = entry
@@ -641,13 +646,15 @@ def solve_fpq(
     ``tol`` is the accuracy target, and every path but the closed forms
     reports ``tolerance`` = value - lower_bound, a certified gap.  Pairwise
     Frank-Wolfe (q = 1) stops once it is at most ``tol`` or after 1000
-    oracle calls; at q = inf the radii problem is solved by one LP (p = 1)
-    or by at most 50 SQP steps (p > 1), and ``lower_bound`` is the Lagrange
-    dual at a point z >= 0; at q in (1, inf) damped Newton stops once its
-    Fenchel dual bound is within ``tol`` or after 100 steps.  A memoized
-    solution of the same canonical problem (at q = inf: the same weights
-    and pairwise distances) is reused when its gap is at most ``tol``.  ``force_iterative`` skips the p=q=2 closed form
-    and the memo (used by agreement tests).
+    oracle calls; at q = inf the radii problem takes at most 50 NNLS steps
+    (proximal point steps at p = 1, SQP steps at p > 1), stopped once the
+    gap is at most ``tol`` or a few ulps of the value, and ``lower_bound``
+    is the Lagrange dual at a point z >= 0; at q in (1, inf) damped Newton
+    stops once its Fenchel dual bound is within ``tol`` or after 100 steps.
+    A memoized solution of the same canonical problem (at q = inf: the same
+    weights and pairwise distances) is reused when its gap is at most
+    ``tol``.  ``force_iterative`` skips the p=q=2 closed form and the memo
+    (used by agreement tests).
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")

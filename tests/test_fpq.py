@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -283,20 +284,41 @@ def test_linf_radii_reduction(data):
 
     lam = rng.random(k) + 0.1 if data.draw(st.booleans()) else np.ones(k)
     sol = solve_fpq(FpqProblem(x, 1, math.inf, weights=lam), tol=1e-9)
-    # variables [y_1..y_d, t_1..t_k]: y_j - t_i <= x_ij and -y_j - t_i <= -x_ij
+    assert abs(sol.value - _linf_hub_lp(x, lam)[0]) <= 1e-9
+    assert abs(sol.value - fpq_objective(x, sol.minimizer, 1, math.inf, lam)) <= 1e-12
+
+
+def _linf_hub_lp(x, lam, breaks=None):
+    # HiGHS on the y-space epigraph LP of min_y sum_i lam_i ||x_i - y||_inf^p,
+    # variables [y_1..y_d, t_1..t_k] (and e_1..e_k with breaks): exact at p = 1;
+    # with breaks 0 = b_0 < ... < b_N, e_i lies on the secants of t^2 through
+    # them and t_i <= b_N, an LP whose optimum is at or above the p = 2 one.
+    # Returns (LP optimum, y)
+    k, d = x.shape
+    n = d + k + (0 if breaks is None else k)
     rows, rhs = [], []
     for i in range(k):
-        for j in range(d):
+        for j in range(d):  # y_j - t_i <= x_ij and -y_j - t_i <= -x_ij
             for sign in (1.0, -1.0):
-                r = np.zeros(d + k)
+                r = np.zeros(n)
                 r[j], r[d + i] = sign, -1.0
                 rows.append(r)
                 rhs.append(sign * x[i, j])
-    ref = linprog(np.concatenate([np.zeros(d), lam]), A_ub=np.array(rows), b_ub=rhs,
-                  bounds=[(None, None)] * d + [(0, None)] * k, method="highs")
+        if breaks is not None:
+            for a, b in zip(breaks[:-1], breaks[1:]):  # (a + b) t_i - e_i <= a b
+                r = np.zeros(n)
+                r[d + i], r[d + k + i] = a + b, -1.0
+                rows.append(r)
+                rhs.append(a * b)
+    if breaks is None:
+        cost, bounds = np.concatenate([np.zeros(d), lam]), [(0, None)] * k
+    else:
+        cost = np.concatenate([np.zeros(d + k), lam])
+        bounds = [(0, breaks[-1])] * k + [(None, None)] * k
+    ref = linprog(cost, A_ub=np.array(rows), b_ub=rhs,
+                  bounds=[(None, None)] * d + bounds, method="highs")
     assert ref.success
-    assert abs(sol.value - ref.fun) <= 1e-9
-    assert abs(sol.value - fpq_objective(x, sol.minimizer, 1, math.inf, lam)) <= 1e-12
+    return ref.fun, ref.x[:d]
 
 
 def _random_hub_problems(count=300, seed=0):
@@ -371,19 +393,70 @@ def test_linf_p_above_1_makes_no_lp_call(monkeypatch):
             solve_fpq(prob, tol=1e-9)
     assert calls == []
     solve_fpq(FpqProblem(np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]]), 1, math.inf))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_linf_radii_log_an_open_gap(monkeypatch, caplog):
-    monkeypatch.setattr(barygap.fpq._radii_sqp, "__defaults__", (0,))
+    monkeypatch.setattr(barygap.fpq._radii, "__defaults__", (0,))
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
-    with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
-        sol = solve_fpq(FpqProblem(pts, 2, math.inf), tol=1e-9)
-    assert sol.tolerance > 1e-9
-    assert sol.lower_bound <= sol.value
-    records = [r for r in caplog.records if r.name == "barygap.fpq"]
-    assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    assert "above tol" in records[0].getMessage()
+    for p in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
+            sol = solve_fpq(FpqProblem(pts, p, math.inf), tol=1e-9)
+        assert sol.tolerance > 1e-9
+        assert sol.lower_bound <= sol.value
+        records = [r for r in caplog.records if r.name == "barygap.fpq"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert "above tol" in records[0].getMessage()
+
+
+def test_linf_p1_radii_match_highs():
+    # the proximal steps close every p = 1 gap, and no bound lies above the
+    # LP optimum: k in [2, 6], d in [1, 5], scaled by 1e-2 to 1e2; every
+    # fifth problem integer, every third weighted
+    tol = 1e-9
+    rng = np.random.default_rng(11)
+    for i in range(600):
+        k, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        scale = 10.0 ** rng.uniform(-2, 2)
+        x = rng.integers(-3, 4, size=(k, d)).astype(float) if i % 5 == 0 else rng.normal(size=(k, d))
+        x *= scale
+        lam = rng.random(k) + 0.1 if i % 3 == 0 else np.ones(k)
+        sol = solve_fpq(FpqProblem(x, 1, math.inf, weights=lam), tol=tol)
+        opt = _linf_hub_lp(x, lam)[0]
+        assert sol.lower_bound <= opt + 1e-12 * max(1.0, abs(opt))
+        assert sol.tolerance <= tol
+        assert abs(sol.value - opt) <= tol
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+@pytest.mark.parametrize("p", [1, 2])
+def test_linf_radii_at_large_scales(monkeypatch, scale, p):
+    # tol is absolute, so at these scales some gaps can only close to a few
+    # ulps of the value: the loop must stop in time, cleanly, with a bound
+    # still at or below the optimum
+    steps = _counting(monkeypatch, "_nnls")  # one least-distance solve a step
+    max_steps = barygap.fpq._radii.__defaults__[0]
+    rng = np.random.default_rng(4)
+    for i in range(40):
+        k, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+        x = rng.normal(size=(k, d)) * scale
+        lam = rng.random(k) + 0.1 if i % 3 == 0 else np.ones(k)
+        barygap.fpq._MEMO.clear()
+        steps.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_fpq(FpqProblem(x, p, math.inf, weights=lam), tol=1e-9)
+        assert len(steps) < max_steps  # stopped by its own rules, not by the cap
+        assert sol.tolerance == max(sol.value - sol.lower_bound, 0.0)
+        if p == 1:
+            opt = _linf_hub_lp(x, lam)[0]
+        else:
+            top = float(np.ptp(x, axis=0).max())  # HiGHS fails on the unscaled secants
+            y = top * _linf_hub_lp(x / top, lam, np.linspace(0.0, 1.0, 1001))[1]
+            opt = fpq_objective(x, y, 2, math.inf, lam)  # a hub's value: >= the optimum
+        assert sol.lower_bound <= opt + 1e-12 * abs(opt)
+        assert abs(sol.value - opt) <= 1e-5 * opt  # the secants sit above t^2 by at most (top/1000)^2/4
 
 
 
@@ -630,7 +703,7 @@ def test_memo_solves_equal_linf_distances_once(monkeypatch):
     # at q = inf the memo is keyed on weights and pairwise distances: a
     # reflected copy, rows permuted, with one more coordinate that never sets a
     # distance, is the same problem; each hit rebuilds its hub from its own points
-    calls = _counting(monkeypatch, "_radii_sqp")
+    calls = _counting(monkeypatch, "_radii")
     rng = np.random.default_rng(8)
     x = rng.normal(size=(4, 3))
     shortest = barygap.fpq._pairwise_linf(x)[np.triu_indices(4, 1)].min()
