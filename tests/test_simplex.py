@@ -75,7 +75,7 @@ def test_degenerate_problem_terminates():
     assert abs(val - (-2.0)) < 1e-9
 
 
-def test_exact_tableau_edge_cases():
+def test_exact_edge_cases():
     # exact mode on the edge cases: infeasible, unbounded, redundant, degenerate
     with pytest.raises(InputError):
         solve_lp(np.array([[1, 1], [1, 1]]), [Fraction(1), Fraction(2)], [0, 0], exact=True)
@@ -164,3 +164,61 @@ def test_exact_lp_certified_on_degenerate_and_transport_lps():
         assert list(dense @ x) == b
         assert val == sum(ci * xi for ci, xi in zip(c, x))
         assert abs(float(val) - ref.fun) <= 1e-9
+
+
+def _float_transport_lps(count, seed):
+    # k-marginal transportation on the sparse marginal matrix, shapes (n,)*k:
+    # uniform or Dirichlet masses, squared-distance costs from random points
+    # or integer costs in [0, 3] full of ties; the last LP has equal costs
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        k = 2 + t % 3
+        n = int(rng.integers(2, 7 if k == 4 else 9))
+        shape = (n,) * k
+        if t % 2:
+            b = np.concatenate([rng.dirichlet(np.ones(n)) for _ in range(k)])
+        else:
+            b = np.full(k * n, 1.0 / n)
+        if t == count - 1:
+            c = np.ones(n**k)
+        elif (t // 6) % 2:
+            c = rng.integers(0, 4, size=n**k).astype(float)
+        else:
+            pts = [rng.random((n, 2)) for _ in range(k)]
+            c = np.zeros(shape)
+            for i in range(k):
+                for j in range(i + 1, k):
+                    index = [None] * k
+                    index[i] = index[j] = slice(None)
+                    c = c + ((pts[i][:, None] - pts[j][None]) ** 2).sum(-1)[tuple(index)]
+            c = c.ravel()
+        yield _marginal_matrix(shape), b, c
+
+
+def test_float_transport_lps_match_highs_with_presolve():
+    lps = list(_float_transport_lps(40, 13))
+    assert {A.shape[1] for A, _, _ in lps} >= {2**2, 8**2, 8**3, 6**4}
+    for A, b, c in lps:
+        val, x = solve_lp(A, b, c)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                      options={"presolve": True})
+        assert ref.status == 0
+        assert abs(val - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+        assert np.abs(A @ x - b).max() <= 1e-9
+        assert (x >= -1e-12).all()
+
+
+def test_highs_runs_without_presolve(monkeypatch):
+    options = []
+
+    def spy(*args, **kwargs):
+        options.append(kwargs.get("options"))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(barygap.simplex, "linprog", spy)
+    A = _marginal_matrix((2, 2))
+    b = [Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), Fraction(1, 2)]
+    c = [0, 1, 1, 0]
+    assert abs(solve_lp(A, [float(v) for v in b], c)[0] - 1 / 6) < 1e-12
+    assert solve_lp(A, b, c, exact=True)[0] == Fraction(1, 6)
+    assert options == [{"presolve": False}] * 2
