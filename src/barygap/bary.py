@@ -8,9 +8,12 @@ its tuple); its cost tensor comes from the code the hub sweep uses
 (``chub.tuple_costs``: one Gram kernel at p=q=2, exact in integers in exact
 mode; one inner hub solve per tuple elsewhere).  One helper solves every
 transport LP, two-marginal and k-marginal: an assignment when two
-equal-size uniform marginals make the optimum a permutation (Birkhoff),
-otherwise HiGHS on a sparse marginal matrix, whose vertex exact mode proves
-optimal in rationals (``simplex.solve_lp``).
+equal-size uniform marginals make the optimum a permutation (Birkhoff);
+the LP on axis-permutation orbits, C(n+k-1, k) columns instead of n^k, when
+the marginals are equal and the cost tensor is exactly symmetric (Bödi,
+Herr and Joswig, *Algorithms for highly symmetric linear and integer
+programs*, 2013); otherwise HiGHS on a sparse marginal matrix.  Exact mode
+proves HiGHS's vertex optimal in rationals (``simplex.solve_lp``).
 Desk-scale caps guard every enumeration.
 """
 
@@ -20,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 from scipy import sparse
@@ -227,13 +231,62 @@ def _integer_atoms(measures):
     return [np.array([[int(v) for v in row] for row in m.atoms], dtype=object) for m in measures]
 
 
+def _symmetric(measures, costs):
+    """True when the measures share size and masses and the cost tensor is
+    unchanged, exactly, by every adjacent axis transposition."""
+    n, a = measures[0].size, measures[0].masses
+    if any(m.size != n or not np.array_equal(m.masses, a) for m in measures):
+        return False
+    tensor = np.asarray(costs).reshape((n,) * len(measures))
+    return all(
+        np.array_equal(tensor, np.swapaxes(tensor, i, i + 1)) for i in range(len(measures) - 1)
+    )
+
+
+def _orbit_lp(masses, costs, k, exact):
+    """The symmetric transport LP solved on axis-permutation orbits.
+
+    One column per multiset S of k support indices, costing c_S, and one row
+    per index v: sum_S mult_S(v) z_S = k a_v.  Averaging an optimal plan over
+    the k! axis permutations keeps it optimal, and z_S is the mass of S's
+    orbit, so the values agree; the quotient duals u, used on every axis, are
+    a feasible dual of the full LP with the same objective, so an exact
+    certificate of this LP proves the full LP optimal.  Each z_S is spread
+    evenly over the distinct permutations of S.  Returns (value, plan entries).
+    """
+    n = len(masses)
+    combos = list(combinations_with_replacement(range(n), k))
+    idx = np.array(combos)
+    A = np.zeros((n, len(combos)))  # dense: faster than sparse at these sizes
+    np.add.at(A, (idx, np.arange(len(combos))[:, None]), 1.0)
+    flat = np.ravel_multi_index(idx.T, (n,) * k)
+    if exact:
+        b = [k * v for v in _rationals(masses)]
+        value, z = solve_lp(A, b, _rationals([costs[f] for f in flat]), exact=True)
+        support = np.nonzero(z > 0)[0]
+    else:
+        value, z = solve_lp(A, k * np.asarray(masses), np.asarray(costs, dtype=float)[flat])
+        support = np.nonzero(z > 1e-12)[0]
+    z = z.tolist()
+    entries = {}
+    for s in support.tolist():
+        orbit = sorted(set(permutations(combos[s])))
+        entries.update((t, z[s] / len(orbit)) for t in orbit)
+    return value, entries
+
+
 def _transport_lp(measures, costs, exact=False):
     """Cheapest coupling of ``measures`` under flat C-order tuple ``costs``.
 
     Returns (value, plan).  Two equal-size uniform marginals make the
-    optimum a permutation (Birkhoff), found as an assignment; every other
-    float LP goes to HiGHS.  ``exact`` certifies HiGHS's vertex in Fractions
-    on the same sparse marginal matrix and returns a Fraction value and plan.
+    optimum a permutation (Birkhoff), found as an assignment.  When the
+    measures share size and masses and the cost tensor is exactly symmetric
+    under permuting its axes, HiGHS solves the LP on orbits (``_orbit_lp``:
+    C(n+k-1, k) columns instead of n^k) and the plan is a symmetrized
+    optimum, not a vertex: its support can be up to k! times the orbit
+    support.  Every other LP goes to HiGHS on the sparse marginal matrix.
+    ``exact`` certifies HiGHS's vertex in Fractions and returns a Fraction
+    value and plan.
     """
     shape = tuple(m.size for m in measures)
     if (
@@ -247,6 +300,9 @@ def _transport_lp(measures, costs, exact=False):
         n = shape[0]
         plan = TransportTensor(shape, {(int(r), int(c)): 1.0 / n for r, c in zip(rows, cols)})
         return float(cost[rows, cols].sum() / n), plan
+    if _symmetric(measures, costs):
+        value, entries = _orbit_lp(measures[0].masses, costs, len(shape), exact)
+        return value, TransportTensor(shape, entries)
     A = _marginal_matrix(shape)
     b = np.concatenate([m.masses for m in measures])
     if exact:
@@ -321,6 +377,9 @@ def bary_value_mot(
     Cost entries are hub solves to tolerance tol/2 (``chub.tuple_costs``).
     The reported ``tolerance`` is the larger of ``tol`` and the largest
     tolerance a hub solve reports, which bounds the LP value's error.
+    When the measures share their masses and the cost tensor is exactly
+    symmetric, the plan is a symmetrized optimum rather than a vertex, with
+    up to k! times the support of the orbit LP's vertex (``_transport_lp``).
     ``cost_values`` lets callers inject a precomputed flat cost array in the
     package's tuple order (the reduction pipeline reuses its class-cached
     sweep).

@@ -16,9 +16,10 @@ Certificate sources per regime:
 * QIN  -- solver-certified: over all 2^C(k,2) overlap patterns at (k, D),
   gamma is the clique pattern's value and Delta half its distance to the
   smallest certified lower bound of the others.  Artifact-level.
-  The sweep runs on every call; its solves are ``fpq`` memo hits after the
-  first, and so are the phi-embedded class problems of the same gadget,
-  which are these pattern problems once their columns are merged.
+  The sweep is a pure function of (k, D, p, q, tol) and runs once per key
+  (an LRU cache); its solves also fill the ``fpq`` memo, so the
+  phi-embedded class problems of the same gadget, which are these pattern
+  problems once their columns are merged, are memo hits.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, bary_value_mot
 from .chub import solve_chub
@@ -64,6 +66,7 @@ class GapCertificate:
         return out
 
 
+@lru_cache(maxsize=256)
 def _qin_pattern_sweep(k, D, p, q, tol):
     """Solve F over every overlap pattern at (k, D): (complete value, min other lower)."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -187,7 +190,10 @@ def decide_clique(
     most the threshold, False only when the sweep's F* - tolerance lies
     above the threshold, and None otherwise.  ``reuse`` accepts a ChubResult
     for this instance's points (same tol or tighter) so sweeps can share the
-    tuple enumeration between solvers.
+    tuple enumeration between solvers.  The bary-mot route reports the
+    plan's support size as ``mot_plan_support``; on a symmetric gadget the
+    plan is symmetrized over axis permutations, so that size counts every
+    permutation of each multiset the orbit LP uses.
     """
     cert = inst.certificate
     if tol > cert.delta / 10.0:

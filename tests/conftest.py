@@ -3,6 +3,7 @@ import math
 import pytest
 
 import barygap.fpq
+import barygap.reduction
 from barygap.graph import (
     complete_graph,
     cycle_graph,
@@ -42,9 +43,11 @@ def full_corpus():
 
 @pytest.fixture(autouse=True)
 def fresh_fpq_memo():
-    """Every test starts with an empty hub-solve memo, so a test that patches
-    solver internals sees a fresh solve rather than an earlier answer."""
+    """Every test starts with an empty hub-solve memo and QIN certificate
+    cache, so a test that patches solver internals sees a fresh solve rather
+    than an earlier answer."""
     barygap.fpq._MEMO.clear()
+    barygap.reduction._qin_pattern_sweep.cache_clear()
 
 
 SWEEP_PQS = [(2, 2), (1, 2), (2, 1.5), (1, 1), (2, 1), (1, math.inf), (2, math.inf)]

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import barygap.bary
 import barygap.chub
 from barygap.bary import (
     BaryInstance,
@@ -21,11 +25,13 @@ from barygap.bary import (
     rounding_coupling,
     uniformize,
     wasserstein_pq,
+    _transport_lp,
 )
 from barygap.embed import embed_phi
 from barygap.errors import InputError, ResourceCapError
 from barygap.fpq import FpqProblem, solve_fpq
-from barygap.graph import complete_graph
+from barygap.graph import complete_graph, cycle_graph
+from barygap.simplex import solve_lp
 
 
 def gadget_instance(g, k, p=2.0, q=2.0):
@@ -268,6 +274,129 @@ def test_extract_barycenter_achieves_value():
         obj = barycenter_objective(inst, nu)
         assert obj <= res.value + 3e-8
         assert nu.size <= len(res.plan.entries)
+
+
+# ---------------------------------------------------------------------------
+# symmetric transport LPs on axis-permutation orbits
+
+
+@contextlib.contextmanager
+def lp_shapes():
+    """Records the shape of every constraint matrix bary hands to solve_lp."""
+    shapes = []
+
+    def spy(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return solve_lp(A, *args, **kwargs)
+
+    with mock.patch.object(barygap.bary, "solve_lp", spy):
+        yield shapes
+
+
+def symmetrized(tensor):
+    """Sum of the axis-permuted copies of ``tensor``, exactly symmetric: each
+    entry adds the same values in the same (sorted) order."""
+    copies = [np.transpose(tensor, perm) for perm in permutations(range(tensor.ndim))]
+    return np.sort(np.stack(copies), axis=0).sum(axis=0)
+
+
+def full_marginal_matrix(n, k):
+    total = n**k
+    A = np.zeros((k * n, total))
+    for i, ix in enumerate(np.unravel_index(np.arange(total), (n,) * k)):
+        A[i * n + ix, np.arange(total)] = 1.0
+    return A
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 4),
+    n=st.integers(1, 5),
+    uniform=st.booleans(),
+)
+def test_orbit_lp_matches_the_full_lp(seed, k, n, uniform):
+    rng = np.random.default_rng(seed)
+    masses = np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
+    mu = DiscreteMeasure(np.arange(n, dtype=float)[:, None], masses)
+    shape = (n,) * k
+    costs = symmetrized(rng.random(shape)).ravel()
+    with lp_shapes() as shapes:
+        value, plan = _transport_lp([mu] * k, costs)
+    # two uniform marginals are an assignment; every other case is the orbit LP
+    assert shapes == ([] if k == 2 and mu.is_uniform() else [(n, math.comb(n + k - 1, k))])
+    ref = linprog(costs, A_eq=full_marginal_matrix(n, k), b_eq=np.tile(mu.masses, k), method="highs")
+    assert ref.status == 0
+    assert abs(value - ref.fun) <= 1e-9 * abs(ref.fun)
+    assert plan.max_marginal_violation([mu] * k) <= 1e-12
+    plan_cost = sum(w * costs[np.ravel_multi_index(t, shape)] for t, w in plan.entries.items())
+    assert math.isclose(plan_cost, value, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "graph, k, want",
+    [
+        (complete_graph(4), 3, Fraction(10, 3)),
+        (complete_graph(5), 3, Fraction(14, 3)),
+        (cycle_graph(5), 3, Fraction(20, 9)),
+        (cycle_graph(6), 3, Fraction(20, 9)),
+        (cycle_graph(4), 4, Fraction(4)),
+    ],
+)
+def test_orbit_lp_exact_gadget_values_and_plans(graph, k, want):
+    inst = gadget_instance(graph, k)
+    n = inst.measures[0].size
+    with lp_shapes() as shapes:
+        res = bary_value_mot(inst, exact=True)
+    assert shapes == [(n, math.comb(n + k - 1, k))]
+    assert res.value_exact == want
+    # p=q=2 with uniform weights: sum_{i<j} |x_i - x_j|^2 / k^2, in integers
+    atoms = [[[int(v) for v in row] for row in m.atoms] for m in inst.measures]
+    total = Fraction(0)
+    sums = [[Fraction(0)] * n for _ in range(k)]
+    for t, w in res.plan.entries.items():
+        assert isinstance(w, Fraction)
+        pts = [atoms[i][t[i]] for i in range(k)]
+        cost = sum(sum((a - b) ** 2 for a, b in zip(x, y)) for x, y in combinations(pts, 2))
+        total += w * Fraction(cost, k * k)
+        for i in range(k):
+            sums[i][t[i]] += w
+    assert sums == [[Fraction(1, n)] * n for _ in range(k)]
+    assert total == res.value_exact
+
+
+def test_asymmetric_lps_take_the_full_lp():
+    rng = np.random.default_rng(3)
+    mu = DiscreteMeasure.uniform(np.arange(3, dtype=float)[:, None])
+    nu = DiscreteMeasure(mu.atoms, np.array([0.5, 0.25, 0.25]))
+    small = DiscreteMeasure.uniform(np.arange(2, dtype=float)[:, None])
+    sym = symmetrized(rng.random((3, 3, 3)))
+    skewed = sym.copy()
+    skewed[0, 1, 2] = np.nextafter(skewed[0, 1, 2], np.inf)
+    with lp_shapes() as shapes:
+        _transport_lp([mu] * 3, sym.ravel())
+    assert shapes == [(3, 10)]
+    cases = [
+        ([mu] * 3, skewed.ravel()),  # one ulp off symmetric
+        ([mu, mu, nu], sym.ravel()),  # unequal mass vectors
+        ([mu, mu, small], rng.random(18)),  # unequal sizes
+    ]
+    for measures, costs in cases:
+        with lp_shapes() as shapes:
+            _transport_lp(measures, costs)
+        sizes = [m.size for m in measures]
+        assert shapes == [(sum(sizes), math.prod(sizes))]
+
+
+def test_extract_barycenter_from_a_symmetrized_plan():
+    # the C6 gadget's three groups differ, but its (1, 2) cost tensor is symmetric
+    inst = gadget_instance(cycle_graph(6), 3, p=1.0, q=2.0)
+    with lp_shapes() as shapes:
+        res = bary_value_mot(inst, tol=1e-8)
+    assert shapes == [(6, 56)]
+    assert res.value > 1
+    nu = extract_barycenter(res.plan, inst)
+    assert abs(barycenter_objective(inst, nu) - res.value) <= res.tolerance + 1e-8
 
 
 def test_nonuniform_weights():

@@ -66,6 +66,26 @@ def test_certificate_qin_calibration():
     assert val <= c.gamma <= val + 2 * c.tol + 1e-9
 
 
+def test_qin_certificate_sweeps_once_per_key(monkeypatch):
+    import barygap.reduction
+
+    calls = []
+    orig = barygap.reduction.solve_fpq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(barygap.reduction, "solve_fpq", counted)
+    first = gap_certificate(4, 3, 3, 2, 1.5, tol=1e-7)
+    assert len(calls) == 2**3  # one solve per overlap pattern
+    # n is not part of the key: the patterns depend only on (k, D, p, q, tol)
+    assert gap_certificate(5, 3, 3, 2, 1.5, tol=1e-7).to_json()["gamma"] == first.gamma
+    assert len(calls) == 2**3
+    gap_certificate(4, 3, 3, 2, 1.5, tol=1e-8)
+    assert len(calls) == 2 * 2**3
+
+
 def test_build_instance_shapes():
     inst = build_instance(K4, 3, 2, 2)
     assert inst.points.d == 48 and len(inst.bary.measures) == 3
