@@ -24,6 +24,9 @@ from .embed import (
     embed_phi,
     embed_psi,
     embed_xi,
+    q1_clique_witness,
+    q1_value_formula,
+    qinf_clique_witness,
     verify_collection,
 )
 from .errors import BarygapError, InputError, ResourceCapError, SolverError
@@ -33,9 +36,6 @@ from .fpq import (
     fpq_closed_form_22,
     fpq_gradient,
     fpq_objective,
-    q1_clique_witness,
-    q1_value_formula,
-    qinf_clique_witness,
     solve_fpq,
 )
 from .graph import (

@@ -104,10 +104,9 @@ def solve_chub(
     n, k = config.n, config.k
     shape = (n,) * k
     _check_cap(n, k, cap)
-    groups = [config.dense_group(i) for i in range(k)]
 
     if config.regime == "Q22":
-        kf = _gram_costs([g.astype(np.int64) for g in groups], [1] * k)
+        kf = _gram_costs(list(config.points.astype(np.int64)), [1] * k)
         arg = int(kf.argmin())
         exact = Fraction(int(kf[arg]), k)
         per = None
@@ -122,7 +121,7 @@ def solve_chub(
             per_tuple=per,
         )
 
-    groups = [g.astype(float) for g in groups]
+    groups = list(config.points.astype(float))
     graph, emb = _source_graph(config)
     if graph is not None:
         _, reps, inverse, _ = unique_columns(_class_keys_embedded(config, graph, emb).T)

@@ -9,10 +9,16 @@ Three embeddings map the k groups x n vertices of a graph to points in
   values, used for q = 1 (requires even k).
 * ``embed_xi``   -- asymmetric signed embedding, used for q = inf.
 
-Coordinates are laid out deterministically: group pairs (l, l') with l < l'
-in lexicographic order, then u, then u' (0-indexed vertices), and for psi a
-final sign channel s in {+1, -1} with +1 first.  Serialized configs are
-therefore bit-reproducible.
+Each returns a ``PointConfig``: the (k, n, d) int8 array it built, with p, q
+and its source graph.  Coordinates are laid out deterministically: group
+pairs (l, l') with l < l' in lexicographic order, then u, then u'
+(0-indexed vertices), and for psi a final sign channel s in {+1, -1} with
++1 first.  Serialized configs, each point as its (coordinate, value) pairs,
+are therefore bit-reproducible.
+
+The module also holds what reads a config or the psi layout: the clique
+witnesses and the q=1 value bound, and the overlap collections that the
+embedded tuples are equivalent to.
 """
 
 from __future__ import annotations
@@ -21,13 +27,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .errors import InputError
 from .graph import Graph
-
-REGIMES = ("Q22", "QIN", "Q1", "QINF")
 
 
 def regime_for(p, q) -> str:
@@ -78,45 +84,50 @@ def tau(l, lp, i) -> int:
 
 @dataclass
 class PointConfig:
-    """k groups of n points in {-1,0,1}^d, stored sparsely.
+    """k groups of n points in {-1,0,1}^d.
 
-    ``sparse[i][j]`` is a pair (coords, vals) of int arrays for the j-th
-    point of group i.
+    ``points`` is the (k, n, d) int8 array of the embedding: ``points[i, j]``
+    is the j-th point of group i.  The regime follows from (p, q).
     """
 
-    k: int
-    n: int
-    d: int
+    points: np.ndarray
     p: float
     q: float
-    regime: str
-    sparse: list
     source: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise InputError(f"unknown regime {self.regime!r}")
-        if self.regime != regime_for(self.p, self.q):
-            raise InputError(
-                f"regime {self.regime} inconsistent with (p, q) = ({self.p}, {self.q})"
-            )
+        if np.ndim(self.points) != 3:
+            raise InputError(f"points must be a (k, n, d) array, got {np.shape(self.points)}")
 
-    def dense_point(self, i, j):
-        y = np.zeros(self.d, dtype=np.int8)
-        coords, vals = self.sparse[i][j]
-        y[coords] = vals
-        return y
+    @property
+    def k(self):
+        return self.points.shape[0]
 
-    def dense_group(self, i):
-        return np.stack([self.dense_point(i, j) for j in range(self.n)])
+    @property
+    def n(self):
+        return self.points.shape[1]
+
+    @property
+    def d(self):
+        return self.points.shape[2]
+
+    @property
+    def regime(self):
+        return regime_for(self.p, self.q)
 
     def dense_tuple(self, vertex_tuple):
         """Stack of the k points selected by a vertex tuple, shape (k, d)."""
         if len(vertex_tuple) != self.k:
             raise InputError(f"tuple length {len(vertex_tuple)} != k={self.k}")
-        return np.stack([self.dense_point(i, j) for i, j in enumerate(vertex_tuple)])
+        return self.points[np.arange(self.k), list(vertex_tuple)]
 
     def to_json(self):
+        """Each point as its (coordinate, value) pairs, coordinates increasing."""
+        flat = self.points.reshape(-1, self.d)
+        rows, coords = np.nonzero(flat)
+        points = [[] for _ in range(len(flat))]
+        for r, c, v in zip(rows.tolist(), coords.tolist(), flat[rows, coords].tolist()):
+            points[r].append([c, v])
         return {
             "p": self.p,
             "q": "inf" if self.q == math.inf else self.q,
@@ -124,35 +135,34 @@ class PointConfig:
             "n": self.n,
             "d": self.d,
             "regime": self.regime,
-            "points": [
-                [[int(c), int(v)] for c, v in zip(*self.sparse[i][j])]
-                for i in range(self.k)
-                for j in range(self.n)
-            ],
+            "points": points,
             "source": self.source,
         }
 
     @staticmethod
     def from_json(obj):
         try:
+            p = float(obj["p"])
             q = math.inf if obj["q"] == "inf" else float(obj["q"])
+            if obj["regime"] != regime_for(p, q):
+                raise InputError(f"regime {obj['regime']!r} inconsistent with (p, q) = ({p}, {q})")
             k, n, d = int(obj["k"]), int(obj["n"]), int(obj["d"])
             flat = obj["points"]
             if len(flat) != k * n:
                 raise InputError(f"expected {k * n} points, got {len(flat)}")
-            sparse = []
-            for i in range(k):
-                group = []
-                for j in range(n):
-                    pairs = flat[i * n + j]
-                    coords = np.array([c for c, _ in pairs], dtype=np.int64)
-                    vals = np.array([v for _, v in pairs], dtype=np.int8)
-                    group.append((coords, vals))
-                sparse.append(group)
-            return PointConfig(
-                k=k, n=n, d=d, p=float(obj["p"]), q=q,
-                regime=obj["regime"], sparse=sparse, source=obj.get("source", {}),
-            )
+            rows = np.repeat(np.arange(k * n), [len(pairs) for pairs in flat])
+            coords = np.array([c for pairs in flat for c, _ in pairs])
+            vals = np.array([v for pairs in flat for _, v in pairs])
+            # checked before the int8 cast, so nothing wraps or lands elsewhere
+            if coords.size and not (
+                coords.dtype.kind == "i" and 0 <= coords.min() and coords.max() < d
+            ):
+                raise InputError(f"point coordinates must be integers in [0, {d})")
+            if not np.isin(vals, (-1, 0, 1)).all():
+                raise InputError("point values must lie in {-1, 0, 1}")
+            points = np.zeros((k * n, d), dtype=np.int8)
+            points[rows, coords.astype(np.int64)] = vals
+            return PointConfig(points.reshape(k, n, d), p, q, obj.get("source", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed point config JSON: {exc}") from exc
 
@@ -175,17 +185,6 @@ def _graph_source(g: Graph, name, k):
         "graph_sha256": hashlib.sha256(payload).hexdigest(),
         "k": k,
     }
-
-
-def _sparsify(dense):
-    out = []
-    for i in range(dense.shape[0]):
-        group = []
-        for j in range(dense.shape[1]):
-            coords = np.nonzero(dense[i, j])[0]
-            group.append((coords.astype(np.int64), dense[i, j, coords]))
-        out.append(group)
-    return out
 
 
 def embed_phi(g: Graph, k, p=2.0, q=2.0) -> PointConfig:
@@ -213,10 +212,7 @@ def embed_phi(g: Graph, k, p=2.0, q=2.0) -> PointConfig:
                     coord = base + a * n + b
                     dense[l, a, coord] = 1
                     dense[lp, b, coord] = 1
-    return PointConfig(
-        k=k, n=n, d=d, p=p, q=q, regime=regime_for(p, q),
-        sparse=_sparsify(dense), source=_graph_source(g, "phi", k),
-    )
+    return PointConfig(dense, p, q, _graph_source(g, "phi", k))
 
 
 def embed_psi(g: Graph, k, p=1.0) -> PointConfig:
@@ -247,10 +243,7 @@ def embed_psi(g: Graph, k, p=1.0) -> PointConfig:
                 sign = np.where(adj[:, v], 1, -1).astype(np.int8)
                 dense[lp, v, offs] = sign
                 dense[lp, v, offs + 1] = -sign
-    return PointConfig(
-        k=k, n=n, d=d, p=p, q=1.0, regime="Q1",
-        sparse=_sparsify(dense), source=_graph_source(g, "psi", k),
-    )
+    return PointConfig(dense, p, 1.0, _graph_source(g, "psi", k))
 
 
 def embed_xi(g: Graph, k, p=1.0) -> PointConfig:
@@ -272,10 +265,7 @@ def embed_xi(g: Graph, k, p=1.0) -> PointConfig:
                 # (i, v) = (l, u): sign tracks adjacency of (v, u')
                 sign = np.where(adj[v, :], 1, -1).astype(np.int8)
                 dense[l, v, base + v * n + np.arange(n)] = sign
-    return PointConfig(
-        k=k, n=n, d=d, p=p, q=math.inf, regime="QINF",
-        sparse=_sparsify(dense), source=_graph_source(g, "xi", k),
-    )
+    return PointConfig(dense, p, math.inf, _graph_source(g, "xi", k))
 
 
 def embed_auto(g: Graph, k, p, q) -> PointConfig:
@@ -285,6 +275,63 @@ def embed_auto(g: Graph, k, p, q) -> PointConfig:
     if q == math.inf:
         return embed_xi(g, k, p=p)
     return embed_phi(g, k, p=p, q=q)
+
+
+# ---------------------------------------------------------------------------
+# Clique witnesses and the q=1 value bound
+
+
+def q1_value_formula(n, k, D, t, p):
+    """Clique-regime value bound for the q=1 embedding:
+    k^(1-p) * (n k (k-1)(n k - 2n + 2) - 4t)^p.
+
+    Exact (Fraction) when p is a positive integer.  D is accepted for
+    signature symmetry with the certificate helpers; the bound does not
+    depend on it.
+    """
+    if k < 2 or k % 2 != 0:
+        raise InputError(f"formula requires even k >= 2, got {k}")
+    if t < 0:
+        raise InputError(f"t must be nonnegative, got {t}")
+    base = n * k * (k - 1) * (n * k - 2 * n + 2) - 4 * t
+    if base < 0:
+        raise InputError(f"negative base {base}: t too large for (n, k) = ({n}, {k})")
+    if float(p) == int(p) and p >= 1:
+        ip = int(p)
+        return Fraction(base**ip, k ** (ip - 1))
+    return float(k) ** (1.0 - p) * float(base) ** p
+
+
+def q1_clique_witness(config, vertex_tuple) -> np.ndarray:
+    """Optimal hub for a clique tuple under the q=1 embedding.
+
+    Sets y = s on every doubly-selected edge coordinate (both group slots
+    matching the tuple and the underlying pair adjacent), zero elsewhere.
+    """
+    if config.regime != "Q1":
+        raise InputError("q1_clique_witness expects a psi-embedded config")
+    g = config.source.get("graph")
+    if g is None:
+        raise InputError("config lacks source graph metadata")
+    graph = Graph.from_json(g)
+    k, n = config.k, config.n
+    vt = tuple(vertex_tuple)
+    y = np.zeros(config.d, dtype=np.int64)
+    for l in range(k):
+        for lp in range(l + 1, k):
+            if graph.has_edge(vt[l], vt[lp]):
+                y[psi_coord(n, k, l, vt[l], lp, vt[lp], 1)] = 1
+                y[psi_coord(n, k, l, vt[l], lp, vt[lp], -1)] = -1
+    return y
+
+
+def qinf_clique_witness(config, vertex_tuple) -> np.ndarray:
+    """Half-integer hub for a clique tuple under the q=inf embedding:
+    -1/2 where some selected point is -1, +1/2 elsewhere."""
+    if config.regime != "QINF":
+        raise InputError("qinf_clique_witness expects a xi-embedded config")
+    pts = config.dense_tuple(vertex_tuple)
+    return np.where((pts == -1).any(axis=0), -0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +390,7 @@ def canonical_clique_collection(k, D) -> Collection:
     The first C(k,2) coordinates are shared pairwise (one per pair); each
     vector is then padded with (D-1)(k-1) private ones.
     """
-    if k < 2 or D < 1:
-        raise InputError(f"need k >= 2 and D >= 1, got k={k}, D={D}")
-    pairs = math.comb(k, 2)
-    pad = (D - 1) * (k - 1)
-    d = pairs + k * pad
-    x = np.zeros((k, d), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            x[i, pair_index(k, i, j)] = 1
-            x[j, pair_index(k, i, j)] = 1
-    for i in range(k):
-        x[i, pairs + i * pad : pairs + (i + 1) * pad] = 1
-    return Collection(vectors=x, s=D * (k - 1), t=pairs)
+    return collection_from_pattern(k, D, combinations(range(k), 2))
 
 
 def collection_from_pattern(k, D, pattern_edges) -> Collection:
@@ -371,10 +406,18 @@ def collection_from_pattern(k, D, pattern_edges) -> Collection:
         if not 0 <= i < j < k:
             raise InputError(f"bad pattern edge ({i}, {j})")
     s = D * (k - 1)
+    return Collection(vectors=_overlap_vectors(k, s, edges), s=s, t=len(edges))
+
+
+def _overlap_vectors(k, s, edges):
+    """k 0/1 vectors of support s: the e-th pair of ``edges``, in the order
+    given, shares coordinate e, and each vector fills up with private ones."""
     deg = [0] * k
     for i, j in edges:
         deg[i] += 1
         deg[j] += 1
+    if s < max(deg, default=0):
+        raise InputError(f"s={s} below max pattern degree")
     d = len(edges) + sum(s - deg[i] for i in range(k))
     x = np.zeros((k, d), dtype=np.int64)
     for e, (i, j) in enumerate(edges):
@@ -384,7 +427,7 @@ def collection_from_pattern(k, D, pattern_edges) -> Collection:
     for i in range(k):
         x[i, off : off + s - deg[i]] = 1
         off += s - deg[i]
-    return Collection(vectors=x, s=s, t=len(edges))
+    return x
 
 
 def add_edge_move(c: Collection) -> Collection:

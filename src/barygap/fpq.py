@@ -36,7 +36,9 @@ canonical form plus (p, q), so a problem met again in another tuple class,
 instance or certificate sweep, or under a point or coordinate permutation,
 is looked up rather than solved again.  At q = inf the memo is keyed on the
 weights and the pairwise distances alone, rows sorted, and holds radii: a
-hit rebuilds the hub from the caller's own points.
+hit rebuilds the hub from the caller's own points, and the value reported
+is the entry's sum lam t^p, so it depends on the key alone, whatever the
+order of the points.
 """
 
 from __future__ import annotations
@@ -598,12 +600,11 @@ def _solve_qinf(points, lam, p, tol, force_iterative):
         entry = _radii(D_s, lam_s, p, tol)
         if not force_iterative:
             _remember(key, entry)
-    radii, _, lower = entry
+    radii, upper, lower = entry
     t = np.empty(len(rows))
     t[rows] = radii
-    y = _hub_from_radii(x, t)  # value <= sum lam t^p: the entry's gap bounds this one's
-    val = fpq_objective(x, y, p, math.inf, lam)
-    return FpqSolution(val, y, max(val - lower, 0.0), "linf-radii", lower)
+    y = _hub_from_radii(x, t)  # its objective is at most upper, up to rounding
+    return FpqSolution(upper, y, max(upper - lower, 0.0), "linf-radii", lower)
 
 
 # ---------------------------------------------------------------------------
@@ -691,61 +692,3 @@ def fpq_closed_form_22(points, weights=None) -> FpqSolution:
     y = (lamv[:, None] * x.astype(float)).sum(axis=0) / lamv.sum()
     val = fpq_objective(x, y, 2.0, 2.0, lam)
     return FpqSolution(val, y, 0.0, "closed-form-22", val)
-
-
-def q1_value_formula(n, k, D, t, p):
-    """Clique-regime value bound for the q=1 embedding:
-    k^(1-p) * (n k (k-1)(n k - 2n + 2) - 4t)^p.
-
-    Exact (Fraction) when p is a positive integer.  D is accepted for
-    signature symmetry with the certificate helpers; the bound does not
-    depend on it.
-    """
-    if k < 2 or k % 2 != 0:
-        raise InputError(f"formula requires even k >= 2, got {k}")
-    if t < 0:
-        raise InputError(f"t must be nonnegative, got {t}")
-    base = n * k * (k - 1) * (n * k - 2 * n + 2) - 4 * t
-    if base < 0:
-        raise InputError(f"negative base {base}: t too large for (n, k) = ({n}, {k})")
-    if float(p) == int(p) and p >= 1:
-        ip = int(p)
-        return Fraction(base**ip, k ** (ip - 1))
-    return float(k) ** (1.0 - p) * float(base) ** p
-
-
-def q1_clique_witness(config, vertex_tuple) -> np.ndarray:
-    """Optimal hub for a clique tuple under the q=1 embedding.
-
-    Sets y = s on every doubly-selected edge coordinate (both group slots
-    matching the tuple and the underlying pair adjacent), zero elsewhere.
-    """
-    from .embed import psi_coord  # local import to avoid a cycle
-
-    if config.regime != "Q1":
-        raise InputError("q1_clique_witness expects a psi-embedded config")
-    g = config.source.get("graph")
-    if g is None:
-        raise InputError("config lacks source graph metadata")
-    from .graph import Graph
-
-    graph = Graph.from_json(g)
-    k, n = config.k, config.n
-    vt = tuple(vertex_tuple)
-    y = np.zeros(config.d, dtype=np.int64)
-    for l in range(k):
-        for lp in range(l + 1, k):
-            if graph.has_edge(vt[l], vt[lp]):
-                y[psi_coord(n, k, l, vt[l], lp, vt[lp], 1)] = 1
-                y[psi_coord(n, k, l, vt[l], lp, vt[lp], -1)] = -1
-    return y
-
-
-def qinf_clique_witness(config, vertex_tuple) -> np.ndarray:
-    """Half-integer hub for a clique tuple under the q=inf embedding:
-    -1/2 where some selected point is -1, +1/2 elsewhere."""
-    if config.regime != "QINF":
-        raise InputError("qinf_clique_witness expects a xi-embedded config")
-    pts = config.dense_tuple(vertex_tuple)
-    y = np.where((pts == -1).any(axis=0), -0.5, 0.5)
-    return y

@@ -31,9 +31,15 @@ from functools import lru_cache
 
 from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, bary_value_mot
 from .chub import solve_chub
-from .embed import PointConfig, collection_from_pattern, embed_auto, regime_for
+from .embed import (
+    PointConfig,
+    collection_from_pattern,
+    embed_auto,
+    q1_value_formula,
+    regime_for,
+)
 from .errors import InputError, ResourceCapError
-from .fpq import FpqProblem, q1_value_formula, solve_fpq
+from .fpq import FpqProblem, solve_fpq
 from .graph import DEFAULT_ENUM_CAP, Graph, even_k_doubling, has_k_clique
 
 
@@ -165,9 +171,7 @@ def build_instance(g: Graph, k, p, q, tol=1e-7) -> ReductionInstance:
         g, k = g2, k2
     cfg = embed_auto(g, k, p, q)
     cert = gap_certificate(g.n, k, g.regular_degree(), p, q, tol=tol)
-    measures = [
-        DiscreteMeasure.uniform(cfg.dense_group(i).astype(float)) for i in range(k)
-    ]
+    measures = [DiscreteMeasure.uniform(group.astype(float)) for group in cfg.points]
     bary = BaryInstance(measures=measures, p=p, q=q)
     return ReductionInstance(
         graph=g, k=k, points=cfg, bary=bary, certificate=cert, transform=transform

@@ -16,20 +16,19 @@ from .bary import BaryInstance, DiscreteMeasure, bary_value_mot, uniformize
 from .chub import solve_chub
 from .embed import (
     Collection,
+    _overlap_vectors,
     add_edge_move,
     canonical_clique_collection,
     embed_phi,
     embed_psi,
     embed_xi,
+    q1_clique_witness,
+    q1_value_formula,
+    qinf_clique_witness,
     verify_collection,
 )
 from .errors import InputError
-from .fpq import (
-    FpqProblem,
-    q1_clique_witness,
-    q1_value_formula,
-    solve_fpq,
-)
+from .fpq import FpqProblem, solve_fpq
 from .graph import (
     complete_graph,
     cycle_graph,
@@ -66,24 +65,8 @@ def random_collection(k, s, t, rng) -> Collection:
     if t > len(pairs):
         raise InputError(f"t={t} exceeds C({k},2)")
     chosen = rng.choice(len(pairs), size=t, replace=False)
-    deg = [0] * k
-    edges = [pairs[int(c)] for c in chosen]
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    if s < max(deg, default=0):
-        raise InputError(f"s={s} below max pattern degree")
-    d = t + sum(s - deg[i] for i in range(k))
-    x = np.zeros((k, d), dtype=np.int64)
-    for e, (i, j) in enumerate(edges):
-        x[i, e] = 1
-        x[j, e] = 1
-    off = t
-    for i in range(k):
-        x[i, off : off + s - deg[i]] = 1
-        off += s - deg[i]
-    perm = rng.permutation(d)
-    return Collection(vectors=x[:, perm], s=s, t=t)
+    x = _overlap_vectors(k, s, [pairs[int(c)] for c in chosen])
+    return Collection(vectors=x[:, rng.permutation(x.shape[1])], s=s, t=t)
 
 
 def _check(name, passed, detail=None):
@@ -100,7 +83,7 @@ def _suite_phi_gram(seed, budget):
         k = ks[gi % len(ks)]
         cfg = embed_phi(g, k)
         d_deg = g.regular_degree()
-        pts = [[cfg.dense_point(i, v).astype(np.int64) for v in range(g.n)] for i in range(k)]
+        pts = cfg.points.astype(np.int64)
         ok_norm = all(
             int(pts[i][v] @ pts[i][v]) == d_deg * (k - 1)
             for i in range(k)
@@ -262,19 +245,14 @@ def _suite_q1_witness(seed, budget):
     y = q1_clique_witness(cfg, (0, 1, 2, 3))
     checks = []
     expected = 4 * 3 * (16 - 8 + 2) - 2 * 3  # n(k-1)(nk-2n+2) - 2(k-1)
-    for i in range(4):
-        dist = int(np.abs(cfg.dense_point(i, i).astype(np.int64) - y).sum())
+    dists = np.abs(cfg.dense_tuple((0, 1, 2, 3)).astype(np.int64) - y).sum(axis=1).tolist()
+    for i, dist in enumerate(dists):
         checks.append(_check(f"vector{i}", dist == expected, {"l1": dist, "expected": expected}))
-    total = sum(
-        int(np.abs(cfg.dense_point(i, i).astype(np.int64) - y).sum()) for i in range(4)
-    )
-    checks.append(_check("total-p1", total == int(q1_value_formula(4, 4, 3, 6, 1))))
+    checks.append(_check("total-p1", sum(dists) == int(q1_value_formula(4, 4, 3, 6, 1))))
     return checks
 
 
 def _suite_qinf_clique(seed, budget):
-    from .fpq import qinf_clique_witness
-
     checks = []
     for k in (3, 4):
         g = complete_graph(max(4, k))

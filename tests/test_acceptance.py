@@ -26,16 +26,21 @@ from barygap.bary import (
     uniformize,
 )
 from barygap.chub import chub_closed_form_22, solve_chub
-from barygap.embed import canonical_clique_collection, embed_phi, embed_psi, embed_xi
+from barygap.embed import (
+    canonical_clique_collection,
+    embed_phi,
+    embed_psi,
+    embed_xi,
+    q1_clique_witness,
+    q1_value_formula,
+    qinf_clique_witness,
+)
 from barygap.errors import InputError
 from barygap.fpq import (
     FpqProblem,
     fpq_closed_form_22,
     fpq_gradient,
     fpq_objective,
-    q1_clique_witness,
-    q1_value_formula,
-    qinf_clique_witness,
     solve_fpq,
 )
 from barygap.graph import complete_graph, cycle_graph, has_k_clique, max_multiset_edges
@@ -137,7 +142,7 @@ def test_criterion_3_q1_value_formula():
             assert abs(sol.value - want) <= 1e-4 * want, (p, sol.value, want)
         y = q1_clique_witness(cfg, (0, 1, 2, 3))
         for i in range(4):
-            dist = int(np.abs(cfg.dense_point(i, i).astype(np.int64) - y).sum())
+            dist = int(np.abs(cfg.points[i, i].astype(np.int64) - y).sum())
             assert dist == 114
     except AssertionError as exc:
         record_criterion(3, "q=1 clique value formula + exact witness", False, str(exc))

@@ -36,7 +36,7 @@ from barygap.simplex import solve_lp
 
 def gadget_instance(g, k, p=2.0, q=2.0):
     cfg = embed_phi(g, k)
-    measures = [DiscreteMeasure.uniform(cfg.dense_group(i).astype(float)) for i in range(k)]
+    measures = [DiscreteMeasure.uniform(group.astype(float)) for group in cfg.points]
     return BaryInstance(measures, p, q)
 
 

@@ -113,12 +113,8 @@ def test_group_permutation_invariance():
     cfg = embed_phi(C5, 3)
     rng = np.random.default_rng(0)
     perms = [rng.permutation(5) for _ in range(3)]
-    sparse = [
-        [cfg.sparse[i][int(perms[i][j])] for j in range(5)] for i in range(3)
-    ]
-    shuffled = PointConfig(
-        k=3, n=5, d=cfg.d, p=2.0, q=2.0, regime="Q22", sparse=sparse, source={}
-    )
+    points = np.stack([cfg.points[i, perms[i]] for i in range(3)])
+    shuffled = PointConfig(points, p=2.0, q=2.0)
     base = solve_chub(cfg)
     moved = solve_chub(shuffled)
     assert moved.value_exact == base.value_exact
@@ -130,10 +126,7 @@ def test_group_permutation_invariance():
 
 def test_signature_cache_without_source_metadata():
     cfg = embed_phi(C4, 3, p=1.0, q=1.5)
-    stripped = PointConfig(
-        k=cfg.k, n=cfg.n, d=cfg.d, p=cfg.p, q=cfg.q, regime=cfg.regime,
-        sparse=cfg.sparse, source={},
-    )
+    stripped = PointConfig(cfg.points, cfg.p, cfg.q)
     a = solve_chub(cfg, tol=1e-6)
     b = solve_chub(stripped, tol=1e-6)
     assert b.method.startswith("signature-cache")

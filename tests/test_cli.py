@@ -124,6 +124,19 @@ def test_exit_codes(tmp_path):
     assert main(["graph", "gen", "--family", "unknown", "--out", str(g)]) == 2
 
 
+@pytest.mark.parametrize(
+    "coord, value", [(-1, 1), ("d", 1), (0, 5)], ids=["coord-negative", "coord-d", "value-5"]
+)
+def test_chub_rejects_bad_point_entries(tmp_path, coord, value):
+    g, pts = tmp_path / "g.json", tmp_path / "pts.json"
+    main(["graph", "gen", "--family", "complete", "--n", "4", "--out", str(g), "--quiet"])
+    main(["embed", "--graph", str(g), "--k", "3", "--p", "2", "--q", "2", "--out", str(pts), "--quiet"])
+    body = json.loads(pts.read_text())
+    body["points"][0].append([body["d"] if coord == "d" else coord, value])
+    pts.write_text(json.dumps(body))
+    assert main(["chub", "--points", str(pts), "--quiet"]) == 2
+
+
 def test_verify_cli_and_aliases(tmp_path):
     assert main(["verify", "--lemma", "q1-witness", "--quiet"]) == 0
     assert main(["verify", "--lemma", "3.2", "--budget", "0.2", "--quiet"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,8 +22,10 @@ from barygap.graph import (
     complete_graph,
     cycle_graph,
     induced_edge_count,
+    petersen_graph,
     random_regular_graph,
 )
+from barygap.verify import random_collection
 
 K4 = complete_graph(4)
 C5 = cycle_graph(5)
@@ -35,7 +38,7 @@ C5 = cycle_graph(5)
 def test_phi_k4_dimensions_and_gram():
     cfg = embed_phi(K4, 3)
     assert cfg.d == 48
-    pts = [[cfg.dense_point(i, v).astype(np.int64) for v in range(4)] for i in range(3)]
+    pts = [[cfg.points[i, v].astype(np.int64) for v in range(4)] for i in range(3)]
     for i in range(3):
         for v in range(4):
             assert pts[i][v] @ pts[i][v] == 3 * 2  # D(k-1)
@@ -49,9 +52,9 @@ def test_phi_k4_dimensions_and_gram():
 def test_phi_c5_k2():
     cfg = embed_phi(C5, 2)
     assert cfg.d == 25
-    a = cfg.dense_point(0, 0).astype(int)
-    assert a @ cfg.dense_point(1, 1).astype(int) == 1  # edge
-    assert a @ cfg.dense_point(1, 2).astype(int) == 0  # non-edge
+    a = cfg.points[0, 0].astype(int)
+    assert a @ cfg.points[1, 1].astype(int) == 1  # edge
+    assert a @ cfg.points[1, 2].astype(int) == 0  # non-edge
 
 
 def test_phi_edgeless_graph_gives_zero_vectors():
@@ -59,7 +62,7 @@ def test_phi_edgeless_graph_gives_zero_vectors():
     cfg = embed_phi(g, 2)
     for i in range(2):
         for v in range(3):
-            assert not cfg.dense_point(i, v).any()
+            assert not cfg.points[i, v].any()
 
 
 def test_phi_gram_on_random_regular_graphs():
@@ -72,7 +75,7 @@ def test_phi_gram_on_random_regular_graphs():
         k = ks[i % 3]
         cfg = embed_phi(g, k)
         stack = np.stack(
-            [cfg.dense_point(a, v).astype(np.int64) for a in range(k) for v in range(n)]
+            [cfg.points[a, v].astype(np.int64) for a in range(k) for v in range(n)]
         )
         gram = stack @ stack.T
         for a in range(k):
@@ -109,7 +112,7 @@ def test_psi_dimensions_norms_and_guards():
     for i in range(4):
         for v in range(4):
             # ||psi(i,v)||_1 = n(k-1)(nk-2n+2)
-            assert int(np.abs(cfg.dense_point(i, v).astype(np.int64)).sum()) == 120
+            assert int(np.abs(cfg.points[i, v].astype(np.int64)).sum()) == 120
     with pytest.raises(InputError):
         embed_psi(K4, 3)
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -130,7 +133,7 @@ def test_psi_tau_sum_inside_embedding():
                             + u * n + up
                         ) * 2 + s_idx
                         total = sum(
-                            int(cfg.dense_point(i, 0)[coord])
+                            int(cfg.points[i, 0][coord])
                             for i in range(k)
                             if i not in (l, lp)
                         )
@@ -144,10 +147,10 @@ def test_psi_tau_sum_inside_embedding():
 def test_xi_c5_coordinates():
     cfg = embed_xi(C5, 3)
     co = phi_coord(5, 3, 0, 0, 1, 2)
-    assert cfg.dense_point(0, 0)[co] == -1
-    assert cfg.dense_point(1, 2)[co] == 1
+    assert cfg.points[0, 0][co] == -1
+    assert cfg.points[1, 2][co] == 1
     diff = np.abs(
-        cfg.dense_point(0, 0).astype(int) - cfg.dense_point(1, 2).astype(int)
+        cfg.points[0, 0].astype(int) - cfg.points[1, 2].astype(int)
     ).max()
     assert diff == 2
 
@@ -162,7 +165,7 @@ def test_xi_k4_no_minus_one_on_edge_coordinates():
                 coord = base + u * n + up
                 for i in range(k):
                     for v in range(n):
-                        assert cfg.dense_point(i, v)[coord] != -1
+                        assert cfg.points[i, v][coord] != -1
 
 
 def test_xi_c5_k2_pairwise_linf_at_least_one():
@@ -170,7 +173,7 @@ def test_xi_c5_k2_pairwise_linf_at_least_one():
     for v in range(5):
         for w in range(5):
             diff = np.abs(
-                cfg.dense_point(0, v).astype(int) - cfg.dense_point(1, w).astype(int)
+                cfg.points[0, v].astype(int) - cfg.points[1, w].astype(int)
             ).max()
             assert diff >= 1
 
@@ -232,6 +235,44 @@ def test_collection_from_pattern():
     assert res["ok"] and res["s"] == 6 and res["t"] == 2
 
 
+def _pattern_vectors(k, s, edges):
+    # the overlap layout written out: edge e shares column e, then each
+    # vector's private ones, vector by vector
+    deg = [sum(i in e for e in edges) for i in range(k)]
+    x = np.zeros((k, len(edges) + sum(s - dg for dg in deg)), dtype=np.int64)
+    for e, (i, j) in enumerate(edges):
+        x[i, e] = x[j, e] = 1
+    off = len(edges)
+    for i in range(k):
+        x[i, off : off + s - deg[i]] = 1
+        off += s - deg[i]
+    return x
+
+
+def test_collections_share_one_layout():
+    for k in range(2, 8):
+        for D in range(1, 5):
+            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+            c = canonical_clique_collection(k, D)
+            assert np.array_equal(c.vectors, _pattern_vectors(k, D * (k - 1), pairs))
+            assert (c.s, c.t) == (D * (k - 1), len(pairs))
+    # random collections: edges in the order drawn, then one column shuffle,
+    # from the same random stream
+    params = np.random.default_rng(0)
+    for seed in range(200):
+        k = int(params.integers(2, 7))
+        s = int(params.integers(k - 1, 2 * k))  # at least the largest degree
+        t = int(params.integers(0, k * (k - 1) // 2 + 1))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        edges = [pairs[int(c)] for c in ref.choice(len(pairs), size=t, replace=False)]
+        x = _pattern_vectors(k, s, edges)
+        want = x[:, ref.permutation(x.shape[1])]
+        got = random_collection(k, s, t, rng)
+        assert np.array_equal(got.vectors, want) and (got.s, got.t) == (s, t)
+        assert rng.random() == ref.random()
+
+
 def test_add_edge_move_on_phi_path_tuple():
     cfg = embed_phi(C5, 3)
     from barygap.embed import Collection
@@ -283,9 +324,8 @@ def test_point_config_roundtrip(tmp_path):
     back = PointConfig.load(path)
     assert back.k == cfg.k and back.n == cfg.n and back.d == cfg.d
     assert back.regime == cfg.regime and back.q == cfg.q
-    for i in range(cfg.k):
-        for j in range(cfg.n):
-            assert np.array_equal(back.dense_point(i, j), cfg.dense_point(i, j))
+    assert back.points.dtype == np.int8
+    assert np.array_equal(back.points, cfg.points)
 
 
 def test_point_config_inf_q_roundtrip(tmp_path):
@@ -294,3 +334,35 @@ def test_point_config_inf_q_roundtrip(tmp_path):
     cfg.save(path)
     back = PointConfig.load(path)
     assert back.q == math.inf and back.regime == "QINF"
+
+
+# Each point is its (coordinate, value) pairs in increasing coordinate order;
+# these digests pin the file format of `barygap embed` output.
+CONFIG_SHA256 = {
+    ("K4", "phi"): "6af488b175129fe9a3372d7fcc8930cddebaccd1c5465499811a1e43aac33819",
+    ("K4", "psi"): "30fb60f93fc6043abe13d2c8ef477e0042aa9211d54e00e58f9d5e1b317af97e",
+    ("K4", "xi"): "4c0d37aca79e4b588feb672a55dfb0b7fe4cda87b1fdf125b409e1ab5e04f159",
+    ("C5", "phi"): "5aa9a11bb1a4036618007677ab6ecaeebedd75f66cb5c6277225d31522e1b256",
+    ("C5", "psi"): "7b15ccbb7d47c606225f02912e5115bd92f5d796e8993436cc3cb71af194ac85",
+    ("C5", "xi"): "e1206edf854e7f53f047e0419f5cfa5bac136c60e880d1d1f15026d144b618d1",
+    ("Petersen", "phi"): "5eefc8a11b9131a873e8ea43c5538a1b6a024b83c225d61b034bcc6e6e3ae041",
+    ("Petersen", "psi"): "4f0ed2d481bebd3eb386cf9d1883e18868c879f73afa9b926e94d9f6223ab8b8",
+    ("Petersen", "xi"): "d7f0d700a076531be714a285506a26993f62a6769fcbc76779a734d917768f2c",
+}
+
+
+def test_point_config_files_are_pinned(tmp_path):
+    graphs = {"K4": K4, "C5": C5, "Petersen": petersen_graph()}
+    for (name, emb), digest in CONFIG_SHA256.items():
+        g = graphs[name]
+        if emb == "phi":
+            cfg = embed_phi(g, 4, p=1.0, q=1.5)
+        elif emb == "psi":
+            cfg = embed_psi(g, 4, p=1.0)
+        else:
+            cfg = embed_xi(g, 4, p=2.0)
+        path = tmp_path / f"{name}-{emb}.json"
+        cfg.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (name, emb)
+        assert np.array_equal(PointConfig.load(path).points, cfg.points)
+

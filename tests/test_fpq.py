@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import warnings
@@ -13,12 +14,17 @@ import scipy.optimize
 from scipy.optimize import linprog
 
 import barygap.fpq
+from barygap.bary import DiscreteMeasure, _symmetric
+from barygap.chub import solve_chub
 from barygap.embed import (
     canonical_clique_collection,
     collection_from_pattern,
     embed_phi,
     embed_psi,
     embed_xi,
+    q1_clique_witness,
+    q1_value_formula,
+    qinf_clique_witness,
 )
 from barygap.errors import InputError
 from barygap.fpq import (
@@ -26,9 +32,6 @@ from barygap.fpq import (
     fpq_closed_form_22,
     fpq_gradient,
     fpq_objective,
-    q1_clique_witness,
-    q1_value_formula,
-    qinf_clique_witness,
     solve_fpq,
     unique_columns,
 )
@@ -112,10 +115,10 @@ def test_q1_clique_witness_identities():
     cfg = embed_psi(K4, 4)
     y = q1_clique_witness(cfg, (0, 1, 2, 3))
     for i in range(4):
-        dist = int(np.abs(cfg.dense_point(i, i).astype(np.int64) - y).sum())
+        dist = int(np.abs(cfg.points[i, i].astype(np.int64) - y).sum())
         assert dist == 114  # n(k-1)(nk-2n+2) - 2(k-1)
     total = sum(
-        int(np.abs(cfg.dense_point(i, i).astype(np.int64) - y).sum()) for i in range(4)
+        int(np.abs(cfg.points[i, i].astype(np.int64) - y).sum()) for i in range(4)
     )
     assert total == q1_value_formula(4, 4, 3, 6, 1)
 
@@ -126,7 +129,7 @@ def test_q1_clique_witness_k2():
     y = q1_clique_witness(cfg, (0, 1))
     # per-vector distance n(k-1)(nk-2n+2) - 2(k-1) = 2*1*2 - 2 = 2
     for i in range(2):
-        dist = int(np.abs(cfg.dense_point(i, i).astype(np.int64) - y).sum())
+        dist = int(np.abs(cfg.points[i, i].astype(np.int64) - y).sum())
         assert dist == 2
     sol = solve_fpq(FpqProblem(cfg.dense_tuple((0, 1)).astype(float), 1, 1))
     assert abs(sol.value - 4) < 1e-12  # k * 2
@@ -729,3 +732,19 @@ def test_memo_solves_equal_linf_distances_once(monkeypatch):
     assert len(calls) == 3
     assert solve_fpq(probs[0], tol=1e-1).tolerance <= 1e-9  # the tighter entry serves
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("g", [complete_graph(4), cycle_graph(4), cycle_graph(5)])
+def test_qinf_values_do_not_depend_on_point_order(g, p):
+    # tuples that share a memo entry, like (0,0,0,1) and (0,0,1,0), are
+    # different point sets; each reports the entry's value, so the gadget's
+    # cost tensor is exactly symmetric, and every value covers its own hub
+    cfg = embed_xi(g, 4, p=p)
+    res = solve_chub(cfg, tol=1e-6, keep_per_tuple=True)
+    measures = [DiscreteMeasure.uniform(group.astype(float)) for group in cfg.points]
+    assert _symmetric(measures, res.per_tuple / 4)
+    for t in itertools.product(range(cfg.n), repeat=4):
+        pts = cfg.dense_tuple(t).astype(float)
+        sol = solve_fpq(FpqProblem(pts, p, math.inf), tol=5e-7)
+        assert sol.value >= fpq_objective(pts, sol.minimizer, p, math.inf)
