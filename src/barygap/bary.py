@@ -44,6 +44,17 @@ def _norm_q(x, q):
     return float((np.abs(x) ** q).sum() ** (1.0 / q))
 
 
+def _distinct_rows(x):
+    """Whether the rows of the float matrix x are pairwise distinct, by one
+    sort of the rows as raw bytes (+ 0.0 turns -0.0 into 0.0)."""
+    if x.shape[0] < 2 or x.shape[1] == 0:
+        return x.shape[0] < 2
+    x = np.ascontiguousarray(x + 0.0)
+    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    rows.sort()
+    return not (rows[1:] == rows[:-1]).any()
+
+
 @dataclass
 class DiscreteMeasure:
     """Finitely supported probability measure on R^d."""
@@ -64,7 +75,7 @@ class DiscreteMeasure:
             raise InputError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > 1e-12:
             raise InputError(f"masses sum to {masses.sum()!r}, expected 1")
-        if unique_columns(atoms.T)[0].shape[1] != atoms.shape[0]:
+        if not _distinct_rows(atoms):
             raise InputError("atoms must be pairwise distinct")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", np.maximum(masses, 0.0))
@@ -573,7 +584,7 @@ def uniformize(inst: BaryInstance, eps: float, c: float = 4.0, max_atoms: int = 
                     y = y / nq
                 new_atoms.append(y)
         atoms = np.array(new_atoms)
-        if unique_columns(atoms.T)[0].shape[1] != atoms.shape[0]:
+        if not _distinct_rows(atoms):
             raise InputError(
                 f"split atoms collide at radius {r:.3e}; eps={eps} is too small "
                 f"for this support (atoms within {2 * r:.3e} of each other)"

@@ -1,23 +1,30 @@
 """Brute-force hub-selection solver: minimize F_{p,q} over all n^k tuples.
 
-Enumeration is exhaustive, in the package's one tuple order (numpy C order,
-``graph._iter_tuple_chunks``).  ``tuple_costs`` is the one place that turns
-support tuples into hub values, for this sweep and for the multimarginal
-LP's cost tensor (``bary.bary_value_mot``).  At p=q=2 one Gram kernel,
-``_gram_costs``, gives every tuple's value at once, exactly in integers for
-the gadget and in Python ints for exact transport.  Elsewhere every tuple
-is one ``fpq.solve_fpq`` call, whose memo is keyed on the canonical hub
-problem, so two tuples whose selected point matrices agree up to a point or
-coordinate permutation are usually solved once.  For embedded configs the
-tuples are first grouped by their induced edge pattern (plus the degree
-profile for the q=inf embedding), computed vectorized for the whole tuple
-space, and only one representative per class is solved.  Every tuple is
-still assigned its value; caching never prunes.  With ``keep_per_tuple``
-the result carries every tuple's value as a flat array in that order.
+Enumeration is exhaustive, in the package's one tuple order: numpy C order,
+so the tuple at flat position f is ``np.unravel_index(f, shape)``.  Tuple
+quantities that are sums of per-position and per-pair terms come from one
+broadcast kernel, ``_grid_blocks``: it adds unary tables u_i[t_i] and pair
+tables T_ij[t_i, t_j], each reshaped onto its axes, over blocks of
+``CHUNK`` flat positions.  It gives the p=q=2 Gram values, the class keys
+below and ``graph.max_multiset_edges``.
+
+``tuple_costs`` is the one place that turns support tuples into hub
+values, for this sweep and for the multimarginal LP's cost tensor
+(``bary.bary_value_mot``).  At p=q=2 the Gram kernel gives every tuple's
+value, exactly in integers for the gadget and in Python ints for exact
+transport.  Elsewhere every tuple is one ``fpq.solve_fpq`` call, whose memo
+is keyed on the canonical hub problem.  For embedded configs the tuples are
+grouped by their induced edge pattern (plus the degree profile for the
+q=inf embedding of an irregular graph), and only one representative per
+class is solved: its first flat position.  Every tuple still has its
+class's value; caching never prunes.  Without ``keep_per_tuple`` the sweep
+keeps only the classes, so its memory grows with classes, not with tuples;
+with it the result carries every tuple's value as a flat array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,9 +33,10 @@ import numpy as np
 from .embed import PointConfig
 from .errors import InputError, ResourceCapError
 from .fpq import FpqProblem, solve_fpq, unique_columns
-from .graph import DEFAULT_ENUM_CAP, Graph, _iter_tuple_chunks
+from .graph import DEFAULT_ENUM_CAP, Graph
 
 CHUNK = 65536  # tuples per vectorized block
+_TABLE_MAX = 1 << 18  # key spaces up to this size are grouped through a lookup table
 
 
 @dataclass
@@ -96,8 +104,10 @@ def solve_chub(
     inner solves run at tolerance tol/2, one per edge-pattern class (one per
     tuple when the config has no source graph); the reported ``tolerance``
     is the larger of ``tol`` and the largest tolerance an inner solve
-    reports.  ``keep_per_tuple`` keeps every tuple's value (float64, or
-    Fractions on the exact path).
+    reports.  The value is the least class value, and the argmin is the
+    first tuple whose value is within ``tol`` of it.  ``keep_per_tuple``
+    keeps every tuple's value (float64, or Fractions on the exact path);
+    without it no array over all tuples is built.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
@@ -106,12 +116,18 @@ def solve_chub(
     _check_cap(n, k, cap)
 
     if config.regime == "Q22":
-        kf = _gram_costs(list(config.points.astype(np.int64)), [1] * k)
-        arg = int(kf.argmin())
-        exact = Fraction(int(kf[arg]), k)
+        best, arg, parts = None, 0, []
+        tables = _gram_tables(list(config.points.astype(np.int64)), [1] * k)
+        for start, kf in _grid_blocks(shape, *tables):
+            i = int(kf.argmin())
+            if best is None or kf[i] < best:
+                best, arg = int(kf[i]), start + i
+            if keep_per_tuple:
+                parts.append(kf)
+        exact = Fraction(best, k)
         per = None
         if keep_per_tuple:
-            per = np.array([Fraction(v, k) for v in kf.tolist()], dtype=object)
+            per = np.array([Fraction(v, k) for v in np.concatenate(parts).tolist()], dtype=object)
         return ChubResult(
             value=float(exact),
             argmin=_unravel(arg, shape),
@@ -123,23 +139,37 @@ def solve_chub(
 
     groups = list(config.points.astype(float))
     graph, emb = _source_graph(config)
+    per = None
     if graph is not None:
-        _, reps, inverse, _ = unique_columns(_class_keys_embedded(config, graph, emb).T)
+        reps, ids = _classes(*_class_keys(config, graph, emb), keep_per_tuple)
         values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2, reps)
-        values = values[inverse]
         method = f"class-cache[{len(reps)}]"
+        if keep_per_tuple:
+            per = values[ids]
     else:
-        values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2)
-        method = f"signature-cache[{len(np.unique(values))}]"
+        # one solve per tuple, block by block; tuples are grouped by value
+        first, parts, worst = {}, [], 0.0
+        for start in range(0, n**k, CHUNK):
+            part, w = tuple_costs(groups, config.p, config.q, None, tol / 2,
+                                  np.arange(start, min(start + CHUNK, n**k)))
+            worst = max(worst, w)
+            for f, v in enumerate(part.tolist()):
+                first.setdefault(v, start + f)
+            if keep_per_tuple:
+                parts.append(part)
+        values, reps = np.array(list(first)), np.array(list(first.values()))
+        method = f"signature-cache[{len(first)}]"
+        if keep_per_tuple:
+            per = np.concatenate(parts)
 
     vmin = float(values.min())
-    arg = int(np.nonzero(values <= vmin + tol)[0][0])
+    arg = int(reps[values <= vmin + tol].min())
     return ChubResult(
         value=vmin,
         argmin=_unravel(arg, shape),
         tolerance=max(tol, worst),
         method=method,
-        per_tuple=values if keep_per_tuple else None,
+        per_tuple=per,
     )
 
 
@@ -161,18 +191,59 @@ def tuple_costs(groups, p, q, weights, tol, reps=None):
         values = _gram_costs([g - center for g in groups], a) / a.sum()
         return (values if reps is None else values[reps]), 0.0
     if reps is None:
-        chunks = _iter_tuple_chunks(shape, CHUNK)
-    else:
-        chunks = [np.stack(np.unravel_index(reps, shape), axis=1)]
+        reps = np.arange(math.prod(shape))
     values = []
     worst = 0.0
-    for cols in chunks:
-        for t in cols:
-            pts = np.stack([g[j] for g, j in zip(groups, t)])
-            sol = solve_fpq(FpqProblem(pts, p, q, weights), tol=tol)
-            values.append(sol.value)
-            worst = max(worst, sol.tolerance)
+    for t in zip(*np.unravel_index(reps, shape)):
+        pts = np.stack([g[j] for g, j in zip(groups, t)])
+        sol = solve_fpq(FpqProblem(pts, p, q, weights), tol=tol)
+        values.append(sol.value)
+        worst = max(worst, sol.tolerance)
     return np.array(values), worst
+
+
+def _grid_blocks(shape, unary, pairs):
+    """Yield (start, sums) for blocks of ``CHUNK`` flat C-order positions of ``shape``.
+
+    ``sums[f - start]`` is 0 + sum_i unary[i][t_i] + sum_ij pairs[i, j][t_i, t_j]
+    for the tuple t at flat position f.  ``unary`` maps an axis to a table
+    over it, ``pairs`` an axis pair i < j to a table over both; the terms
+    are added in that order, in the tables' own arithmetic, so float, int64
+    and object tables give what a loop over the tuples gives, bit for bit.
+    The trailing axes whose grid fits in one block are broadcast; the
+    leading ones are indexed, one row per prefix the block touches.
+    """
+    k = len(shape)
+    s = k
+    while s > 0 and math.prod(shape[s - 1:]) <= CHUNK:
+        s -= 1
+    lead, tail = shape[:s], shape[s:]
+    size = math.prod(tail)
+    terms = [((i,), u) for i, u in unary.items()] + list(pairs.items())
+    total = math.prod(shape)
+    for start in range(0, total, CHUNK):
+        stop = min(start + CHUNK, total)
+        p0, p1 = start // size, (stop - 1) // size + 1
+        idx = np.unravel_index(np.arange(p0, p1), lead) if s else ()
+        acc = 0
+        for axes, table in terms:
+            view = [p1 - p0 if axes[0] < s else 1] + [1] * len(tail)
+            for a in axes:
+                if a >= s:
+                    view[1 + a - s] = shape[a]
+            acc = acc + table[tuple(idx[a] if a < s else slice(None) for a in axes)].reshape(view)
+        sums = np.broadcast_to(acc, (p1 - p0,) + tail).reshape(-1)
+        yield start, sums[start - p0 * size : stop - p0 * size]
+
+
+def _gram_tables(groups, a):
+    """Unary and pair tables of ``_gram_costs`` for ``_grid_blocks``."""
+    total_a = sum(a)
+    norms = {i: a[i] * (total_a - a[i]) * (g * g).sum(axis=1) for i, g in enumerate(groups)}
+    grams = {
+        (i, j): -(2 * a[i] * a[j] * (groups[i] @ groups[j].T)) for i, j in _pair_list(len(groups))
+    }
+    return norms, grams
 
 
 def _gram_costs(groups, a):
@@ -183,41 +254,75 @@ def _gram_costs(groups, a):
     the arrays' own arithmetic: exact for int64 arrays with integer weights
     and for object arrays of Python ints.
     """
-    k = len(groups)
-    total_a = sum(a)
-    norms = [a[i] * (total_a - a[i]) * (g * g).sum(axis=1) for i, g in enumerate(groups)]
-    grams = {(i, j): 2 * a[i] * a[j] * (groups[i] @ groups[j].T) for i, j in _pair_list(k)}
-    out = []
-    for cols in _iter_tuple_chunks(tuple(len(g) for g in groups), CHUNK):
-        part = sum(norms[i][cols[:, i]] for i in range(k))
-        for (i, j), gram in grams.items():
-            part = part - gram[cols[:, i], cols[:, j]]
-        out.append(part)
-    return np.concatenate(out)
+    shape = tuple(len(g) for g in groups)
+    return np.concatenate([sums for _, sums in _grid_blocks(shape, *_gram_tables(groups, a))])
 
 
 def _unravel(flat, shape):
     return tuple(int(v) for v in np.unravel_index(flat, shape))
 
 
-def _class_keys_embedded(config, graph, emb):
-    """Per-tuple class keys, vectorized: edge-pattern bits (+ degrees for xi)."""
+def _class_keys(config, graph, emb):
+    """Class-key columns of every tuple, block by block, and each column's range.
+
+    Column 0 is the edge pattern: bit idx is set when the tuple's idx-th
+    position pair is an edge.  For xi on an irregular graph, column 1 codes
+    the degree profile, ordered as the degrees are.  Returns an iterator of
+    (start, columns) and the list of ranges.
+    """
     n, k = config.n, config.k
     pairs = _pair_list(k)
     if len(pairs) > 62:
         raise ResourceCapError(f"k={k} has too many pairs for pattern keys")
-    adj = graph.adjacency_matrix()
-    deg = np.asarray(graph.degrees, dtype=np.int64)
-    need_deg = emb == "xi" and not graph.is_regular()
-    width = 1 + (k if need_deg else 0)
-    keys = np.empty((n**k, width), dtype=np.int64)
-    start = 0
-    for cols in _iter_tuple_chunks((n,) * k, CHUNK):
-        bits = np.zeros(cols.shape[0], dtype=np.int64)
-        for idx, (i, j) in enumerate(pairs):
-            bits |= adj[cols[:, i], cols[:, j]].astype(np.int64) << idx
-        keys[start : start + cols.shape[0], 0] = bits
-        if need_deg:
-            keys[start : start + cols.shape[0], 1:] = deg[cols]
-        start += cols.shape[0]
-    return keys
+    adj = graph.adjacency_matrix().astype(np.int64)
+    shape = (n,) * k
+    bits = _grid_blocks(shape, {}, {pair: adj << idx for idx, pair in enumerate(pairs)})
+    if emb != "xi" or graph.is_regular():
+        return (((start, [b]) for start, b in bits), [1 << len(pairs)])
+    levels, rank = np.unique(graph.degrees, return_inverse=True)
+    base = len(levels)
+    degrees = _grid_blocks(shape, {i: rank * base ** (k - 1 - i) for i in range(k)}, {})
+    keys = ((start, [b, d]) for (start, b), (_, d) in zip(bits, degrees))
+    return keys, [1 << len(pairs), base**k]
+
+
+def _classes(blocks, ranges, keep):
+    """First flat position of each distinct key, keys in lexicographic order.
+
+    ``blocks`` yields (start, columns) as ``_class_keys`` does.  Small key
+    spaces are grouped through a table of first positions indexed by the
+    key's code; larger ones by distinct keys per block.  Returns the
+    representatives and, with ``keep``, every tuple's class index (else
+    None).
+    """
+    codes = []
+    if math.prod(ranges) <= _TABLE_MAX:
+        first = np.full(math.prod(ranges), -1, dtype=np.int64)
+        for start, cols in blocks:
+            code = cols[0]
+            for col, r in zip(cols[1:], ranges[1:]):
+                code = code * r + col
+            new = first[code] < 0
+            if new.any():
+                u, at = np.unique(code[new], return_index=True)
+                first[u] = start + np.flatnonzero(new)[at]
+            if keep:
+                codes.append(code)
+        present = np.flatnonzero(first >= 0)
+        ids = np.searchsorted(present, np.concatenate(codes)) if keep else None
+        return first[present], ids
+    first = {}
+    for start, cols in blocks:
+        uniq, at, inverse, _ = unique_columns(np.stack(cols))
+        uniq = [tuple(key) for key in uniq.T.tolist()]
+        for key, f in zip(uniq, at.tolist()):
+            first.setdefault(key, start + f)
+        if keep:
+            codes.append((uniq, inverse))
+    order = sorted(first)
+    reps = np.array([first[key] for key in order])
+    if not keep:
+        return reps, None
+    index = {key: c for c, key in enumerate(order)}
+    ids = [np.array([index[key] for key in uniq])[inverse] for uniq, inverse in codes]
+    return reps, np.concatenate(ids)

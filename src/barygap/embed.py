@@ -23,9 +23,11 @@ embedded tuples are equivalent to.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -82,6 +84,20 @@ def tau(l, lp, i) -> int:
     return -1 if m % 2 else 1
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a config's pair lists (about
+    a million small lists of ints, with no cycles) are built; otherwise its
+    repeated full collections take most of the time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass
 class PointConfig:
     """k groups of n points in {-1,0,1}^d.
@@ -125,9 +141,10 @@ class PointConfig:
         """Each point as its (coordinate, value) pairs, coordinates increasing."""
         flat = self.points.reshape(-1, self.d)
         rows, coords = np.nonzero(flat)
-        points = [[] for _ in range(len(flat))]
-        for r, c, v in zip(rows.tolist(), coords.tolist(), flat[rows, coords].tolist()):
-            points[r].append([c, v])
+        ends = np.cumsum(np.bincount(rows, minlength=len(flat))).tolist()
+        with _gc_paused():
+            pairs = np.stack([coords, flat[rows, coords]], axis=1).tolist()
+            points = [pairs[a:b] for a, b in zip([0] + ends[:-1], ends)]
         return {
             "p": self.p,
             "q": "inf" if self.q == math.inf else self.q,
@@ -167,14 +184,15 @@ class PointConfig:
             raise InputError(f"malformed point config JSON: {exc}") from exc
 
     def save(self, path):
+        text = json.dumps(self.to_json(), sort_keys=True)  # one pass of the C encoder
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @staticmethod
     def load(path):
-        with open(path) as fh:
-            return PointConfig.from_json(json.load(fh))
+        with open(path) as fh, _gc_paused():
+            obj = json.load(fh)
+        return PointConfig.from_json(obj)
 
 
 def _graph_source(g: Graph, name, k):

@@ -454,6 +454,25 @@ def _make_feasible(t, D):
     return t
 
 
+def _tighten(t, D):
+    """Sweeps t_a <- max(0, max_l D_al - t_l), never raising a radius, until
+    none moves.
+
+    Each step keeps feasible radii feasible (up to rounding), and at the end
+    every positive t_a meets some t_a + t_l = D_al, so the hub read off the
+    radii lies at distance t_a from x_a.  Plain floats: k is small.
+    """
+    t, rows = t.tolist(), D.tolist()
+    moved = True
+    while moved:
+        moved = False
+        for a, row in enumerate(rows):
+            need = max(0.0, max([d - s for d, s in zip(row, t)]))
+            if need < t[a]:
+                t[a], moved = need, True
+    return np.array(t)
+
+
 def _hub_from_radii(x, t):
     """y_j: midpoint of [max_i x_ij - t_i, min_i x_ij + t_i], nonempty for feasible t."""
     return 0.5 * ((x - t[:, None]).max(axis=0) + (x + t[:, None]).min(axis=0))
@@ -517,14 +536,18 @@ def _radii(D, lam, p, tol, max_steps=50):
     s <= lam, give the dual bound h(z).  The loop stops once the gap is at
     most tol or a few ulps of the value, when a step neither lowers the
     value nor raises the bound, or when rounding has eaten the
-    least-distance solution.  Returns (feasible radii, sum lam t^p, best
-    bound).
+    least-distance solution.  The radii are then tightened once
+    (``_tighten``, a function of the radii and D alone, so an entry's value
+    still depends only on its memo key), and their sum lam t^p is rounded
+    up by (k + 1) ulps so that it bounds the exact sum.  Returns (radii,
+    that sum, the best bound capped at it).
     """
     top = float(D.max())
     if top == 0:
         return np.zeros(len(lam)), 0.0, 0.0
     # solve at unit scale: radii in units of top, values in units of top^p lam.max()
     unit_value = top**p * float(lam.max())
+    D0, lam0 = D, lam
     D, lam, tol = D / top, lam / lam.max(), tol / unit_value
     k = len(lam)
     B, i, l = _pair_rows(k)
@@ -576,12 +599,15 @@ def _radii(D, lam, p, tol, max_steps=50):
         lower = max(lower, bound)
         if f_new < upper:
             t, upper = t_new, f_new
-    if upper - lower > tol:
+    t = _tighten(t * top, D0)
+    value = float((lam0 * t**p).sum()) * (1.0 + (k + 1) * np.finfo(float).eps)
+    lower = min(lower * unit_value, value)
+    if value - lower > tol * unit_value:
         logger.debug(
             "radii stopped after %d steps with gap %.3e above tol %.3e",
-            steps, (upper - lower) * unit_value, tol * unit_value,
+            steps, value - lower, tol * unit_value,
         )
-    return t * top, upper * unit_value, lower * unit_value
+    return t, value, lower
 
 
 def _solve_qinf(points, lam, p, tol, force_iterative):

@@ -122,19 +122,6 @@ def induced_edge_count(g: Graph, t) -> int:
     )
 
 
-def _iter_tuple_chunks(shape, chunk=65536):
-    """Yield (rows, len(shape)) int arrays of the index tuples of ``shape``.
-
-    The tuples come in numpy C order (lexicographic, last index fastest), so
-    the row at flat position f is ``np.unravel_index(f, shape)``: the one
-    tuple order of the package.
-    """
-    total = int(np.prod(shape))
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield np.stack(np.unravel_index(flat, shape), axis=1)
-
-
 def max_multiset_edges(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> int:
     """Exact max of induced_edge_count over all n^k vertex tuples (brute force)."""
     if k < 1:
@@ -146,17 +133,11 @@ def max_multiset_edges(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> int:
         raise ResourceCapError(
             f"enumerating {total} tuples exceeds cap {cap}", required=total, cap=cap
         )
-    adj = g.adjacency_matrix()
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    best = 0
-    for cols in _iter_tuple_chunks((g.n,) * k):
-        counts = np.zeros(cols.shape[0], dtype=np.int64)
-        for i, j in pairs:
-            counts += adj[cols[:, i], cols[:, j]]
-        m = int(counts.max())
-        if m > best:
-            best = m
-    return best
+    from .chub import _grid_blocks
+
+    adj = g.adjacency_matrix().astype(np.int64)
+    pairs = {(i, j): adj for i in range(k) for j in range(i + 1, k)}
+    return max(int(counts.max()) for _, counts in _grid_blocks((g.n,) * k, {}, pairs))
 
 
 def has_k_clique(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> bool:

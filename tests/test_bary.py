@@ -53,6 +53,17 @@ def test_measure_validation():
         DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
     m = DiscreteMeasure.uniform([[0.0, 1.0], [1.0, 0.0]])
     assert m.is_uniform() and m.d == 2
+    with pytest.raises(InputError, match="atoms must be pairwise distinct"):
+        DiscreteMeasure.uniform([[0.0, 1.0], [-0.0, 1.0]])  # -0.0 is 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_atom_distinctness_matches_numpy(m, d, data):
+    # few distinct values, so rows collide; -0.0 and 0.0 mix
+    cells = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=m * d, max_size=m * d))
+    atoms = np.array(cells).reshape(m, d)
+    assert barygap.bary._distinct_rows(atoms) == (len(np.unique(atoms, axis=0)) == m)
 
 
 def test_measure_json_roundtrip():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barygap.chub
-from barygap.chub import _gram_costs, chub_closed_form_22, solve_chub
+import barygap.fpq
+from barygap.chub import _class_keys, _classes, _gram_costs, chub_closed_form_22, solve_chub
 from barygap.embed import PointConfig, embed_phi, embed_psi, embed_xi
 from barygap.errors import InputError, ResourceCapError
 from barygap.fpq import FpqProblem, solve_fpq
@@ -18,6 +20,7 @@ from barygap.graph import (
     complete_graph,
     cycle_graph,
     has_k_clique,
+    induced_edge_count,
     max_multiset_edges,
     random_regular_graph,
 )
@@ -174,6 +177,23 @@ def _gram_case(draw):
     return groups, weights, draw(st.integers(1, 7))
 
 
+def _loop_gram_costs(groups, a):
+    # the kernel's terms, added tuple by tuple in the same order
+    k = len(groups)
+    total_a = sum(a)
+    norms = [a[i] * (total_a - a[i]) * (g * g).sum(axis=1) for i, g in enumerate(groups)]
+    out = []
+    for t in itertools.product(*(range(len(g)) for g in groups)):
+        part = 0
+        for i in range(k):
+            part = part + norms[i][t[i]]
+        for i in range(k):
+            for j in range(i + 1, k):
+                part = part - 2 * a[i] * a[j] * (groups[i] @ groups[j].T)[t[i], t[j]]
+        out.append(part)
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(_gram_case())
 def test_gram_costs_match_per_tuple_values(case):
@@ -184,9 +204,19 @@ def test_gram_costs_match_per_tuple_values(case):
     a = [int(l * scale) for l in lam]
     exact_groups = [np.array(g, dtype=object) for g in groups]
     float_groups = [np.array(g, dtype=float) for g in groups]
+    noisy = [g + np.random.default_rng(k).normal(size=g.shape) for g in float_groups]
     with mock.patch.object(barygap.chub, "CHUNK", chunk):
         num = _gram_costs(exact_groups, a)
         flo = _gram_costs(float_groups, np.array([float(l) for l in lam]))
+        # bit for bit what a tuple loop adding the same terms in order gives
+        for arrays, w in ((exact_groups, a), ([g.astype(np.int64) for g in exact_groups], a),
+                          (noisy, np.array([float(l) for l in lam]))):
+            got = _gram_costs(arrays, w)
+            want = np.array(_loop_gram_costs(arrays, w), dtype=got.dtype)
+            if got.dtype == object:
+                assert got.tolist() == want.tolist()
+            else:
+                assert got.tobytes() == want.tobytes()
     assert num.shape == flo.shape == (math.prod(shape),)
     assert list(_gram_costs(exact_groups, a)) == list(num)
     for flat, t in enumerate(np.ndindex(*shape)):
@@ -197,3 +227,75 @@ def test_gram_costs_match_per_tuple_values(case):
         ref = solve_fpq(FpqProblem(np.array(pts, dtype=float), 2, 2, [float(l) for l in lam])).value
         got = flo[flat] / float(sum(lam))
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@st.composite
+def _graph_case(draw):
+    n = draw(st.integers(3, 5))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    g = Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+    return g, draw(st.integers(1, 4)), draw(st.sampled_from(["phi", "xi"])), draw(st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_case(), st.booleans())
+def test_class_keys_and_groups_match_a_tuple_loop(case, table):
+    # edge-pattern bits, plus the degree profile for xi on an irregular graph,
+    # grouped by the first flat position of each key; the lookup table and
+    # the per-block distinct keys must agree
+    g, k, emb, chunk = case
+    cfg = PointConfig(np.zeros((k, g.n, 1), dtype=np.int8), 1.0, math.inf)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    want = []
+    for t in itertools.product(range(g.n), repeat=k):
+        bits = sum(int(g.has_edge(t[i], t[j])) << idx for idx, (i, j) in enumerate(pairs))
+        degs = tuple(g.degrees[v] for v in t) if emb == "xi" and not g.is_regular() else ()
+        want.append((bits,) + degs)
+    with mock.patch.object(barygap.chub, "CHUNK", chunk), \
+            mock.patch.object(barygap.chub, "_TABLE_MAX", 1 << 30 if table else 0):
+        blocks, ranges = _class_keys(cfg, g, emb)
+        blocks = list(blocks)
+        reps, ids = _classes(iter(blocks), ranges, keep=True)
+        bare, none = _classes(_class_keys(cfg, g, emb)[0], ranges, keep=False)
+    assert np.array_equal(reps, bare) and none is None
+    assert [start for start, _ in blocks] == list(range(0, g.n**k, chunk))
+    bits = np.concatenate([cols[0] for _, cols in blocks])
+    assert bits.tolist() == [key[0] for key in want]
+    order = sorted(set(want))
+    assert reps.tolist() == [want.index(key) for key in order]
+    assert [order[c] for c in ids] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(_graph_case())
+def test_max_multiset_edges_matches_a_tuple_loop(case):
+    g, k, _, chunk = case
+    with mock.patch.object(barygap.chub, "CHUNK", chunk):
+        got = max_multiset_edges(g, k)
+    assert got == max(induced_edge_count(g, t) for t in itertools.product(range(g.n), repeat=k))
+
+
+@pytest.mark.parametrize("cfg, tol", [
+    (embed_phi(K4, 3, p=1.0, q=1.5), 1e-6),
+    (embed_phi(C5, 3), 1e-6),
+    (embed_psi(C4, 4, p=2.0), 1e-3),
+    (embed_xi(C5, 3, p=1.0), 1e-6),
+    (embed_xi(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]), 3, p=2.0), 1e-6),
+    (PointConfig(embed_phi(C4, 3, p=1.0, q=1.5).points, 1.0, 1.5), 1e-6),
+])
+def test_keeping_per_tuple_values_changes_nothing_else(cfg, tol):
+    # the sweep without per-tuple values keeps only classes; its value,
+    # argmin, tolerance and method are those of the full sweep, and the
+    # argmin is the first tuple within tol of the value
+    results = []
+    for keep in (False, True):
+        barygap.fpq._MEMO.clear()
+        results.append(solve_chub(cfg, tol=tol, keep_per_tuple=keep))
+    bare, full = results
+    assert bare.per_tuple is None
+    assert (bare.value, bare.argmin, bare.tolerance, bare.method, bare.value_exact) == \
+        (full.value, full.argmin, full.tolerance, full.method, full.value_exact)
+    per = full.per_tuple.astype(float)
+    assert per.min() == full.value
+    first = int(np.nonzero(per <= full.value + (0 if full.value_exact is not None else tol))[0][0])
+    assert full.argmin == tuple(int(v) for v in np.unravel_index(first, (cfg.n,) * cfg.k))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 
@@ -366,3 +367,14 @@ def test_point_config_files_are_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (name, emb)
         assert np.array_equal(PointConfig.load(path).points, cfg.points)
 
+
+
+def test_point_config_json_keeps_empty_points_and_the_collector():
+    points = np.zeros((2, 3, 4), dtype=np.int8)
+    points[0, 1, 2] = -1
+    points[1, 2, [0, 3]] = 1
+    cfg = PointConfig(points, 2.0, 2.0)
+    obj = cfg.to_json()
+    assert obj["points"] == [[], [[2, -1]], [], [], [], [[0, 1], [3, 1]]]
+    assert np.array_equal(PointConfig.from_json(obj).points, points)
+    assert gc.isenabled()

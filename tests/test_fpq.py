@@ -271,21 +271,32 @@ def test_residual_identity():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_linf_radii_reduction(data):
+    _check_linf_radii_reduction(
+        data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 5)),
+        data.draw(st.integers(1, 5)), data.draw(st.booleans()), data.draw(st.booleans()),
+    )
+
+
+def test_linf_radii_reduction_on_loose_radii():
+    # integer, weighted, k=5, d=1: the radii loop stops with radii that are
+    # not all tight, and their sum sat 1.9e-12 above the hub's objective
+    # until the radii were tightened
+    _check_linf_radii_reduction(1886, 5, 1, True, True)
+
+
+def _check_linf_radii_reduction(seed, k, d, integer, weighted):
     # l_inf is hyperconvex: radii with t_i + t_l >= D_il always leave a common
     # point, read off coordinate by coordinate; at p = 1 the radii LP has the
     # value of the y-space epigraph LP
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    k = data.draw(st.integers(1, 5))
-    d = data.draw(st.integers(1, 5))
-    x = rng.integers(-2, 3, size=(k, d)).astype(float) if data.draw(st.booleans()) \
-        else rng.normal(size=(k, d))
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(k, d)).astype(float) if integer else rng.normal(size=(k, d))
     D = barygap.fpq._pairwise_linf(x)
     t = barygap.fpq._make_feasible(rng.random(k) * D.max(initial=0.0), D)
     assert (t[:, None] + t[None, :] >= D).all()
     y = barygap.fpq._hub_from_radii(x, t)
     assert (np.abs(x - y).max(axis=1) <= t + 1e-12).all()
 
-    lam = rng.random(k) + 0.1 if data.draw(st.booleans()) else np.ones(k)
+    lam = rng.random(k) + 0.1 if weighted else np.ones(k)
     sol = solve_fpq(FpqProblem(x, 1, math.inf, weights=lam), tol=1e-9)
     assert abs(sol.value - _linf_hub_lp(x, lam)[0]) <= 1e-9
     assert abs(sol.value - fpq_objective(x, sol.minimizer, 1, math.inf, lam)) <= 1e-12
