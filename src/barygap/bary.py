@@ -6,8 +6,11 @@ The k-marginal LP has one variable per support tuple, flat in the package's
 one tuple order (numpy C order: ``np.unravel_index`` maps a flat position to
 its tuple); its cost tensor comes from the code the hub sweep uses
 (``chub.tuple_costs``: one Gram kernel at p=q=2, exact in integers in exact
-mode; one inner hub solve per tuple elsewhere).  One helper solves every
-transport LP, two-marginal and k-marginal: an assignment when two
+mode; one inner hub solve per tuple elsewhere).  One helper,
+``_transport_lp``, solves every transport LP, two-marginal and k-marginal,
+from the marginals' mass vectors and a flat cost array; the bary-mot
+clique decision (``reduction.decide_clique``) calls it on the hub sweep's
+per-tuple values, with no measure built.  It takes an assignment when two
 equal-size uniform marginals make the optimum a permutation (Birkhoff);
 the LP on axis-permutation orbits, C(n+k-1, k) columns instead of n^k, when
 the marginals are equal and the cost tensor is exactly symmetric (Bödi,
@@ -242,15 +245,15 @@ def _integer_atoms(measures):
     return [np.array([[int(v) for v in row] for row in m.atoms], dtype=object) for m in measures]
 
 
-def _symmetric(measures, costs):
-    """True when the measures share size and masses and the cost tensor is
+def _symmetric(masses, costs):
+    """True when the marginals share size and masses and the cost tensor is
     unchanged, exactly, by every adjacent axis transposition."""
-    n, a = measures[0].size, measures[0].masses
-    if any(m.size != n or not np.array_equal(m.masses, a) for m in measures):
+    a = masses[0]
+    if not all(np.array_equal(m, a) for m in masses[1:]):
         return False
-    tensor = np.asarray(costs).reshape((n,) * len(measures))
+    tensor = np.asarray(costs).reshape((len(a),) * len(masses))
     return all(
-        np.array_equal(tensor, np.swapaxes(tensor, i, i + 1)) for i in range(len(measures) - 1)
+        np.array_equal(tensor, np.swapaxes(tensor, i, i + 1)) for i in range(len(masses) - 1)
     )
 
 
@@ -286,12 +289,13 @@ def _orbit_lp(masses, costs, k, exact):
     return value, entries
 
 
-def _transport_lp(measures, costs, exact=False):
-    """Cheapest coupling of ``measures`` under flat C-order tuple ``costs``.
+def _transport_lp(masses, costs, exact=False):
+    """Cheapest coupling of the marginals ``masses`` under flat C-order tuple ``costs``.
 
+    ``masses[i]`` is the mass vector of marginal i; no atom is read.
     Returns (value, plan).  Two equal-size uniform marginals make the
     optimum a permutation (Birkhoff), found as an assignment.  When the
-    measures share size and masses and the cost tensor is exactly symmetric
+    marginals share size and masses and the cost tensor is exactly symmetric
     under permuting its axes, HiGHS solves the LP on orbits (``_orbit_lp``:
     C(n+k-1, k) columns instead of n^k) and the plan is a symmetrized
     optimum, not a vertex: its support can be up to k! times the orbit
@@ -299,23 +303,23 @@ def _transport_lp(measures, costs, exact=False):
     ``exact`` certifies HiGHS's vertex in Fractions and returns a Fraction
     value and plan.
     """
-    shape = tuple(m.size for m in measures)
+    shape = tuple(len(a) for a in masses)
     if (
         not exact
         and len(shape) == 2
         and shape[0] == shape[1]
-        and all(m.is_uniform() for m in measures)
+        and all(np.allclose(a, 1 / len(a), atol=1e-12) for a in masses)
     ):
         cost = np.asarray(costs, dtype=float).reshape(shape)
         rows, cols = linear_sum_assignment(cost)
         n = shape[0]
         plan = TransportTensor(shape, {(int(r), int(c)): 1.0 / n for r, c in zip(rows, cols)})
         return float(cost[rows, cols].sum() / n), plan
-    if _symmetric(measures, costs):
-        value, entries = _orbit_lp(measures[0].masses, costs, len(shape), exact)
+    if _symmetric(masses, costs):
+        value, entries = _orbit_lp(masses[0], costs, len(shape), exact)
         return value, TransportTensor(shape, entries)
     A = _marginal_matrix(shape)
-    b = np.concatenate([m.masses for m in measures])
+    b = np.concatenate(masses)
     if exact:
         value, x = solve_lp(A, _rationals(b), _rationals(costs), exact=True)
         support = np.nonzero(x > 0)[0]
@@ -340,13 +344,14 @@ def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEF
             f"OT LP with {nm * nn} variables exceeds cap {cap}",
             required=nm * nn, cap=cap,
         )
+    masses = [mu.masses, nu.masses]
     if not exact:
-        return _transport_lp([mu, nu], _pairwise_cost(mu.atoms, nu.atoms, p, q).ravel())
+        return _transport_lp(masses, _pairwise_cost(mu.atoms, nu.atoms, p, q).ravel())
     if p != 2 or q != 2:
         raise InputError("exact OT mode is defined for p=q=2")
     a, b = _integer_atoms([mu, nu])
     diff = a[:, None, :] - b[None, :, :]
-    return _transport_lp([mu, nu], (diff * diff).sum(axis=2).ravel().tolist(), exact=True)
+    return _transport_lp(masses, (diff * diff).sum(axis=2).ravel().tolist(), exact=True)
 
 
 def wasserstein_pq(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, cap=DEFAULT_LP_CAP):
@@ -381,7 +386,6 @@ def bary_value_mot(
     tol: float = 1e-6,
     cap: int = DEFAULT_LP_CAP,
     exact: bool = False,
-    cost_values=None,
 ) -> MotResult:
     """Exact barycenter value as the k-marginal transport LP.
 
@@ -391,9 +395,6 @@ def bary_value_mot(
     When the measures share their masses and the cost tensor is exactly
     symmetric, the plan is a symmetrized optimum rather than a vertex, with
     up to k! times the support of the orbit LP's vertex (``_transport_lp``).
-    ``cost_values`` lets callers inject a precomputed flat cost array in the
-    package's tuple order (the reduction pipeline reuses its class-cached
-    sweep).
     """
     shape = tuple(m.size for m in inst.measures)
     total = int(np.prod([float(s) for s in shape]))
@@ -402,11 +403,7 @@ def bary_value_mot(
             f"MOT LP with {total} variables exceeds cap {cap}", required=total, cap=cap
         )
     tolerance = tol
-    if cost_values is not None:
-        costs = np.asarray(cost_values)
-        if costs.shape != (total,):
-            raise InputError(f"cost_values must have shape ({total},)")
-    elif exact:
+    if exact:
         if inst.p != 2 or inst.q != 2:
             raise InputError("exact MOT mode is defined for p=q=2")
         lam = [Fraction(w).limit_denominator(10**9) for w in inst.weights]
@@ -420,7 +417,7 @@ def bary_value_mot(
         )
         tolerance = max(tolerance, worst)
 
-    value, plan = _transport_lp(inst.measures, costs, exact)
+    value, plan = _transport_lp([m.masses for m in inst.measures], costs, exact)
     if exact:
         return MotResult(value=float(value), plan=plan, tolerance=0.0, value_exact=value)
     return MotResult(value=value, plan=plan, tolerance=tolerance)

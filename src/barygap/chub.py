@@ -16,10 +16,11 @@ transport.  Elsewhere every tuple is one ``fpq.solve_fpq`` call, whose memo
 is keyed on the canonical hub problem.  For embedded configs the tuples are
 grouped by their induced edge pattern (plus the degree profile for the
 q=inf embedding of an irregular graph), and only one representative per
-class is solved: its first flat position.  Every tuple still has its
-class's value; caching never prunes.  Without ``keep_per_tuple`` the sweep
-keeps only the classes, so its memory grows with classes, not with tuples;
-with it the result carries every tuple's value as a flat array.
+class is solved: its first flat position.  Without a source graph every
+tuple is its own class.  Every tuple still has its class's value; caching
+never prunes.  Without ``keep_per_tuple`` the sweep keeps only the
+classes, so its memory grows with classes, not with tuples; with it the
+result carries every tuple's value as a flat array.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def solve_chub(
     reports.  The value is the least class value, and the argmin is the
     first tuple whose value is within ``tol`` of it.  ``keep_per_tuple``
     keeps every tuple's value (float64, or Fractions on the exact path);
-    without it no array over all tuples is built.
+    without it a config with a source graph builds no array over all tuples.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
@@ -139,28 +140,15 @@ def solve_chub(
 
     groups = list(config.points.astype(float))
     graph, emb = _source_graph(config)
-    per = None
     if graph is not None:
         reps, ids = _classes(*_class_keys(config, graph, emb), keep_per_tuple)
-        values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2, reps)
         method = f"class-cache[{len(reps)}]"
-        if keep_per_tuple:
-            per = values[ids]
     else:
-        # one solve per tuple, block by block; tuples are grouped by value
-        first, parts, worst = {}, [], 0.0
-        for start in range(0, n**k, CHUNK):
-            part, w = tuple_costs(groups, config.p, config.q, None, tol / 2,
-                                  np.arange(start, min(start + CHUNK, n**k)))
-            worst = max(worst, w)
-            for f, v in enumerate(part.tolist()):
-                first.setdefault(v, start + f)
-            if keep_per_tuple:
-                parts.append(part)
-        values, reps = np.array(list(first)), np.array(list(first.values()))
-        method = f"signature-cache[{len(first)}]"
-        if keep_per_tuple:
-            per = np.concatenate(parts)
+        reps = np.arange(n**k)
+        ids = reps if keep_per_tuple else None
+        method = f"per-tuple[{n**k}]"
+    values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2, reps)
+    per = values[ids] if keep_per_tuple else None
 
     vmin = float(values.min())
     arg = int(reps[values <= vmin + tol].min())

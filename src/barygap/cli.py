@@ -76,8 +76,8 @@ def _report(args, results, timings):
     }
 
 
-def _emit(args, report, path=None):
-    text = _dump(report, path)
+def _emit(args, report):
+    text = _dump(report)
     if getattr(args, "json", False):
         print(text)
     elif not getattr(args, "quiet", False):
@@ -87,7 +87,7 @@ def _emit(args, report, path=None):
 
 
 def _cmd_graph_gen(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     fam = args.family
     if fam == "complete":
         g = complete_graph(args.n)
@@ -109,14 +109,14 @@ def _cmd_graph_gen(args):
     rep = _report(
         args,
         {"n": g.n, "edges": len(g.edges), "regular": g.is_regular(), "out": args.out},
-        {"total": time.time() - t0},
+        {"total": time.perf_counter() - t0},
     )
     _emit(args, rep)
     return 0
 
 
 def _cmd_embed(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = Graph.load(args.graph)
     q = _parse_q(args.q)
     cfg = embed_auto(g, args.k, args.p, q)
@@ -124,18 +124,18 @@ def _cmd_embed(args):
     rep = _report(
         args,
         {"regime": cfg.regime, "k": cfg.k, "n": cfg.n, "d": cfg.d, "out": args.out},
-        {"total": time.time() - t0},
+        {"total": time.perf_counter() - t0},
     )
     _emit(args, rep)
     return 0
 
 
 def _cmd_chub(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = PointConfig.load(args.points)
     res = solve_chub(cfg, tol=args.tol, cap=args.cap)
     results = res.to_json()
-    rep = _report(args, results, {"total": time.time() - t0})
+    rep = _report(args, results, {"total": time.perf_counter() - t0})
     if args.out:
         _dump(rep, args.out)
     _emit(args, rep)
@@ -143,7 +143,7 @@ def _cmd_chub(args):
 
 
 def _cmd_bary_solve(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = BaryInstance.load(args.instance)
     if args.method == "mot":
         r = bary_value_mot(inst, tol=args.tol, cap=args.cap)
@@ -160,7 +160,7 @@ def _cmd_bary_solve(args):
             "method": "borgwardt",
             "support": int(r["nu"].size),
         }
-    rep = _report(args, results, {"total": time.time() - t0})
+    rep = _report(args, results, {"total": time.perf_counter() - t0})
     if args.out:
         _dump(rep, args.out)
     _emit(args, rep)
@@ -168,14 +168,14 @@ def _cmd_bary_solve(args):
 
 
 def _cmd_bary_uniformize(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = BaryInstance.load(args.instance)
     out = uniformize(inst, args.eps)
     out.save(args.out)
     rep = _report(
         args,
         {"N": int(out.measures[0].size), "eps": args.eps, "out": args.out},
-        {"total": time.time() - t0},
+        {"total": time.perf_counter() - t0},
     )
     _emit(args, rep)
     return 0
@@ -183,19 +183,19 @@ def _cmd_bary_uniformize(args):
 
 def _cmd_reduce(args):
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = Graph.load(args.graph)
     q = _parse_q(args.q)
     inst = build_instance(g, args.k, args.p, q)
-    timings["build"] = time.time() - t0
-    t1 = time.time()
+    timings["build"] = time.perf_counter() - t0
+    t1 = time.perf_counter()
     solver = "chub-bruteforce" if args.solver == "chub" else "bary-mot"
     decision = decide_clique(inst, solver=solver, tol=args.tol)
-    timings["decide"] = time.time() - t1
-    t2 = time.time()
+    timings["decide"] = time.perf_counter() - t1
+    t2 = time.perf_counter()
     truth = oracle_decision(inst)
-    timings["oracle"] = time.time() - t2
-    timings["total"] = time.time() - t0
+    timings["oracle"] = time.perf_counter() - t2
+    timings["total"] = time.perf_counter() - t0
     has = decision["hasClique"]
     results = {
         "decision": decision,
@@ -213,9 +213,9 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep_body = verify_lemma(args.lemma, seed=args.seed, budget=args.budget)
-    rep = _report(args, rep_body, {"total": time.time() - t0})
+    rep = _report(args, rep_body, {"total": time.perf_counter() - t0})
     if args.report:
         _dump(rep, args.report)
     if getattr(args, "json", False):

@@ -114,6 +114,8 @@ class PointConfig:
     def __post_init__(self):
         if np.ndim(self.points) != 3:
             raise InputError(f"points must be a (k, n, d) array, got {np.shape(self.points)}")
+        if self.k < 1 or self.n < 1:
+            raise InputError(f"need k >= 1 groups of n >= 1 points, got k={self.k}, n={self.n}")
 
     @property
     def k(self):

@@ -62,11 +62,6 @@ class Graph:
             a[v, u] = True
         return a
 
-    def neighbors(self, v):
-        if not 0 <= v < self.n:
-            raise InputError(f"vertex {v} out of range [0, {self.n})")
-        return sorted(u for u in range(self.n) if self.has_edge(v, u))
-
     def is_regular(self):
         return len(set(self.degrees)) <= 1
 

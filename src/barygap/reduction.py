@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, bary_value_mot
+import numpy as np
+
+from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, _transport_lp
 from .chub import solve_chub
 from .embed import (
     PointConfig,
@@ -144,7 +146,6 @@ class ReductionInstance:
     graph: Graph           # graph the gadget was built from (post-doubling)
     k: int                 # clique size queried on that graph
     points: PointConfig
-    bary: BaryInstance
     certificate: GapCertificate
     transform: dict = field(default_factory=dict)  # doubling provenance
 
@@ -152,8 +153,14 @@ class ReductionInstance:
     def regime(self):
         return self.certificate.regime
 
+    @property
+    def bary(self):
+        """The gadget as a BaryInstance (k uniform measures), built when read."""
+        measures = [DiscreteMeasure.uniform(group.astype(float)) for group in self.points.points]
+        return BaryInstance(measures=measures, p=self.points.p, q=self.points.q)
 
-def build_instance(g: Graph, k, p, q, tol=1e-7) -> ReductionInstance:
+
+def build_instance(g: Graph, k, p, q) -> ReductionInstance:
     """Gadget instance whose hub/barycenter value separates clique from no-clique.
 
     For q=1 with odd k the graph is doubled (two copies plus a complete
@@ -170,12 +177,8 @@ def build_instance(g: Graph, k, p, q, tol=1e-7) -> ReductionInstance:
         transform = {"doubled": True, "original_n": g.n, "original_k": k}
         g, k = g2, k2
     cfg = embed_auto(g, k, p, q)
-    cert = gap_certificate(g.n, k, g.regular_degree(), p, q, tol=tol)
-    measures = [DiscreteMeasure.uniform(group.astype(float)) for group in cfg.points]
-    bary = BaryInstance(measures=measures, p=p, q=q)
-    return ReductionInstance(
-        graph=g, k=k, points=cfg, bary=bary, certificate=cert, transform=transform
-    )
+    cert = gap_certificate(g.n, k, g.regular_degree(), p, q)
+    return ReductionInstance(graph=g, k=k, points=cfg, certificate=cert, transform=transform)
 
 
 def decide_clique(
@@ -187,17 +190,20 @@ def decide_clique(
     """Compare the computed instance value against gamma + Delta/2.
 
     ``solver`` is "chub-bruteforce" (min over tuples, threshold on the hub
-    scale) or "bary-mot" (transport LP over the sweep's tuple costs,
-    threshold divided by k).  A decision claims only what is proven: the
-    sweep's minimum F* lies in [value - tolerance, value], and the LP value
-    is at least F*/k.  So both routes answer True when their value is at
-    most the threshold, False only when the sweep's F* - tolerance lies
-    above the threshold, and None otherwise.  ``reuse`` accepts a ChubResult
-    for this instance's points (same tol or tighter) so sweeps can share the
-    tuple enumeration between solvers.  The bary-mot route reports the
-    plan's support size as ``mot_plan_support``; on a symmetric gadget the
-    plan is symmetrized over axis permutations, so that size counts every
-    permutation of each multiset the orbit LP uses.
+    scale) or "bary-mot" (``bary._transport_lp`` with uniform marginals over
+    the sweep's tuple values divided by k; threshold divided by k).  A
+    decision claims only what is proven: the sweep's minimum F* lies in
+    [value - tolerance, value], and the LP value is at least F*/k.  So both
+    routes answer True when their value is at most the threshold, False
+    only when the sweep's F* - tolerance lies above the threshold, and None
+    otherwise.  ``reuse`` accepts a ChubResult for this instance's points
+    (same tol or tighter) so sweeps can share the tuple enumeration between
+    solvers.  The bary-mot route raises ResourceCapError, before any sweep,
+    when n^k exceeds ``DEFAULT_LP_CAP``.  It reports max(tol, sweep
+    tolerance)/k as its tolerance and the plan's support size as
+    ``mot_plan_support``; on a symmetric gadget the plan is symmetrized
+    over axis permutations, so that size counts every permutation of each
+    multiset the orbit LP uses.
     """
     cert = inst.certificate
     if tol > cert.delta / 10.0:
@@ -210,14 +216,19 @@ def decide_clique(
         threshold = cert.threshold()
         detail = {"chub": sweep.to_json()}
     elif solver == "bary-mot":
-        k = inst.k
+        k, n = inst.k, inst.points.n
+        if n**k > DEFAULT_LP_CAP:
+            raise ResourceCapError(
+                f"MOT LP with {n**k} variables exceeds cap {DEFAULT_LP_CAP}",
+                required=n**k, cap=DEFAULT_LP_CAP,
+            )
         sweep = reuse
         if sweep is None or sweep.per_tuple is None:
-            sweep = solve_chub(inst.points, tol=tol, cap=DEFAULT_LP_CAP, keep_per_tuple=True)
-        mot = bary_value_mot(inst.bary, tol=tol / k, cost_values=sweep.per_tuple / k)
-        value, tolerance = mot.value, max(mot.tolerance, sweep.tolerance / k)
+            sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)
+        value, plan = _transport_lp([np.full(n, 1 / n)] * k, sweep.per_tuple.astype(float) / k)
+        tolerance = max(tol, sweep.tolerance) / k
         threshold = cert.threshold() / k
-        detail = {"mot_plan_support": len(mot.plan.entries)}
+        detail = {"mot_plan_support": len(plan.entries)}
     else:
         raise InputError(f"unknown solver {solver!r}")
     if value <= threshold:

@@ -333,7 +333,7 @@ def test_orbit_lp_matches_the_full_lp(seed, k, n, uniform):
     shape = (n,) * k
     costs = symmetrized(rng.random(shape)).ravel()
     with lp_shapes() as shapes:
-        value, plan = _transport_lp([mu] * k, costs)
+        value, plan = _transport_lp([mu.masses] * k, costs)
     # two uniform marginals are an assignment; every other case is the orbit LP
     assert shapes == ([] if k == 2 and mu.is_uniform() else [(n, math.comb(n + k - 1, k))])
     ref = linprog(costs, A_eq=full_marginal_matrix(n, k), b_eq=np.tile(mu.masses, k), method="highs")
@@ -385,7 +385,7 @@ def test_asymmetric_lps_take_the_full_lp():
     skewed = sym.copy()
     skewed[0, 1, 2] = np.nextafter(skewed[0, 1, 2], np.inf)
     with lp_shapes() as shapes:
-        _transport_lp([mu] * 3, sym.ravel())
+        _transport_lp([mu.masses] * 3, sym.ravel())
     assert shapes == [(3, 10)]
     cases = [
         ([mu] * 3, skewed.ravel()),  # one ulp off symmetric
@@ -394,7 +394,7 @@ def test_asymmetric_lps_take_the_full_lp():
     ]
     for measures, costs in cases:
         with lp_shapes() as shapes:
-            _transport_lp(measures, costs)
+            _transport_lp([m.masses for m in measures], costs)
         sizes = [m.size for m in measures]
         assert shapes == [(sum(sizes), math.prod(sizes))]
 

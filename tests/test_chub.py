@@ -132,7 +132,7 @@ def test_signature_cache_without_source_metadata():
     stripped = PointConfig(cfg.points, cfg.p, cfg.q)
     a = solve_chub(cfg, tol=1e-6)
     b = solve_chub(stripped, tol=1e-6)
-    assert b.method.startswith("signature-cache")
+    assert b.method.startswith("per-tuple")
     assert abs(a.value - b.value) < 1e-6
 
 

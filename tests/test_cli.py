@@ -137,6 +137,18 @@ def test_chub_rejects_bad_point_entries(tmp_path, coord, value):
     assert main(["chub", "--points", str(pts), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "k, n, p, q, regime",
+    [(3, 0, 2, 2, "Q22"), (3, 0, 1, 1.5, "QIN"), (0, 4, 2, 2, "Q22")],
+    ids=["n0-q22", "n0-qin", "k0"],
+)
+def test_chub_rejects_empty_point_configs(tmp_path, k, n, p, q, regime):
+    pts = tmp_path / "pts.json"
+    body = {"p": p, "q": q, "k": k, "n": n, "d": 4, "regime": regime, "points": [], "source": {}}
+    pts.write_text(json.dumps(body))
+    assert main(["chub", "--points", str(pts), "--quiet"]) == 2
+
+
 def test_verify_cli_and_aliases(tmp_path):
     assert main(["verify", "--lemma", "q1-witness", "--quiet"]) == 0
     assert main(["verify", "--lemma", "3.2", "--budget", "0.2", "--quiet"]) == 0

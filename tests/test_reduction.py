@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from barygap.bary import bary_value_mot
-from barygap.chub import chub_closed_form_22, solve_chub
-from barygap.errors import InputError
+import barygap.reduction
+from barygap.bary import DEFAULT_LP_CAP, DiscreteMeasure, bary_value_mot
+from barygap.chub import ChubResult, chub_closed_form_22, solve_chub
+from barygap.errors import InputError, ResourceCapError
 from barygap.fpq import FpqProblem, solve_fpq
-from barygap.graph import complete_graph, cycle_graph, has_k_clique
+from barygap.graph import Graph, complete_graph, cycle_graph, has_k_clique
 from barygap.reduction import (
     build_instance,
     decide_clique,
@@ -140,6 +141,53 @@ def test_scale_consistency_on_gadgets():
         mot = decide_clique(inst, "bary-mot")
         assert abs(mot["value"] - chub["value"] / 3) < 1e-8
         assert mot["hasClique"] == chub["hasClique"] == has_k_clique(g, 3)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (1, 2), (1, math.inf)])
+@pytest.mark.parametrize("g", [K4, C5], ids=["K4", "C5"])
+def test_bary_mot_route_matches_bary_value_mot(g, p, q):
+    inst = build_instance(g, 3, p, q)
+    tol = inst.certificate.delta / 20
+    r = decide_clique(inst, "bary-mot", tol=tol)
+    mot = bary_value_mot(inst.bary, tol=tol / 3)
+    assert abs(r["value"] - mot.value) <= r["tolerance"]
+
+
+def test_build_instance_builds_no_measure(monkeypatch):
+    built = []
+    post_init = DiscreteMeasure.__post_init__
+    monkeypatch.setattr(
+        DiscreteMeasure, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    for p, q in [(2, 2), (1, 2), (1, math.inf)]:
+        inst = build_instance(K4, 3, p, q)
+        decide_clique(inst, "bary-mot", tol=inst.certificate.delta / 20)
+    assert built == []
+    assert len(inst.bary.measures) == 3 and len(built) == 3
+
+
+def test_bary_mot_cap_is_checked_before_any_lp(monkeypatch):
+    inst = build_instance(C5, 3, 2, 1)  # doubled: n=10, k=6
+    total = inst.points.n ** inst.k
+    assert total > DEFAULT_LP_CAP
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("no sweep or LP may run past the cap")
+
+    monkeypatch.setattr(barygap.reduction, "_transport_lp", unreachable)
+    monkeypatch.setattr(barygap.reduction, "solve_chub", unreachable)
+    sweep = ChubResult(0.0, (0,) * inst.k, 0.0, "reused", per_tuple=np.zeros(total))
+    for reuse in (sweep, None):
+        with pytest.raises(ResourceCapError, match=f"MOT LP with {total} variables exceeds cap"):
+            decide_clique(inst, "bary-mot", tol=inst.certificate.delta / 20, reuse=reuse)
+
+
+def test_zero_regular_gadget_decides_false():
+    inst = build_instance(Graph.from_edges(4, []), 3, 2, 2)
+    for solver in ("chub-bruteforce", "bary-mot"):
+        assert decide_clique(inst, solver)["hasClique"] is False
+    with pytest.raises(InputError, match="pairwise distinct"):
+        inst.bary
 
 
 def test_decide_reuse_matches_fresh():
