@@ -47,15 +47,12 @@ def _norm_q(x, q):
     return float((np.abs(x) ** q).sum() ** (1.0 / q))
 
 
-def _distinct_rows(x):
-    """Whether the rows of the float matrix x are pairwise distinct, by one
-    sort of the rows as raw bytes (+ 0.0 turns -0.0 into 0.0)."""
-    if x.shape[0] < 2 or x.shape[1] == 0:
-        return x.shape[0] < 2
-    x = np.ascontiguousarray(x + 0.0)
-    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
-    rows.sort()
-    return not (rows[1:] == rows[:-1]).any()
+def _check_lp_cap(kind, total, cap=DEFAULT_LP_CAP):
+    """Raise ResourceCapError when a ``kind`` LP would have over ``cap`` variables."""
+    if total > cap:
+        raise ResourceCapError(
+            f"{kind} LP with {total} variables exceeds cap {cap}", required=total, cap=cap
+        )
 
 
 @dataclass
@@ -78,7 +75,7 @@ class DiscreteMeasure:
             raise InputError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > 1e-12:
             raise InputError(f"masses sum to {masses.sum()!r}, expected 1")
-        if not _distinct_rows(atoms):
+        if unique_columns(atoms.T)[0].shape[1] != atoms.shape[0]:
             raise InputError("atoms must be pairwise distinct")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", np.maximum(masses, 0.0))
@@ -338,12 +335,7 @@ def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEF
     """
     if mu.d != nu.d:
         raise InputError(f"dimension mismatch: {mu.d} vs {nu.d}")
-    nm, nn = mu.size, nu.size
-    if nm * nn > cap:
-        raise ResourceCapError(
-            f"OT LP with {nm * nn} variables exceeds cap {cap}",
-            required=nm * nn, cap=cap,
-        )
+    _check_lp_cap("OT", mu.size * nu.size, cap)
     masses = [mu.masses, nu.masses]
     if not exact:
         return _transport_lp(masses, _pairwise_cost(mu.atoms, nu.atoms, p, q).ravel())
@@ -396,12 +388,7 @@ def bary_value_mot(
     symmetric, the plan is a symmetrized optimum rather than a vertex, with
     up to k! times the support of the orbit LP's vertex (``_transport_lp``).
     """
-    shape = tuple(m.size for m in inst.measures)
-    total = int(np.prod([float(s) for s in shape]))
-    if total > cap:
-        raise ResourceCapError(
-            f"MOT LP with {total} variables exceeds cap {cap}", required=total, cap=cap
-        )
+    _check_lp_cap("MOT", math.prod(m.size for m in inst.measures), cap)
     tolerance = tol
     if exact:
         if inst.p != 2 or inst.q != 2:
@@ -456,11 +443,7 @@ def borgwardt_2approx(inst: BaryInstance, cap: int = DEFAULT_LP_CAP):
     s = union.shape[0]
     sizes = [m.size for m in inst.measures]
     n_plan = sum(ni * s for ni in sizes)
-    if n_plan + s > cap:
-        raise ResourceCapError(
-            f"union-support LP with {n_plan + s} variables exceeds cap {cap}",
-            required=n_plan + s, cap=cap,
-        )
+    _check_lp_cap("union-support", n_plan + s, cap)
     # variables: the k plans (measure i -> union, C order), then the weights;
     # each plan's marginal rows, with -weights on its union-side rows
     plans = sparse.block_diag([_marginal_matrix((ni, s)) for ni in sizes])
@@ -581,7 +564,7 @@ def uniformize(inst: BaryInstance, eps: float, c: float = 4.0, max_atoms: int = 
                     y = y / nq
                 new_atoms.append(y)
         atoms = np.array(new_atoms)
-        if not _distinct_rows(atoms):
+        if unique_columns(atoms.T)[0].shape[1] != atoms.shape[0]:
             raise InputError(
                 f"split atoms collide at radius {r:.3e}; eps={eps} is too small "
                 f"for this support (atoms within {2 * r:.3e} of each other)"

@@ -34,10 +34,9 @@ import numpy as np
 from .embed import PointConfig
 from .errors import InputError, ResourceCapError
 from .fpq import FpqProblem, solve_fpq, unique_columns
-from .graph import DEFAULT_ENUM_CAP, Graph
+from .graph import DEFAULT_ENUM_CAP, Graph, _check_cap, max_multiset_edges
 
 CHUNK = 65536  # tuples per vectorized block
-_TABLE_MAX = 1 << 18  # key spaces up to this size are grouped through a lookup table
 
 
 @dataclass
@@ -61,14 +60,6 @@ class ChubResult:
         return out
 
 
-def _check_cap(n, k, cap):
-    total = n**k
-    if total > cap:
-        raise ResourceCapError(
-            f"enumerating {total} tuples exceeds cap {cap}", required=total, cap=cap
-        )
-
-
 def _pair_list(k):
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
@@ -82,8 +73,6 @@ def _source_graph(config: PointConfig):
 
 def chub_closed_form_22(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> Fraction:
     """Exact p=q=2 value D(k-1)^2 - (2/k) * max_multiset_edges(g, k)."""
-    from .graph import max_multiset_edges
-
     if not g.is_regular():
         raise InputError("closed form requires a regular graph")
     d = g.regular_degree()
@@ -141,7 +130,7 @@ def solve_chub(
     groups = list(config.points.astype(float))
     graph, emb = _source_graph(config)
     if graph is not None:
-        reps, ids = _classes(*_class_keys(config, graph, emb), keep_per_tuple)
+        reps, ids = _classes(_class_keys(config, graph, emb), keep_per_tuple)
         method = f"class-cache[{len(reps)}]"
     else:
         reps = np.arange(n**k)
@@ -251,12 +240,12 @@ def _unravel(flat, shape):
 
 
 def _class_keys(config, graph, emb):
-    """Class-key columns of every tuple, block by block, and each column's range.
+    """Class-key columns of every tuple, block by block: yields (start, columns).
 
     Column 0 is the edge pattern: bit idx is set when the tuple's idx-th
     position pair is an edge.  For xi on an irregular graph, column 1 codes
-    the degree profile, ordered as the degrees are.  Returns an iterator of
-    (start, columns) and the list of ranges.
+    the degree profile, ordered as the degrees are: digit i is the rank of
+    position i's degree among the graph's distinct degrees.
     """
     n, k = config.n, config.k
     pairs = _pair_list(k)
@@ -266,40 +255,22 @@ def _class_keys(config, graph, emb):
     shape = (n,) * k
     bits = _grid_blocks(shape, {}, {pair: adj << idx for idx, pair in enumerate(pairs)})
     if emb != "xi" or graph.is_regular():
-        return (((start, [b]) for start, b in bits), [1 << len(pairs)])
-    levels, rank = np.unique(graph.degrees, return_inverse=True)
-    base = len(levels)
+        return ((start, [b]) for start, b in bits)
+    levels, _, rank, _ = unique_columns(np.array([graph.degrees]))
+    base = levels.shape[1]
     degrees = _grid_blocks(shape, {i: rank * base ** (k - 1 - i) for i in range(k)}, {})
-    keys = ((start, [b, d]) for (start, b), (_, d) in zip(bits, degrees))
-    return keys, [1 << len(pairs), base**k]
+    return ((start, [b, d]) for (start, b), (_, d) in zip(bits, degrees))
 
 
-def _classes(blocks, ranges, keep):
+def _classes(blocks, keep):
     """First flat position of each distinct key, keys in lexicographic order.
 
-    ``blocks`` yields (start, columns) as ``_class_keys`` does.  Small key
-    spaces are grouped through a table of first positions indexed by the
-    key's code; larger ones by distinct keys per block.  Returns the
-    representatives and, with ``keep``, every tuple's class index (else
-    None).
+    ``blocks`` yields (start, columns) as ``_class_keys`` does; each block's
+    distinct keys come from ``unique_columns`` and are merged in a dict of
+    first flat positions.  Returns the representatives and, with ``keep``,
+    every tuple's class index (else None).
     """
-    codes = []
-    if math.prod(ranges) <= _TABLE_MAX:
-        first = np.full(math.prod(ranges), -1, dtype=np.int64)
-        for start, cols in blocks:
-            code = cols[0]
-            for col, r in zip(cols[1:], ranges[1:]):
-                code = code * r + col
-            new = first[code] < 0
-            if new.any():
-                u, at = np.unique(code[new], return_index=True)
-                first[u] = start + np.flatnonzero(new)[at]
-            if keep:
-                codes.append(code)
-        present = np.flatnonzero(first >= 0)
-        ids = np.searchsorted(present, np.concatenate(codes)) if keep else None
-        return first[present], ids
-    first = {}
+    first, codes = {}, []
     for start, cols in blocks:
         uniq, at, inverse, _ = unique_columns(np.stack(cols))
         uniq = [tuple(key) for key in uniq.T.tolist()]

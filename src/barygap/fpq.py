@@ -610,7 +610,7 @@ def _radii(D, lam, p, tol, max_steps=50):
     return t, value, lower
 
 
-def _solve_qinf(points, lam, p, tol, force_iterative):
+def _solve_qinf(points, lam, p, tol):
     """q = inf through the radii problem; memo keyed on (p, lam, D), rows sorted."""
     lam = np.ones(points.shape[0]) if lam is None else lam
     x, lam = points[lam > 0], lam[lam > 0]  # weightless points constrain nothing
@@ -621,11 +621,10 @@ def _solve_qinf(points, lam, p, tol, force_iterative):
     rows = np.lexsort(np.hstack([lam[:, None], np.sort(D, axis=1)]).T[::-1])
     lam_s, D_s = lam[rows], D[np.ix_(rows, rows)]
     key = (p, math.inf, lam_s.tobytes(), D_s.tobytes())
-    entry = None if force_iterative else _MEMO.get(key)
+    entry = _MEMO.get(key)
     if entry is None or entry[1] - entry[2] > tol:
         entry = _radii(D_s, lam_s, p, tol)
-        if not force_iterative:
-            _remember(key, entry)
+        _remember(key, entry)
     radii, upper, lower = entry
     t = np.empty(len(rows))
     t[rows] = radii
@@ -646,11 +645,11 @@ def _remember(key, entry):
     _MEMO[key] = entry
 
 
-def _solve_canonical(x, w, lam, p, q, tol, force_iterative):
+def _solve_canonical(x, w, lam, p, q, tol):
     """Dispatch on (p, q) over a canonical problem; minimizer in its columns."""
     if x.shape[1] == 0:
         return FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
-    if p == 2 and q == 2 and not force_iterative:
+    if p == 2 and q == 2:
         y, val = _solve_mean_22(x, w, lam)
         return FpqSolution(val, y, 0.0, "closed-form-22", val)
     if q == 1 and p == 1:
@@ -663,11 +662,7 @@ def _solve_canonical(x, w, lam, p, q, tol, force_iterative):
     return FpqSolution(val, y, max(val - lb, 0.0), "newton", lb)
 
 
-def solve_fpq(
-    prob: FpqProblem,
-    tol: float = 1e-8,
-    force_iterative: bool = False,
-) -> FpqSolution:
+def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
     """Minimize sum_i w_i ||z_i - y||_q^p over y.
 
     ``tol`` is the accuracy target, and every path but the closed forms
@@ -680,19 +675,17 @@ def solve_fpq(
     stops once its Fenchel dual bound is within ``tol`` or after 100 steps.
     A memoized solution of the same canonical problem (at q = inf: the same
     weights and pairwise distances) is reused when its gap is at most
-    ``tol``.  ``force_iterative`` skips the p=q=2 closed form and the memo
-    (used by agreement tests).
+    ``tol``.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
     if prob.q == math.inf:
-        return _solve_qinf(prob.points, prob.weights, prob.p, tol, force_iterative)
+        return _solve_qinf(prob.points, prob.weights, prob.p, tol)
     x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
-    sol = None if force_iterative else _MEMO.get(key)
+    sol = _MEMO.get(key)
     if sol is None or sol.tolerance > tol:
-        sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol, force_iterative)
-        if not force_iterative:
-            _remember(key, sol)
+        sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol)
+        _remember(key, sol)
     y = prob.points[0].copy()
     y[var] = sol.minimizer[col_of]
     return replace(sol, minimizer=y)

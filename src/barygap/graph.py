@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -117,18 +118,23 @@ def induced_edge_count(g: Graph, t) -> int:
     )
 
 
+def _check_cap(n, k, cap):
+    """Raise ResourceCapError when the n^k tuples of an enumeration exceed ``cap``."""
+    total = n**k
+    if total > cap:
+        raise ResourceCapError(
+            f"enumerating {total} tuples exceeds cap {cap}", required=total, cap=cap
+        )
+
+
 def max_multiset_edges(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> int:
     """Exact max of induced_edge_count over all n^k vertex tuples (brute force)."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if g.n == 0:
         raise InputError("graph has no vertices")
-    total = g.n**k
-    if total > cap:
-        raise ResourceCapError(
-            f"enumerating {total} tuples exceeds cap {cap}", required=total, cap=cap
-        )
-    from .chub import _grid_blocks
+    _check_cap(g.n, k, cap)
+    from .chub import _grid_blocks  # here, since chub imports this module
 
     adj = g.adjacency_matrix().astype(np.int64)
     pairs = {(i, j): adj for i in range(k) for j in range(i + 1, k)}
@@ -141,8 +147,6 @@ def has_k_clique(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> bool:
         raise InputError(f"k must be >= 1, got {k}")
     if k > g.n:
         return False
-    import math
-
     total = math.comb(g.n, k)
     if total > cap:
         raise ResourceCapError(

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, _transport_lp
+from .bary import BaryInstance, DiscreteMeasure, _check_lp_cap, _transport_lp
 from .chub import solve_chub
 from .embed import (
     PointConfig,
@@ -217,11 +217,7 @@ def decide_clique(
         detail = {"chub": sweep.to_json()}
     elif solver == "bary-mot":
         k, n = inst.k, inst.points.n
-        if n**k > DEFAULT_LP_CAP:
-            raise ResourceCapError(
-                f"MOT LP with {n**k} variables exceeds cap {DEFAULT_LP_CAP}",
-                required=n**k, cap=DEFAULT_LP_CAP,
-            )
+        _check_lp_cap("MOT", n**k)
         sweep = reuse
         if sweep is None or sweep.per_tuple is None:
             sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)

@@ -50,6 +50,20 @@ def fresh_fpq_memo():
     barygap.reduction._qin_pattern_sweep.cache_clear()
 
 
+def newton_solve(prob, tol=1e-8):
+    """Damped Newton on ``prob``'s canonical hub problem, at any (p, q) with
+    1 < q < inf and p=q=2 included: the iterative reference for the closed
+    form.  It neither reads nor fills the memo.  A problem whose points all
+    coincide has no free coordinate and goes to ``solve_fpq``."""
+    x, w, lam, col_of, var, _ = barygap.fpq._canonical(prob.points, prob.weights, prob.p, prob.q)
+    if x.shape[1] == 0:
+        return barygap.fpq.solve_fpq(prob, tol)
+    z, value, lower = barygap.fpq._newton(x, w, lam, prob.p, prob.q, tol)
+    y = prob.points[0].copy()
+    y[var] = z[col_of]
+    return barygap.fpq.FpqSolution(value, y, max(value - lower, 0.0), "newton", lower)
+
+
 SWEEP_PQS = [(2, 2), (1, 2), (2, 1.5), (1, 1), (2, 1), (1, math.inf), (2, math.inf)]
 
 _ACCEPTANCE_LINES = []

@@ -47,7 +47,7 @@ from barygap.graph import complete_graph, cycle_graph, has_k_clique, max_multise
 from barygap.reduction import build_instance, decide_clique
 from barygap.verify import random_collection
 
-from conftest import SWEEP_PQS, full_corpus, record_criterion
+from conftest import SWEEP_PQS, full_corpus, newton_solve, record_criterion
 
 K4 = complete_graph(4)
 C5 = cycle_graph(5)
@@ -358,7 +358,7 @@ def test_criterion_9_numerical_hygiene():
             k = int(rng.integers(2, 6))
             d = int(rng.integers(1, 6))
             x = rng.integers(-3, 4, size=(k, d)).astype(float)
-            it = solve_fpq(FpqProblem(x, 2, 2), force_iterative=True)
+            it = newton_solve(FpqProblem(x, 2, 2))
             cf = fpq_closed_form_22(x)
             assert abs(it.value - cf.value) <= 1e-8 * max(1.0, cf.value)
         # marginal feasibility of plans

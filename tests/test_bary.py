@@ -60,10 +60,15 @@ def test_measure_validation():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 4), st.data())
 def test_atom_distinctness_matches_numpy(m, d, data):
-    # few distinct values, so rows collide; -0.0 and 0.0 mix
+    # few distinct values, so rows collide; -0.0 and 0.0 mix; a measure is
+    # refused exactly when numpy finds fewer distinct rows than atoms
     cells = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5]), min_size=m * d, max_size=m * d))
     atoms = np.array(cells).reshape(m, d)
-    assert barygap.bary._distinct_rows(atoms) == (len(np.unique(atoms, axis=0)) == m)
+    if len(np.unique(atoms, axis=0)) < m:
+        with pytest.raises(InputError, match="atoms must be pairwise distinct"):
+            DiscreteMeasure.uniform(atoms)
+    else:
+        DiscreteMeasure.uniform(atoms)
 
 
 def test_measure_json_roundtrip():
@@ -524,6 +529,15 @@ def test_uniformize_guards():
     with pytest.raises(ResourceCapError) as exc:
         uniformize(BaryInstance([inside, inside], 2, 2), 1e-9)
     assert exc.value.required is not None
+
+
+def test_uniformize_rejects_colliding_split_atoms():
+    # N = 3 atoms of mass 1/3 at split radius r = 1/3: the atom at 0 moves to
+    # r, and the first of the two split from r/2 lands on r as well
+    r = 1 / 3
+    mu = DiscreteMeasure(np.array([[0.0], [r / 2]]), np.array([1 / 3, 2 / 3]))
+    with pytest.raises(InputError, match="split atoms collide"):
+        uniformize(BaryInstance([mu, mu], 1, 2), 4 / 3, c=1.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

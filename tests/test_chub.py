@@ -238,11 +238,10 @@ def _graph_case(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_graph_case(), st.booleans())
-def test_class_keys_and_groups_match_a_tuple_loop(case, table):
+@given(_graph_case())
+def test_class_keys_and_groups_match_a_tuple_loop(case):
     # edge-pattern bits, plus the degree profile for xi on an irregular graph,
-    # grouped by the first flat position of each key; the lookup table and
-    # the per-block distinct keys must agree
+    # grouped by the first flat position of each key across blocks
     g, k, emb, chunk = case
     cfg = PointConfig(np.zeros((k, g.n, 1), dtype=np.int8), 1.0, math.inf)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -251,12 +250,10 @@ def test_class_keys_and_groups_match_a_tuple_loop(case, table):
         bits = sum(int(g.has_edge(t[i], t[j])) << idx for idx, (i, j) in enumerate(pairs))
         degs = tuple(g.degrees[v] for v in t) if emb == "xi" and not g.is_regular() else ()
         want.append((bits,) + degs)
-    with mock.patch.object(barygap.chub, "CHUNK", chunk), \
-            mock.patch.object(barygap.chub, "_TABLE_MAX", 1 << 30 if table else 0):
-        blocks, ranges = _class_keys(cfg, g, emb)
-        blocks = list(blocks)
-        reps, ids = _classes(iter(blocks), ranges, keep=True)
-        bare, none = _classes(_class_keys(cfg, g, emb)[0], ranges, keep=False)
+    with mock.patch.object(barygap.chub, "CHUNK", chunk):
+        blocks = list(_class_keys(cfg, g, emb))
+        reps, ids = _classes(iter(blocks), keep=True)
+        bare, none = _classes(_class_keys(cfg, g, emb), keep=False)
     assert np.array_equal(reps, bare) and none is None
     assert [start for start, _ in blocks] == list(range(0, g.n**k, chunk))
     bits = np.concatenate([cols[0] for _, cols in blocks])
@@ -264,6 +261,24 @@ def test_class_keys_and_groups_match_a_tuple_loop(case, table):
     order = sorted(set(want))
     assert reps.tolist() == [want.index(key) for key in order]
     assert [order[c] for c in ids] == want
+
+
+@pytest.mark.parametrize("cfg", [
+    embed_phi(complete_graph(3), 7, p=1.0, q=1.5),
+    embed_xi(Graph.from_edges(3, [(0, 1), (1, 2)]), 7, p=1.0),
+])
+def test_class_sweep_over_a_wide_key_space_matches_per_tuple_solves(cfg):
+    # k=7 has 21 position pairs, so 2^21 edge-pattern codes, and xi on the
+    # irregular path adds a degree column; each of the 3^7 tuples must get
+    # its own solve's value up to the two reported tolerances
+    tol = 1e-6
+    full = solve_chub(cfg, tol=tol, keep_per_tuple=True)
+    assert full.method.startswith("class-cache[") and len(full.per_tuple) == 3**7
+    assert full.value == full.per_tuple.min()
+    barygap.fpq._MEMO.clear()
+    for flat, t in enumerate(np.ndindex(*(cfg.n,) * cfg.k)):
+        sol = solve_fpq(FpqProblem(cfg.dense_tuple(t).astype(float), cfg.p, cfg.q), tol=tol / 2)
+        assert abs(full.per_tuple[flat] - sol.value) <= full.tolerance + sol.tolerance
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,6 +36,7 @@ from barygap.fpq import (
     unique_columns,
 )
 from barygap.graph import complete_graph, cycle_graph
+from conftest import newton_solve
 
 K4 = complete_graph(4)
 
@@ -71,16 +72,13 @@ def test_closed_form_22_examples():
 
 
 def test_closed_form_matches_generic_solver():
-    # force_iterative neither fills nor reads the memo: the closed form in
-    # between does not hide the iterative path, and is not hidden by it
     cfg = embed_phi(K4, 3)
     pts = cfg.dense_tuple((0, 1, 2)).astype(float)
-    generic = solve_fpq(FpqProblem(pts, 2, 2), force_iterative=True)
+    generic = newton_solve(FpqProblem(pts, 2, 2))
     closed = solve_fpq(FpqProblem(pts, 2, 2))
-    again = solve_fpq(FpqProblem(pts, 2, 2), force_iterative=True)
-    assert generic.method == again.method == "newton"
-    assert closed.method == "closed-form-22"
+    assert closed.method == "closed-form-22" and closed.value == 10.0
     assert abs(generic.value - 10.0) < 1e-8
+    assert abs(fpq_objective(pts, generic.minimizer, 2, 2) - generic.value) <= 1e-12 * 10.0
 
 
 def test_q1_value_formula():
@@ -481,7 +479,7 @@ def test_frank_wolfe_cap_miss_reports_an_honest_interval(monkeypatch):
     prob = _random_hub_problems(400, seed=3)[365]
     sol = solve_fpq(prob, tol=1e-6)
     monkeypatch.setattr(barygap.fpq._frank_wolfe, "__defaults__", (5000,))
-    opt = solve_fpq(prob, tol=1e-12, force_iterative=True)
+    opt = solve_fpq(prob, tol=1e-12)  # the memo's entry is too loose to reuse
     assert opt.tolerance <= 1e-12
     assert sol.value - sol.tolerance <= opt.lower_bound <= opt.value <= sol.value
 
@@ -544,7 +542,7 @@ def _random_smooth_hub_problems(count=400, seed=0):
 def test_newton_certifies_random_smooth_hub_problems():
     tol = 1e-6
     for prob in _random_smooth_hub_problems():
-        sol = solve_fpq(prob, tol=tol, force_iterative=True)
+        sol = newton_solve(prob, tol=tol)
         assert sol.method == "newton" or not np.ptp(prob.points, axis=0).any()
         assert sol.tolerance <= tol
         assert sol.lower_bound <= sol.value + 1e-12 * max(1.0, sol.value)
