@@ -15,12 +15,26 @@ value, exactly in integers for the gadget and in Python ints for exact
 transport.  Elsewhere every tuple is one ``fpq.solve_fpq`` call, whose memo
 is keyed on the canonical hub problem.  For embedded configs the tuples are
 grouped by their induced edge pattern (plus the degree profile for the
-q=inf embedding of an irregular graph), and only one representative per
-class is solved: its first flat position.  Without a source graph every
-tuple is its own class.  Every tuple still has its class's value; caching
-never prunes.  Without ``keep_per_tuple`` the sweep keeps only the
-classes, so its memory grows with classes, not with tuples; with it the
-result carries every tuple's value as a flat array.
+q=inf embedding of an irregular graph), each class represented by its first
+flat position.  That grouping trusts the config's source metadata: tuples
+with one key are taken to have one value.  Without a source graph every
+tuple is its own class.
+
+Classes are then merged into orbits under the position permutations that
+are proven symmetries of the config (Bödi, Herr and Joswig, *Algorithms for
+highly symmetric linear and integer programs*, Math. Prog. 2013): permuting
+the k point groups by sigma must give the same (k*n, d) matrix up to a
+signed column permutation, checked exactly on the points
+(``_is_symmetry``), never read from the source.  Then a tuple and its
+positions permuted by sigma are one hub problem up to an isometry of the
+norm, so they have one value.  Only (0 1), the k-cycle and the reversal are
+tested, and only when they move some class; a class's image under one is
+the class of its representative with the positions permuted.  One class
+per orbit, the least, is solved, and every class takes its orbit's value.
+Every tuple still has its class's value; caching never prunes.  Without
+``keep_per_tuple`` the sweep keeps only the classes, so its memory grows
+with classes, not with tuples; with it the result carries every tuple's
+value as a flat array.
 """
 
 from __future__ import annotations
@@ -91,11 +105,15 @@ def solve_chub(
 
     The p=q=2 regime is exact: integer Gram arithmetic gives every tuple's
     value as a Fraction, and the result carries ``value_exact``.  Elsewhere
-    inner solves run at tolerance tol/2, one per edge-pattern class (one per
-    tuple when the config has no source graph); the reported ``tolerance``
-    is the larger of ``tol`` and the largest tolerance an inner solve
-    reports.  The value is the least class value, and the argmin is the
-    first tuple whose value is within ``tol`` of it.  ``keep_per_tuple``
+    inner solves run at tolerance tol/2, one per orbit of edge-pattern
+    classes under the position permutations proven on the points (one per
+    tuple when the config has no source graph); every class takes its
+    orbit's value, so the values, and the tensor of ``keep_per_tuple``, are
+    exactly symmetric under those permutations.  The method stays
+    ``class-cache[N]`` with N the number of classes.  The reported
+    ``tolerance`` is the larger of ``tol`` and the largest tolerance an
+    inner solve reports.  The value is the least class value, and the argmin
+    is the first tuple whose value is within ``tol`` of it.  ``keep_per_tuple``
     keeps every tuple's value (float64, or Fractions on the exact path);
     without it a config with a source graph builds no array over all tuples.
     """
@@ -131,12 +149,16 @@ def solve_chub(
     graph, emb = _source_graph(config)
     if graph is not None:
         reps, ids = _classes(_class_keys(config, graph, emb), keep_per_tuple)
+        roots = _class_orbits(config, graph, emb, reps)
+        solved = np.flatnonzero(roots == np.arange(len(reps)))
+        values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2, reps[solved])
+        values = values[np.searchsorted(solved, roots)]
         method = f"class-cache[{len(reps)}]"
     else:
         reps = np.arange(n**k)
         ids = reps if keep_per_tuple else None
+        values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2, reps)
         method = f"per-tuple[{n**k}]"
-    values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2, reps)
     per = values[ids] if keep_per_tuple else None
 
     vmin = float(values.min())
@@ -239,27 +261,130 @@ def _unravel(flat, shape):
     return tuple(int(v) for v in np.unravel_index(flat, shape))
 
 
-def _class_keys(config, graph, emb):
-    """Class-key columns of every tuple, block by block: yields (start, columns).
+def _key_tables(config, graph, emb):
+    """``_grid_blocks`` tables of the class keys: one (unary, pairs) per key column.
 
     Column 0 is the edge pattern: bit idx is set when the tuple's idx-th
     position pair is an edge.  For xi on an irregular graph, column 1 codes
     the degree profile, ordered as the degrees are: digit i is the rank of
     position i's degree among the graph's distinct degrees.
     """
-    n, k = config.n, config.k
+    k = config.k
     pairs = _pair_list(k)
     if len(pairs) > 62:
         raise ResourceCapError(f"k={k} has too many pairs for pattern keys")
     adj = graph.adjacency_matrix().astype(np.int64)
-    shape = (n,) * k
-    bits = _grid_blocks(shape, {}, {pair: adj << idx for idx, pair in enumerate(pairs)})
-    if emb != "xi" or graph.is_regular():
-        return ((start, [b]) for start, b in bits)
-    levels, _, rank, _ = unique_columns(np.array([graph.degrees]))
-    base = levels.shape[1]
-    degrees = _grid_blocks(shape, {i: rank * base ** (k - 1 - i) for i in range(k)}, {})
-    return ((start, [b, d]) for (start, b), (_, d) in zip(bits, degrees))
+    tables = [({}, {pair: adj << idx for idx, pair in enumerate(pairs)})]
+    if emb == "xi" and not graph.is_regular():
+        levels, _, rank, _ = unique_columns(np.array([graph.degrees]))
+        base = levels.shape[1]
+        tables.append(({i: rank * base ** (k - 1 - i) for i in range(k)}, {}))
+    return tables
+
+
+def _class_keys(config, graph, emb):
+    """Class-key columns of every tuple, block by block: yields (start, columns)."""
+    shape = (config.n,) * config.k
+    columns = [_grid_blocks(shape, *t) for t in _key_tables(config, graph, emb)]
+    return ((blocks[0][0], [sums for _, sums in blocks]) for blocks in zip(*columns))
+
+
+def _tuple_keys(tuples, tables):
+    """Class keys, as tuples of ints, of the rows of the (R, k) index array ``tuples``."""
+    cols = []
+    for unary, pairs in tables:
+        acc = np.zeros(len(tuples), dtype=np.int64)
+        for i, u in unary.items():
+            acc += u[tuples[:, i]]
+        for (i, j), table in pairs.items():
+            acc += table[tuples[:, i], tuples[:, j]]
+        cols.append(acc)
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+def _position_generators(k):
+    """(0 1), the k-cycle and the reversal, without repeats or the identity.
+
+    The first two generate every permutation of the k positions.
+    """
+    ident = list(range(k))
+    out = []
+    for perm in ([1, 0] + ident[2:], ident[1:] + [0], ident[::-1]) if k >= 2 else ():
+        if perm != ident and perm not in out:
+            out.append(perm)
+    return out
+
+
+def _column_multiset(m):
+    """Distinct columns of ``m`` up to sign, with their counts.
+
+    Each column is negated when its first nonzero entry is negative, so two
+    matrices get equal outputs exactly when one is a signed column
+    permutation of the other.
+    """
+    m = m.astype(np.int16)
+    lead = m[np.argmax(m != 0, axis=0), np.arange(m.shape[1])]
+    uniq, _, _, counts = unique_columns(np.where(lead < 0, -m, m))
+    return uniq, counts
+
+
+def _is_symmetry(points, perm, base=None):
+    """True when moving point group perm[i] to position i gives the same
+    (k*n, d) matrix up to a signed column permutation.
+
+    Then a tuple and its positions permuted are one hub problem up to an
+    isometry of the norm and an order of the points, so they have one value.
+    ``base`` is ``_column_multiset`` of the unpermuted matrix, when known.
+    """
+    k, n, d = points.shape
+    uniq, counts = base if base is not None else _column_multiset(points.reshape(k * n, d))
+    other, other_counts = _column_multiset(points[list(perm)].reshape(k * n, d))
+    return np.array_equal(uniq, other) and np.array_equal(counts, other_counts)
+
+
+def _orbit_roots(size, maps):
+    """Least member of each item's orbit under the index maps ``maps``, by union-find."""
+    parent = list(range(size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for image in maps:
+        for a, b in enumerate(image):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return np.array([find(a) for a in range(size)])
+
+
+def _class_orbits(config, graph, emb, reps):
+    """Orbit root (least class index) of each class under the proven symmetries.
+
+    A generator from ``_position_generators`` maps a class to the class of
+    its representative with the positions permuted, keyed by the same
+    tables as ``_class_keys``.  It is used only when it moves some class and
+    ``_is_symmetry`` proves it on the config's points.
+    """
+    k = config.k
+    tables = _key_tables(config, graph, emb)
+    tuples = np.stack(np.unravel_index(reps, (config.n,) * k), axis=1)
+    index = {key: c for c, key in enumerate(_tuple_keys(tuples, tables))}
+    identity = list(range(len(reps)))
+    maps, base = [], None
+    for perm in _position_generators(k):
+        # the image puts index t_i at position perm[i]; when the check
+        # passes, group perm[i] is group i up to a signed column permutation
+        image = [index[key] for key in _tuple_keys(tuples[:, np.argsort(perm)], tables)]
+        if image == identity:
+            continue
+        if base is None:
+            base = _column_multiset(config.points.reshape(k * config.n, config.d))
+        if _is_symmetry(config.points, perm, base):
+            maps.append(image)
+    return _orbit_roots(len(reps), maps)
 
 
 def _classes(blocks, keep):
@@ -272,7 +397,9 @@ def _classes(blocks, keep):
     """
     first, codes = {}, []
     for start, cols in blocks:
-        uniq, at, inverse, _ = unique_columns(np.stack(cols))
+        x = np.stack(cols)
+        # nonnegative codes; the narrowest dtype keeps their order and sorts fastest
+        uniq, at, inverse, _ = unique_columns(x.astype(np.min_scalar_type(int(x.max()))))
         uniq = [tuple(key) for key in uniq.T.tolist()]
         for key, f in zip(uniq, at.tolist()):
             first.setdefault(key, start + f)

@@ -16,10 +16,14 @@ Certificate sources per regime:
 * QIN  -- solver-certified: over all 2^C(k,2) overlap patterns at (k, D),
   gamma is the clique pattern's value and Delta half its distance to the
   smallest certified lower bound of the others.  Artifact-level.
-  The sweep is a pure function of (k, D, p, q, tol) and runs once per key
-  (an LRU cache); its solves also fill the ``fpq`` memo, so the
-  phi-embedded class problems of the same gadget, which are these pattern
-  problems once their columns are merged, are memo hits.
+  ``collection_from_pattern`` is equivariant by construction (permuting the
+  positions permutes the collection's rows and columns), so the sweep
+  solves one pattern per orbit of patterns under permutations of the k
+  positions, the least mask of each (11 of 64 at k=4); this is trusted, not
+  checked on the points.  The sweep is a pure function of (k, D, p, q, tol)
+  and runs once per key (an LRU cache); its solves also fill the ``fpq``
+  memo, so the phi-embedded class problems of the same gadget, which are
+  these pattern problems once their columns are merged, are memo hits.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bary import BaryInstance, DiscreteMeasure, _check_lp_cap, _transport_lp
-from .chub import solve_chub
+from .chub import _orbit_roots, _position_generators, solve_chub
 from .embed import (
     PointConfig,
     collection_from_pattern,
@@ -76,14 +80,27 @@ class GapCertificate:
 
 @lru_cache(maxsize=256)
 def _qin_pattern_sweep(k, D, p, q, tol):
-    """Solve F over every overlap pattern at (k, D): (complete value, min other lower)."""
+    """Solve F over every overlap pattern at (k, D): (complete value, min other lower).
+
+    Permuting the k positions maps a pattern's collection to that of the
+    permuted pattern (``collection_from_pattern`` is equivariant), so one
+    solve serves each orbit of patterns, the one of its least mask.
+    """
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     npairs = len(pairs)
     if 2**npairs > 2**20:
         raise ResourceCapError(f"pattern sweep for k={k} has 2^{npairs} cases")
+    masks = np.arange(2**npairs)
+    maps = []
+    for perm in _position_generators(k):
+        image = np.zeros_like(masks)
+        for b, (i, j) in enumerate(pairs):
+            image |= (masks >> b & 1) << pairs.index(tuple(sorted((perm[i], perm[j]))))
+        maps.append(image.tolist())
+    roots = _orbit_roots(len(masks), maps)
     f_complete = None
     lower_other = math.inf
-    for mask in range(2**npairs):
+    for mask in np.flatnonzero(roots == masks).tolist():
         edges = [pairs[b] for b in range(npairs) if mask >> b & 1]
         coll = collection_from_pattern(k, D, edges)
         sol = solve_fpq(FpqProblem(coll.vectors.astype(float), p, q), tol=tol)

@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 import barygap.chub
 import barygap.fpq
-from barygap.chub import _class_keys, _classes, _gram_costs, chub_closed_form_22, solve_chub
+from barygap.chub import (
+    _class_keys,
+    _class_orbits,
+    _classes,
+    _gram_costs,
+    _is_symmetry,
+    _position_generators,
+    chub_closed_form_22,
+    solve_chub,
+)
 from barygap.embed import PointConfig, embed_phi, embed_psi, embed_xi
 from barygap.errors import InputError, ResourceCapError
 from barygap.fpq import FpqProblem, solve_fpq
@@ -19,6 +28,7 @@ from barygap.graph import (
     Graph,
     complete_graph,
     cycle_graph,
+    even_k_doubling,
     has_k_clique,
     induced_edge_count,
     max_multiset_edges,
@@ -314,3 +324,81 @@ def test_keeping_per_tuple_values_changes_nothing_else(cfg, tol):
     assert per.min() == full.value
     first = int(np.nonzero(per <= full.value + (0 if full.value_exact is not None else tol))[0][0])
     assert full.argmin == tuple(int(v) for v in np.unravel_index(first, (cfg.n,) * cfg.k))
+
+
+def _doubled_c4_psi(p):
+    g, k = even_k_doubling(C4, 3)
+    return embed_psi(g, k, p=p)
+
+
+@pytest.mark.parametrize("cfg, tol, sample", [
+    (embed_phi(K4, 3, p=1.0, q=1.5), 1e-6, None),
+    (embed_psi(K4, 2, p=2.0), 1e-3, None),
+    (embed_psi(C4, 4, p=2.0), 1e-3, None),
+    (_doubled_c4_psi(1.0), 1e-6, 200),
+    (embed_xi(C5, 3, p=1.0), 1e-6, None),
+    (embed_xi(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]), 3, p=2.0), 1e-6, None),
+], ids=["phi", "psi-k2", "psi-k4", "psi-doubled-k6", "xi", "xi-irregular"])
+def test_orbit_sweep_values_match_each_tuples_own_solve(cfg, tol, sample):
+    # a tuple takes its class orbit's value; that must agree with the tuple's
+    # own solve up to the two reported tolerances.  The doubled gadget has
+    # 8^6 tuples: its class representatives and a random sample are checked
+    full = solve_chub(cfg, tol=tol, keep_per_tuple=True)
+    shape = (cfg.n,) * cfg.k
+    flats = range(cfg.n**cfg.k)
+    if sample is not None:
+        graph, emb = barygap.chub._source_graph(cfg)
+        reps, _ = _classes(_class_keys(cfg, graph, emb), keep=False)
+        rng = np.random.default_rng(0)
+        flats = sorted(set(reps.tolist()) | set(rng.integers(0, cfg.n**cfg.k, sample).tolist()))
+    barygap.fpq._MEMO.clear()
+    for flat in flats:
+        t = np.unravel_index(flat, shape)
+        sol = solve_fpq(FpqProblem(cfg.dense_tuple(t).astype(float), cfg.p, cfg.q), tol=tol / 2)
+        assert abs(full.per_tuple[flat] - sol.value) <= full.tolerance + sol.tolerance
+
+
+def test_a_flipped_point_entry_merges_no_classes(monkeypatch):
+    # the symmetry is proven on the points, not read from the source: one
+    # entry flipped, with the source graph kept, leaves every class its own
+    cfg = embed_psi(K4, 4, p=2.0)
+    points = cfg.points.copy()
+    points[0, 0, 0] = -points[0, 0, 0]
+    flipped = dataclasses.replace(cfg, points=points)
+    assert flipped.source == cfg.source
+    calls = []
+    orig = barygap.chub.solve_fpq
+    monkeypatch.setattr(
+        barygap.chub, "solve_fpq", lambda *a, **kw: calls.append(1) or orig(*a, **kw)
+    )
+    res = solve_chub(cfg, tol=1e-3)
+    assert res.method == "class-cache[15]" and len(calls) == 5
+    del calls[:]
+    graph, emb = barygap.chub._source_graph(flipped)
+    reps, _ = _classes(_class_keys(flipped, graph, emb), keep=False)
+    assert _class_orbits(flipped, graph, emb, reps).tolist() == list(range(15))
+    res = solve_chub(flipped, tol=1e-3)
+    assert res.method == "class-cache[15]" and len(calls) == 15
+
+
+@pytest.mark.parametrize("cfg, group", [
+    (embed_phi(K4, 3, p=2.0, q=1.5), "all"),
+    (embed_phi(complete_graph(5), 4, p=2.0, q=3.0), "all"),
+    (embed_xi(C5, 3, p=1.0), "all"),
+    (embed_xi(K4, 4, p=2.0), "all"),
+    (embed_psi(C4, 2, p=1.0), "all"),
+    (embed_psi(K4, 4, p=2.0), "all"),
+    (_doubled_c4_psi(1.0), "dihedral"),
+], ids=["phi-k3", "phi-k4", "xi-k3", "xi-k4", "psi-k2", "psi-k4", "psi-doubled-k6"])
+def test_proven_position_symmetries(cfg, group):
+    # every position permutation passes on the small gadgets; on the doubled
+    # psi gadget exactly the 12 rotations and reflections of the k-cycle do
+    k = cfg.k
+    passed = {perm for perm in itertools.permutations(range(k)) if _is_symmetry(cfg.points, perm)}
+    if group == "all":
+        assert len(passed) == math.factorial(k)
+    else:
+        cycle = {tuple((i + j) % k for i in range(k)) for j in range(k)}
+        assert passed == cycle | {tuple((j - i) % k for i in range(k)) for j in range(k)}
+        assert len(passed) == 2 * k
+        assert _position_generators(k)[0] not in [list(perm) for perm in passed]

@@ -79,12 +79,55 @@ def test_qin_certificate_sweeps_once_per_key(monkeypatch):
 
     monkeypatch.setattr(barygap.reduction, "solve_fpq", counted)
     first = gap_certificate(4, 3, 3, 2, 1.5, tol=1e-7)
-    assert len(calls) == 2**3  # one solve per overlap pattern
+    assert len(calls) == 4  # one solve per orbit of the 2^3 overlap patterns
     # n is not part of the key: the patterns depend only on (k, D, p, q, tol)
     assert gap_certificate(5, 3, 3, 2, 1.5, tol=1e-7).to_json()["gamma"] == first.gamma
-    assert len(calls) == 2**3
+    assert len(calls) == 4
     gap_certificate(4, 3, 3, 2, 1.5, tol=1e-8)
-    assert len(calls) == 2 * 2**3
+    assert len(calls) == 2 * 4
+
+
+@pytest.mark.parametrize("k, D, p, q, orbits", [
+    (3, 3, 2, 1.5, 4), (4, 3, 2, 1.5, 11), (4, 2, 1, 3, 11), (2, 1, 2, 1.5, 2),
+])
+def test_qin_pattern_sweep_solves_one_pattern_per_orbit(monkeypatch, k, D, p, q, orbits):
+    # one solve per isomorphism class of k-vertex patterns, with the value
+    # and bound a solve of every pattern gives, bit for bit
+    tol = 1e-7
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    complete, lower = None, math.inf
+    for mask in range(2 ** len(pairs)):
+        edges = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
+        coll = barygap.reduction.collection_from_pattern(k, D, edges)
+        sol = solve_fpq(FpqProblem(coll.vectors.astype(float), p, q), tol=tol)
+        if len(edges) == len(pairs):
+            complete = sol.value
+        else:
+            lower = min(lower, sol.lower_bound)
+    calls = []
+    orig = barygap.reduction.solve_fpq
+    monkeypatch.setattr(
+        barygap.reduction, "solve_fpq", lambda *a, **kw: calls.append(1) or orig(*a, **kw)
+    )
+    barygap.fpq._MEMO.clear()
+    assert barygap.reduction._qin_pattern_sweep(k, D, p, q, tol) == (complete, lower)
+    assert len(calls) == orbits
+
+
+def test_bary_mot_route_takes_the_orbit_lp_on_the_k4_q1_gadget(monkeypatch):
+    # the sweep gives one value per proven orbit of classes, so the K4, k=4,
+    # (2, 1) cost tensor is exactly symmetric and its LP runs on orbits
+    import barygap.bary
+
+    calls = []
+    orig = barygap.bary._orbit_lp
+    monkeypatch.setattr(
+        barygap.bary, "_orbit_lp", lambda *a, **kw: calls.append(1) or orig(*a, **kw)
+    )
+    inst = build_instance(K4, 4, 2, 1)
+    r = decide_clique(inst, "bary-mot", tol=inst.certificate.delta / 20)
+    assert len(calls) == 1
+    assert r["hasClique"] is True
 
 
 def test_build_instance_shapes():
