@@ -33,11 +33,13 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from .chub import _gram_costs, tuple_costs
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 from .fpq import FpqProblem, solve_fpq, unique_columns
 from .simplex import solve_lp
 
 DEFAULT_LP_CAP = 10**5
+#: Largest per-measure atom count uniformize will build.
+UNIFORM_ATOM_CAP = 10**6
 
 
 def _norm_q(x, q):
@@ -45,14 +47,6 @@ def _norm_q(x, q):
     if q == math.inf:
         return float(np.abs(x).max()) if x.size else 0.0
     return float((np.abs(x) ** q).sum() ** (1.0 / q))
-
-
-def _check_lp_cap(kind, total, cap=DEFAULT_LP_CAP):
-    """Raise ResourceCapError when a ``kind`` LP would have over ``cap`` variables."""
-    if total > cap:
-        raise ResourceCapError(
-            f"{kind} LP with {total} variables exceeds cap {cap}", required=total, cap=cap
-        )
 
 
 @dataclass
@@ -327,7 +321,7 @@ def _transport_lp(masses, costs, exact=False):
     return value, TransportTensor(shape, dict(zip(tuples, x[support].tolist())))
 
 
-def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEFAULT_LP_CAP):
+def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False):
     """Optimal value and plan of the transportation LP with cost ||x-y||_q^p.
 
     ``exact`` (p=q=2, integer atoms) computes the squared distances in
@@ -335,7 +329,8 @@ def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEF
     """
     if mu.d != nu.d:
         raise InputError(f"dimension mismatch: {mu.d} vs {nu.d}")
-    _check_lp_cap("OT", mu.size * nu.size, cap)
+    total = mu.size * nu.size
+    check_cap(f"OT LP with {total} variables", total, DEFAULT_LP_CAP)
     masses = [mu.masses, nu.masses]
     if not exact:
         return _transport_lp(masses, _pairwise_cost(mu.atoms, nu.atoms, p, q).ravel())
@@ -346,17 +341,17 @@ def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False, cap=DEF
     return _transport_lp(masses, (diff * diff).sum(axis=2).ravel().tolist(), exact=True)
 
 
-def wasserstein_pq(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, cap=DEFAULT_LP_CAP):
+def wasserstein_pq(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q):
     """W_{p,q}(mu, nu): p-th root of the optimal transport cost."""
-    value, _ = ot_cost(mu, nu, p, q, cap=cap)
+    value, _ = ot_cost(mu, nu, p, q)
     return max(value, 0.0) ** (1.0 / p)
 
 
-def barycenter_objective(inst: BaryInstance, nu: DiscreteMeasure, cap=DEFAULT_LP_CAP):
+def barycenter_objective(inst: BaryInstance, nu: DiscreteMeasure):
     """sum_i lambda_i W_{p,q}^p(mu_i, nu)."""
     total = 0.0
     for lam, mu in zip(inst.weights, inst.measures):
-        value, _ = ot_cost(mu, nu, inst.p, inst.q, cap=cap)
+        value, _ = ot_cost(mu, nu, inst.p, inst.q)
         total += lam * value
     return total
 
@@ -388,7 +383,8 @@ def bary_value_mot(
     symmetric, the plan is a symmetrized optimum rather than a vertex, with
     up to k! times the support of the orbit LP's vertex (``_transport_lp``).
     """
-    _check_lp_cap("MOT", math.prod(m.size for m in inst.measures), cap)
+    total = math.prod(m.size for m in inst.measures)
+    check_cap(f"MOT LP with {total} variables", total, cap)
     tolerance = tol
     if exact:
         if inst.p != 2 or inst.q != 2:
@@ -410,14 +406,14 @@ def bary_value_mot(
     return MotResult(value=value, plan=plan, tolerance=tolerance)
 
 
-def extract_barycenter(plan: TransportTensor, inst: BaryInstance, tol: float = 1e-8):
+def extract_barycenter(plan: TransportTensor, inst: BaryInstance):
     """Pushforward of the plan under the tuple -> optimal hub map."""
     buckets = {}
     for t, mass in plan.entries.items():
         if mass <= 0:
             continue
         pts = np.stack([inst.measures[i].atoms[t[i]] for i in range(inst.k)])
-        sol = solve_fpq(FpqProblem(pts, inst.p, inst.q, weights=inst.weights), tol=tol)
+        sol = solve_fpq(FpqProblem(pts, inst.p, inst.q, weights=inst.weights), tol=1e-8)
         key = tuple(np.round(sol.minimizer, 9))
         if key in buckets:
             buckets[key][1] += mass
@@ -443,7 +439,7 @@ def borgwardt_2approx(inst: BaryInstance, cap: int = DEFAULT_LP_CAP):
     s = union.shape[0]
     sizes = [m.size for m in inst.measures]
     n_plan = sum(ni * s for ni in sizes)
-    _check_lp_cap("union-support", n_plan + s, cap)
+    check_cap(f"union-support LP with {n_plan + s} variables", n_plan + s, cap)
     # variables: the k plans (measure i -> union, C order), then the weights;
     # each plan's marginal rows, with -weights on its union-side rows
     plans = sparse.block_diag([_marginal_matrix((ni, s)) for ni in sizes])
@@ -516,7 +512,7 @@ def rounding_coupling(mu: DiscreteMeasure, counts, N):
     return entries, moved
 
 
-def uniformize(inst: BaryInstance, eps: float, c: float = 4.0, max_atoms: int = 10**6):
+def uniformize(inst: BaryInstance, eps: float, c: float = 4.0):
     """Rewrite every measure as uniform over exactly N atoms in the unit ball.
 
     N = ceil(c * n * p * 2^p / eps) with n the largest input support size.
@@ -536,11 +532,11 @@ def uniformize(inst: BaryInstance, eps: float, c: float = 4.0, max_atoms: int = 
                 )
     n_max = max(m.size for m in inst.measures)
     N = math.ceil(c * n_max * p * 2.0**p / eps)
-    if N > max_atoms:
+    if N > UNIFORM_ATOM_CAP:
         raise ResourceCapError(
-            f"eps={eps} needs N={N} atoms per measure (cap {max_atoms}); "
+            f"eps={eps} needs N={N} atoms per measure (cap {UNIFORM_ATOM_CAP}); "
             f"the split radius would be {eps / (2 * p * 2.0**p):.3e}",
-            required=N, cap=max_atoms,
+            required=N, cap=UNIFORM_ATOM_CAP,
         )
     r = eps / (2.0 * p * 2.0**p)
     if r <= 0 or not np.isfinite(r):

@@ -46,9 +46,9 @@ from fractions import Fraction
 import numpy as np
 
 from .embed import PointConfig
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 from .fpq import FpqProblem, solve_fpq, unique_columns
-from .graph import DEFAULT_ENUM_CAP, Graph, _check_cap, max_multiset_edges
+from .graph import DEFAULT_ENUM_CAP, Graph, max_multiset_edges
 
 CHUNK = 65536  # tuples per vectorized block
 
@@ -85,13 +85,13 @@ def _source_graph(config: PointConfig):
     return None, None
 
 
-def chub_closed_form_22(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> Fraction:
+def chub_closed_form_22(g: Graph, k) -> Fraction:
     """Exact p=q=2 value D(k-1)^2 - (2/k) * max_multiset_edges(g, k)."""
     if not g.is_regular():
         raise InputError("closed form requires a regular graph")
     d = g.regular_degree()
     m = d * (k - 1) ** 2
-    best = max_multiset_edges(g, k, cap=cap)
+    best = max_multiset_edges(g, k)
     return Fraction(k * m - 2 * best, k)
 
 
@@ -121,7 +121,7 @@ def solve_chub(
         raise InputError(f"tol must be positive, got {tol}")
     n, k = config.n, config.k
     shape = (n,) * k
-    _check_cap(n, k, cap)
+    check_cap(f"enumerating {n**k} tuples", n**k, cap)
 
     if config.regime == "Q22":
         best, arg, parts = None, 0, []

@@ -19,11 +19,12 @@ import sys
 import time
 
 from . import __version__
-from .bary import BaryInstance, bary_value_mot, borgwardt_2approx, uniformize
+from .bary import DEFAULT_LP_CAP, BaryInstance, bary_value_mot, borgwardt_2approx, uniformize
 from .chub import solve_chub
 from .embed import PointConfig, embed_auto
 from .errors import InputError, ResourceCapError, SolverError
 from .graph import (
+    DEFAULT_ENUM_CAP,
     Graph,
     circulant_graph,
     complete_graph,
@@ -69,25 +70,31 @@ def _report(args, results, timings):
     return {
         "command": " ".join(args._argv),
         "config_hash": args._config_hash,
-        "seed": getattr(args, "seed", 0),
+        "seed": args.seed,
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "results": results,
         "version": __version__,
     }
 
 
-def _emit(args, report):
-    text = _dump(report)
-    if getattr(args, "json", False):
-        print(text)
-    elif not getattr(args, "quiet", False):
-        res = report.get("results", {})
-        summary = {k: res[k] for k in list(res)[:6]} if isinstance(res, dict) else res
-        print(json.dumps(summary, sort_keys=True, default=str))
+def _print_summary(results):
+    print(json.dumps(dict(list(results.items())[:6]), sort_keys=True, default=str))
+
+
+def _print_checks(results):
+    for c in results["checks"]:
+        mark = "PASS" if c["passed"] else "FAIL"
+        print(f"[{mark}] {results['id']}::{c['name']}")
+        if not c["passed"] and c.get("detail") is not None:
+            print("       " + json.dumps(c["detail"], sort_keys=True, default=str))
+    print(("PASS" if results["passed"] else "FAIL") + f" {results['id']}")
+
+
+# Each command returns (results, stage timings, exit code); ``main`` adds the
+# total time, builds the report, writes it to --report/--out and prints it.
 
 
 def _cmd_graph_gen(args):
-    t0 = time.perf_counter()
     fam = args.family
     if fam == "complete":
         g = complete_graph(args.n)
@@ -106,44 +113,22 @@ def _cmd_graph_gen(args):
     else:
         raise InputError(f"unknown family {fam!r}")
     g.save(args.out)
-    rep = _report(
-        args,
-        {"n": g.n, "edges": len(g.edges), "regular": g.is_regular(), "out": args.out},
-        {"total": time.perf_counter() - t0},
-    )
-    _emit(args, rep)
-    return 0
+    return {"n": g.n, "edges": len(g.edges), "regular": g.is_regular(), "out": args.out}, {}, 0
 
 
 def _cmd_embed(args):
-    t0 = time.perf_counter()
     g = Graph.load(args.graph)
-    q = _parse_q(args.q)
-    cfg = embed_auto(g, args.k, args.p, q)
+    cfg = embed_auto(g, args.k, args.p, _parse_q(args.q))
     cfg.save(args.out)
-    rep = _report(
-        args,
-        {"regime": cfg.regime, "k": cfg.k, "n": cfg.n, "d": cfg.d, "out": args.out},
-        {"total": time.perf_counter() - t0},
-    )
-    _emit(args, rep)
-    return 0
+    return {"regime": cfg.regime, "k": cfg.k, "n": cfg.n, "d": cfg.d, "out": args.out}, {}, 0
 
 
 def _cmd_chub(args):
-    t0 = time.perf_counter()
-    cfg = PointConfig.load(args.points)
-    res = solve_chub(cfg, tol=args.tol, cap=args.cap)
-    results = res.to_json()
-    rep = _report(args, results, {"total": time.perf_counter() - t0})
-    if args.out:
-        _dump(rep, args.out)
-    _emit(args, rep)
-    return 0
+    res = solve_chub(PointConfig.load(args.points), tol=args.tol, cap=args.cap)
+    return res.to_json(), {}, 0
 
 
 def _cmd_bary_solve(args):
-    t0 = time.perf_counter()
     inst = BaryInstance.load(args.instance)
     if args.method == "mot":
         r = bary_value_mot(inst, tol=args.tol, cap=args.cap)
@@ -160,33 +145,20 @@ def _cmd_bary_solve(args):
             "method": "borgwardt",
             "support": int(r["nu"].size),
         }
-    rep = _report(args, results, {"total": time.perf_counter() - t0})
-    if args.out:
-        _dump(rep, args.out)
-    _emit(args, rep)
-    return 0
+    return results, {}, 0
 
 
 def _cmd_bary_uniformize(args):
-    t0 = time.perf_counter()
-    inst = BaryInstance.load(args.instance)
-    out = uniformize(inst, args.eps)
+    out = uniformize(BaryInstance.load(args.instance), args.eps)
     out.save(args.out)
-    rep = _report(
-        args,
-        {"N": int(out.measures[0].size), "eps": args.eps, "out": args.out},
-        {"total": time.perf_counter() - t0},
-    )
-    _emit(args, rep)
-    return 0
+    return {"N": int(out.measures[0].size), "eps": args.eps, "out": args.out}, {}, 0
 
 
 def _cmd_reduce(args):
     timings = {}
     t0 = time.perf_counter()
     g = Graph.load(args.graph)
-    q = _parse_q(args.q)
-    inst = build_instance(g, args.k, args.p, q)
+    inst = build_instance(g, args.k, args.p, _parse_q(args.q))
     timings["build"] = time.perf_counter() - t0
     t1 = time.perf_counter()
     solver = "chub-bruteforce" if args.solver == "chub" else "bary-mot"
@@ -195,7 +167,6 @@ def _cmd_reduce(args):
     t2 = time.perf_counter()
     truth = oracle_decision(inst)
     timings["oracle"] = time.perf_counter() - t2
-    timings["total"] = time.perf_counter() - t0
     has = decision["hasClique"]
     results = {
         "decision": decision,
@@ -205,29 +176,12 @@ def _cmd_reduce(args):
         "delta": decision["certificate"]["delta"],
         "value": decision["value"],
     }
-    rep = _report(args, results, timings)
-    if args.report:
-        _dump(rep, args.report)
-    _emit(args, rep)
-    return 1 if results["agree"] is False else 0
+    return results, timings, 1 if results["agree"] is False else 0
 
 
 def _cmd_verify(args):
-    t0 = time.perf_counter()
-    rep_body = verify_lemma(args.lemma, seed=args.seed, budget=args.budget)
-    rep = _report(args, rep_body, {"total": time.perf_counter() - t0})
-    if args.report:
-        _dump(rep, args.report)
-    if getattr(args, "json", False):
-        print(_dump(rep))
-    elif not args.quiet:
-        for c in rep_body["checks"]:
-            mark = "PASS" if c["passed"] else "FAIL"
-            print(f"[{mark}] {rep_body['id']}::{c['name']}")
-            if not c["passed"] and c.get("detail") is not None:
-                print("       " + json.dumps(c["detail"], sort_keys=True, default=str))
-        print(("PASS" if rep_body["passed"] else "FAIL") + f" {rep_body['id']}")
-    return 0 if rep_body["passed"] else 1
+    results = verify_lemma(args.lemma, seed=args.seed, budget=args.budget)
+    return results, {}, 0 if results["passed"] else 1
 
 
 def build_parser():
@@ -245,7 +199,7 @@ def build_parser():
         description="Exact small-scale generalized Wasserstein barycenters and "
         "clique-gap gadget verification.",
     )
-    top.set_defaults(seed=0, quiet=False, json=False)
+    top.set_defaults(seed=0, quiet=False, json=False, report=None, emit=_print_summary)
     sub = top.add_subparsers(dest="cmd", required=True)
 
     pg = sub.add_parser("graph", help="graph utilities")
@@ -270,8 +224,8 @@ def build_parser():
     ch = sub.add_parser("chub", help="brute-force hub-selection value", parents=[common])
     ch.add_argument("--points", required=True)
     ch.add_argument("--tol", type=float, default=1e-6)
-    ch.add_argument("--cap", type=int, default=10**7)
-    ch.add_argument("--out")
+    ch.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
+    ch.add_argument("--out", dest="report", metavar="OUT")
     ch.set_defaults(func=_cmd_chub)
 
     ba = sub.add_parser("bary", help="barycenter solvers")
@@ -280,8 +234,8 @@ def build_parser():
     bs.add_argument("--instance", required=True)
     bs.add_argument("--method", choices=["mot", "borgwardt"], default="mot")
     bs.add_argument("--tol", type=float, default=1e-6)
-    bs.add_argument("--cap", type=int, default=10**5)
-    bs.add_argument("--out")
+    bs.add_argument("--cap", type=int, default=DEFAULT_LP_CAP)
+    bs.add_argument("--out", dest="report", metavar="OUT")
     bs.set_defaults(func=_cmd_bary_solve)
     bu = bas.add_parser("uniformize", help="quantize+split to uniform measures", parents=[common])
     bu.add_argument("--instance", required=True)
@@ -303,7 +257,7 @@ def build_parser():
     ver.add_argument("--lemma", required=True)
     ver.add_argument("--budget", type=float, default=1.0)
     ver.add_argument("--report")
-    ver.set_defaults(func=_cmd_verify)
+    ver.set_defaults(func=_cmd_verify, emit=_print_checks)
     return top
 
 
@@ -317,7 +271,17 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         args._config_hash = _config_hash(args)
-        return args.func(args)
+        t0 = time.perf_counter()
+        results, timings, code = args.func(args)
+        timings["total"] = time.perf_counter() - t0
+        report = _report(args, results, timings)
+        if args.report:
+            _dump(report, args.report)
+        if args.json:
+            print(_dump(report))
+        elif not args.quiet:
+            args.emit(results)
+        return code
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

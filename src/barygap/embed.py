@@ -301,13 +301,12 @@ def embed_auto(g: Graph, k, p, q) -> PointConfig:
 # Clique witnesses and the q=1 value bound
 
 
-def q1_value_formula(n, k, D, t, p):
+def q1_value_formula(n, k, t, p):
     """Clique-regime value bound for the q=1 embedding:
     k^(1-p) * (n k (k-1)(n k - 2n + 2) - 4t)^p.
 
-    Exact (Fraction) when p is a positive integer.  D is accepted for
-    signature symmetry with the certificate helpers; the bound does not
-    depend on it.
+    Exact (Fraction) when p is a positive integer.  The bound does not
+    depend on the degree D.
     """
     if k < 2 or k % 2 != 0:
         raise InputError(f"formula requires even k >= 2, got {k}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one resource-cap check."""
 
 
 class BarygapError(Exception):
@@ -20,3 +20,9 @@ class ResourceCapError(BarygapError):
 
 class SolverError(BarygapError):
     """A solver failed, or its answer failed an exact check."""
+
+
+def check_cap(what, required, cap):
+    """Raise ResourceCapError when ``required`` exceeds the desk-scale ``cap``."""
+    if required > cap:
+        raise ResourceCapError(f"{what} exceeds cap {cap}", required=required, cap=cap)

@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 
 #: Default ceiling on the number of tuples a brute-force enumeration may visit.
 DEFAULT_ENUM_CAP = 10**7
+#: Configuration-model attempts before random_regular_graph gives up.
+REGULAR_TRIES = 10000
 
 
 @dataclass(frozen=True)
@@ -118,22 +120,14 @@ def induced_edge_count(g: Graph, t) -> int:
     )
 
 
-def _check_cap(n, k, cap):
-    """Raise ResourceCapError when the n^k tuples of an enumeration exceed ``cap``."""
-    total = n**k
-    if total > cap:
-        raise ResourceCapError(
-            f"enumerating {total} tuples exceeds cap {cap}", required=total, cap=cap
-        )
-
-
-def max_multiset_edges(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> int:
+def max_multiset_edges(g: Graph, k) -> int:
     """Exact max of induced_edge_count over all n^k vertex tuples (brute force)."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if g.n == 0:
         raise InputError("graph has no vertices")
-    _check_cap(g.n, k, cap)
+    total = g.n**k
+    check_cap(f"enumerating {total} tuples", total, DEFAULT_ENUM_CAP)
     from .chub import _grid_blocks  # here, since chub imports this module
 
     adj = g.adjacency_matrix().astype(np.int64)
@@ -141,17 +135,14 @@ def max_multiset_edges(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> int:
     return max(int(counts.max()) for _, counts in _grid_blocks((g.n,) * k, {}, pairs))
 
 
-def has_k_clique(g: Graph, k, cap=DEFAULT_ENUM_CAP) -> bool:
+def has_k_clique(g: Graph, k) -> bool:
     """Ground-truth clique oracle: brute force over k-subsets."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if k > g.n:
         return False
     total = math.comb(g.n, k)
-    if total > cap:
-        raise ResourceCapError(
-            f"enumerating {total} subsets exceeds cap {cap}", required=total, cap=cap
-        )
+    check_cap(f"enumerating {total} subsets", total, DEFAULT_ENUM_CAP)
     target = k * (k - 1) // 2
     for sub in itertools.combinations(range(g.n), k):
         if induced_edge_count(g, sub) == target:
@@ -214,12 +205,12 @@ def petersen_graph():
     return Graph.from_edges(10, edges)
 
 
-def random_regular_graph(n, degree, seed=0, max_tries=10000):
+def random_regular_graph(n, degree, seed=0):
     """Random D-regular simple graph via configuration-model retries.
 
     Deterministic for a fixed seed.  Raises InputError when (n, degree) is
     infeasible and ResourceCapError if no simple matching is found in
-    ``max_tries`` attempts.
+    ``REGULAR_TRIES`` attempts.
     """
     if degree < 0 or degree >= n:
         raise InputError(f"degree must satisfy 0 <= D < n, got D={degree}, n={n}")
@@ -230,7 +221,7 @@ def random_regular_graph(n, degree, seed=0, max_tries=10000):
     if degree > (n - 1) / 2:
         # dense regimes pair badly in the configuration model; draw the
         # complement instead (complement of a simple regular graph is regular)
-        comp = random_regular_graph(n, n - 1 - degree, seed=seed, max_tries=max_tries)
+        comp = random_regular_graph(n, n - 1 - degree, seed=seed)
         edges = [
             (u, v)
             for u in range(n)
@@ -240,7 +231,7 @@ def random_regular_graph(n, degree, seed=0, max_tries=10000):
         return Graph.from_edges(n, edges)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(degree)]
-    for _ in range(max_tries):
+    for _ in range(REGULAR_TRIES):
         rng.shuffle(stubs)
         edges = set()
         ok = True
@@ -253,5 +244,5 @@ def random_regular_graph(n, degree, seed=0, max_tries=10000):
             return Graph.from_edges(n, edges)
     raise ResourceCapError(
         f"no simple {degree}-regular graph found on {n} vertices "
-        f"after {max_tries} configuration-model tries"
+        f"after {REGULAR_TRIES} configuration-model tries"
     )

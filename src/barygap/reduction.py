@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bary import BaryInstance, DiscreteMeasure, _check_lp_cap, _transport_lp
+from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, _transport_lp
 from .chub import _orbit_roots, _position_generators, solve_chub
 from .embed import (
     PointConfig,
@@ -44,9 +44,9 @@ from .embed import (
     q1_value_formula,
     regime_for,
 )
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, check_cap
 from .fpq import FpqProblem, solve_fpq
-from .graph import DEFAULT_ENUM_CAP, Graph, even_k_doubling, has_k_clique
+from .graph import Graph, even_k_doubling, has_k_clique
 
 
 @dataclass
@@ -131,8 +131,8 @@ def gap_certificate(n, k, D, p, q, tol=1e-7) -> GapCertificate:
         if k % 2 != 0:
             raise InputError(f"q=1 certificates need even k, got {k}")
         tmax = k * (k - 1) // 2
-        gamma = q1_value_formula(n, k, D, tmax, p)
-        delta = q1_value_formula(n, k, D, tmax - 1, p) - gamma
+        gamma = q1_value_formula(n, k, tmax, p)
+        delta = q1_value_formula(n, k, tmax - 1, p) - gamma
         ex = isinstance(gamma, Fraction)
         return GapCertificate(
             regime, float(gamma), float(delta), "closed-form", params,
@@ -234,7 +234,7 @@ def decide_clique(
         detail = {"chub": sweep.to_json()}
     elif solver == "bary-mot":
         k, n = inst.k, inst.points.n
-        _check_lp_cap("MOT", n**k)
+        check_cap(f"MOT LP with {n**k} variables", n**k, DEFAULT_LP_CAP)
         sweep = reuse
         if sweep is None or sweep.per_tuple is None:
             sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)
@@ -264,9 +264,9 @@ def decide_clique(
     }
 
 
-def oracle_decision(inst: ReductionInstance, cap=DEFAULT_ENUM_CAP):
+def oracle_decision(inst: ReductionInstance):
     """Ground truth from the brute-force clique oracle (post-doubling graph)."""
-    return has_k_clique(inst.graph, inst.k, cap=cap)
+    return has_k_clique(inst.graph, inst.k)
 
 
 def unique_triangle_graph() -> Graph:

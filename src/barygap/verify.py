@@ -230,7 +230,7 @@ def _suite_q1_value(seed, budget):
     pts = cfg.dense_tuple((0, 1, 2, 3)).astype(float)
     checks = []
     for p in (1.0, 2.0):
-        want = float(q1_value_formula(4, 4, 3, 6, p))
+        want = float(q1_value_formula(4, 4, 6, p))
         sol = solve_fpq(FpqProblem(pts, p, 1.0), tol=1e-4 * want)
         good = abs(sol.value - want) <= 1e-4 * want
         checks.append(
@@ -248,7 +248,7 @@ def _suite_q1_witness(seed, budget):
     dists = np.abs(cfg.dense_tuple((0, 1, 2, 3)).astype(np.int64) - y).sum(axis=1).tolist()
     for i, dist in enumerate(dists):
         checks.append(_check(f"vector{i}", dist == expected, {"l1": dist, "expected": expected}))
-    checks.append(_check("total-p1", sum(dists) == int(q1_value_formula(4, 4, 3, 6, 1))))
+    checks.append(_check("total-p1", sum(dists) == int(q1_value_formula(4, 4, 6, 1))))
     return checks
 
 
@@ -271,7 +271,6 @@ def _suite_qinf_nonclique(seed, budget):
     checks = []
     g = cycle_graph(5)
     for k, floor_fn in ((3, lambda p: 2.0), (4, lambda p: 2.0 + (k - 2) / 2.0**p)):
-        cfg = embed_xi(g, k, p=1.0)
         for p in (1.0, 2.0):
             cfg_p = embed_xi(g, k, p=p)
             res = solve_chub(cfg_p, tol=1e-6)

@@ -137,7 +137,7 @@ def test_criterion_3_q1_value_formula():
     pts = cfg.dense_tuple((0, 1, 2, 3)).astype(float)
     try:
         for p in (1.0, 2.0):
-            want = float(q1_value_formula(4, 4, 3, 6, p))
+            want = float(q1_value_formula(4, 4, 6, p))
             sol = solve_fpq(FpqProblem(pts, p, 1.0), tol=1e-4 * want / 2)
             assert abs(sol.value - want) <= 1e-4 * want, (p, sol.value, want)
         y = q1_clique_witness(cfg, (0, 1, 2, 3))

@@ -199,3 +199,99 @@ def test_all_verify_suites_pass_at_small_budget():
     for sid in SUITES:
         rep = verify_lemma(sid, seed=0, budget=0.25)
         assert rep["passed"], (sid, [c for c in rep["checks"] if not c["passed"]][:2])
+
+
+REPORT_KEYS = {"command", "config_hash", "seed", "timings", "results", "version"}
+BARY_INST = {
+    "p": 2.0,
+    "q": 2.0,
+    "measures": [
+        {"d": 1, "atoms": [[0.1], [0.5]], "masses": [0.25, 0.75]},
+        {"d": 1, "atoms": [[-0.4]], "masses": [1.0]},
+    ],
+}
+
+
+def _input_files():
+    Path("inst.json").write_text(json.dumps(BARY_INST))
+    main(["graph", "gen", "--family", "complete", "--n", "4", "--out", "g.json", "--quiet"])
+    main(["embed", "--graph", "g.json", "--k", "3", "--p", "2", "--q", "2", "--out", "pts.json",
+          "--quiet"])
+
+
+def _json_report(argv, capsys, code=0):
+    assert main(argv + ["--json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == REPORT_KEYS and "total" in report["timings"]
+    assert report["command"] == " ".join(argv + ["--json"])
+    return report
+
+
+def test_product_commands_write_their_product_and_print_the_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("inst.json").write_text(json.dumps(BARY_INST))
+    rep = _json_report(["graph", "gen", "--family", "cycle", "--n", "5", "--out", "g.json"], capsys)
+    assert rep["results"] == {"n": 5, "edges": 5, "regular": True, "out": "g.json"}
+    assert set(json.loads(Path("g.json").read_text())) == {"n", "edges"}
+    rep = _json_report(["embed", "--graph", "g.json", "--k", "3", "--p", "2", "--q", "2",
+                        "--out", "pts.json", "--seed", "4"], capsys)
+    assert rep["seed"] == 4 and rep["timings"].keys() == {"total"}
+    assert rep["results"] == {"regime": "Q22", "k": 3, "n": 5, "d": 75, "out": "pts.json"}
+    assert json.loads(Path("pts.json").read_text())["regime"] == "Q22"
+    rep = _json_report(["bary", "uniformize", "--instance", "inst.json", "--eps", "0.5",
+                        "--out", "u.json"], capsys)
+    assert rep["results"] == {"N": 128, "eps": 0.5, "out": "u.json"}
+    assert "measures" in json.loads(Path("u.json").read_text())
+    # without --json the summary line is the results
+    assert main(["graph", "gen", "--family", "cycle", "--n", "5", "--out", "g.json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 5, "edges": 5, "regular": True, "out": "g.json"
+    }
+
+
+@pytest.mark.parametrize("argv, stages", [
+    (["chub", "--points", "pts.json", "--out", "rep.json"], {"total"}),
+    (["bary", "solve", "--instance", "inst.json", "--out", "rep.json"], {"total"}),
+    (["bary", "solve", "--instance", "inst.json", "--method", "borgwardt", "--out", "rep.json"],
+     {"total"}),
+    (["reduce", "--graph", "g.json", "--k", "3", "--p", "2", "--q", "2", "--report", "rep.json"],
+     {"build", "decide", "oracle", "total"}),
+    (["verify", "--lemma", "q1-witness", "--report", "rep.json"], {"total"}),
+], ids=["chub", "bary-solve-mot", "bary-solve-borgwardt", "reduce", "verify"])
+def test_report_commands_write_the_report(tmp_path, capsys, monkeypatch, argv, stages):
+    monkeypatch.chdir(tmp_path)
+    _input_files()
+    rep = _json_report(argv, capsys)
+    assert json.loads(Path("rep.json").read_text()) == rep
+    assert rep["timings"].keys() == stages
+
+
+def test_verify_prints_its_checks(capsys, monkeypatch):
+    assert main(["verify", "--lemma", "q1-witness"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[PASS] q1-witness::vector0"
+    assert lines[-2:] == ["[PASS] q1-witness::total-p1", "PASS q1-witness"]
+    failing = [{"name": "a", "passed": True}, {"name": "b", "passed": False, "detail": {"x": 1}}]
+    monkeypatch.setitem(SUITES, "q1-witness", lambda seed, budget: failing)
+    assert main(["verify", "--lemma", "q1-witness"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] q1-witness::a", "[FAIL] q1-witness::b", '       {"x": 1}', "FAIL q1-witness",
+    ]
+    rep = _json_report(["verify", "--lemma", "q1-witness"], capsys, code=1)
+    assert rep["results"] == {"id": "q1-witness", "passed": False, "checks": failing}
+
+
+def test_cap_errors_exit_3_with_their_message(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _input_files()
+    for argv, message in (
+        (["chub", "--points", "pts.json", "--cap", "5"], "enumerating 64 tuples exceeds cap 5"),
+        (["bary", "solve", "--instance", "inst.json", "--cap", "1"],
+         "MOT LP with 2 variables exceeds cap 1"),
+        (["bary", "solve", "--instance", "inst.json", "--method", "borgwardt", "--cap", "1"],
+         "union-support LP with 12 variables exceeds cap 1"),
+    ):
+        assert main(argv + ["--out", "rep.json"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"resource cap: {message}\n"
+        assert not Path("rep.json").exists()

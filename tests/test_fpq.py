@@ -82,13 +82,13 @@ def test_closed_form_matches_generic_solver():
 
 
 def test_q1_value_formula():
-    assert q1_value_formula(4, 4, 3, 6, 1) == 456
-    assert q1_value_formula(4, 4, 3, 0, 1) == 480
-    assert q1_value_formula(4, 4, 3, 6, 2) == Fraction(456**2, 4) == 51984
+    assert q1_value_formula(4, 4, 6, 1) == 456
+    assert q1_value_formula(4, 4, 0, 1) == 480
+    assert q1_value_formula(4, 4, 6, 2) == Fraction(456**2, 4) == 51984
     with pytest.raises(InputError):
-        q1_value_formula(4, 3, 3, 0, 1)  # odd k
+        q1_value_formula(4, 3, 0, 1)  # odd k
     with pytest.raises(InputError):
-        q1_value_formula(1, 2, 1, 100, 1)  # negative base
+        q1_value_formula(1, 2, 100, 1)  # negative base
 
 
 def test_q1_exact_median_solver_on_clique_tuple():
@@ -118,7 +118,7 @@ def test_q1_clique_witness_identities():
     total = sum(
         int(np.abs(cfg.points[i, i].astype(np.int64) - y).sum()) for i in range(4)
     )
-    assert total == q1_value_formula(4, 4, 3, 6, 1)
+    assert total == q1_value_formula(4, 4, 6, 1)
 
 
 def test_q1_clique_witness_k2():
@@ -565,6 +565,18 @@ def test_newton_leaves_a_non_optimal_data_point(x, optimum):
     assert sol.method == "newton" and sol.tolerance <= 1e-8
     assert abs(sol.value - optimum) <= 1e-9
     assert sol.lower_bound <= optimum + 1e-10  # optimum is rounded to 1e-10
+
+
+def test_newton_steps_out_of_a_non_optimal_data_point():
+    # p = 1: the iterate reaches x_0, which is not optimal, and leaves it along
+    # its steepest descent direction; the optimum lies about 1e-4 from x_0
+    x = np.array([[2.0, -2.0], [1.0, -2.0], [3.0, 2.0]])
+    sol = solve_fpq(FpqProblem(x, 1, 1.5), tol=1e-9)
+    assert sol.method == "newton" and sol.tolerance <= 1e-9
+    assert sol.lower_bound <= sol.value
+    assert 0 < np.abs(sol.minimizer - x[0]).max() < 1e-3
+    assert sol.value == pytest.approx(5.326748321983024, abs=1e-9)
+    assert fpq_objective(x, sol.minimizer, 1, 1.5) == pytest.approx(sol.value, rel=1e-15)
 
 
 def test_newton_stops_at_an_optimal_data_point():

@@ -45,7 +45,7 @@ def test_max_multiset_edges_examples():
 
 def test_max_multiset_edges_cap():
     with pytest.raises(ResourceCapError):
-        max_multiset_edges(K4, 3, cap=10)
+        max_multiset_edges(K4, 12)
 
 
 def test_has_k_clique_examples():
