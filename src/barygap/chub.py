@@ -5,7 +5,7 @@ so the tuple at flat position f is ``np.unravel_index(f, shape)``.  Tuple
 quantities that are sums of per-position and per-pair terms come from one
 broadcast kernel, ``_grid_blocks``: it adds unary tables u_i[t_i] and pair
 tables T_ij[t_i, t_j], each reshaped onto its axes, over blocks of
-``CHUNK`` flat positions.  It gives the p=q=2 Gram values, the class keys
+``CHUNK`` flat positions.  It gives the p=q=2 Gram values, the class codes
 below and ``graph.max_multiset_edges``.
 
 ``tuple_costs`` is the one place that turns support tuples into hub
@@ -14,11 +14,12 @@ values, for this sweep and for the multimarginal LP's cost tensor
 value, exactly in integers for the gadget and in Python ints for exact
 transport.  Elsewhere every tuple is one ``fpq.solve_fpq`` call, whose memo
 is keyed on the canonical hub problem.  For embedded configs the tuples are
-grouped by their induced edge pattern (plus the degree profile for the
-q=inf embedding of an irregular graph), each class represented by its first
-flat position.  That grouping trusts the config's source metadata: tuples
-with one key are taken to have one value.  Without a source graph every
-tuple is its own class.
+grouped by one int64 code: the induced edge pattern times b^k plus the
+positions' degree-rank digits, b the number of distinct degrees (so on a
+regular graph the code is the pattern).  Each class is represented by its
+first flat position.  That grouping trusts the config's source metadata:
+tuples with one code are taken to have one value.  Without a source graph
+every tuple is its own class.
 
 Classes are then merged into orbits under the position permutations that
 are proven symmetries of the config (Bödi, Herr and Joswig, *Algorithms for
@@ -29,7 +30,8 @@ signed column permutation, checked exactly on the points
 positions permuted by sigma are one hub problem up to an isometry of the
 norm, so they have one value.  Only (0 1), the k-cycle and the reversal are
 tested, and only when they move some class; a class's image under one is
-the class of its representative with the positions permuted.  One class
+the class of its code permuted by ``_permute_codes``, the helper the QIN
+pattern sweep (``reduction._qin_pattern_sweep``) uses too.  One class
 per orbit, the least, is solved, and every class takes its orbit's value.
 Every tuple still has its class's value; caching never prunes.  Without
 ``keep_per_tuple`` the sweep keeps only the classes, so its memory grows
@@ -81,8 +83,8 @@ def _pair_list(k):
 def _source_graph(config: PointConfig):
     src = config.source or {}
     if "graph" in src and src.get("embedding") in ("phi", "psi", "xi"):
-        return Graph.from_json(src["graph"]), src["embedding"]
-    return None, None
+        return Graph.from_json(src["graph"])
+    return None
 
 
 def chub_closed_form_22(g: Graph, k) -> Fraction:
@@ -105,15 +107,15 @@ def solve_chub(
 
     The p=q=2 regime is exact: integer Gram arithmetic gives every tuple's
     value as a Fraction, and the result carries ``value_exact``.  Elsewhere
-    inner solves run at tolerance tol/2, one per orbit of edge-pattern
-    classes under the position permutations proven on the points (one per
-    tuple when the config has no source graph); every class takes its
-    orbit's value, so the values, and the tensor of ``keep_per_tuple``, are
-    exactly symmetric under those permutations.  The method stays
-    ``class-cache[N]`` with N the number of classes.  The reported
-    ``tolerance`` is the larger of ``tol`` and the largest tolerance an
-    inner solve reports.  The value is the least class value, and the argmin
-    is the first tuple whose value is within ``tol`` of it.  ``keep_per_tuple``
+    inner solves run at tolerance tol/2, one per orbit of class codes
+    (edge pattern and degree digits) under the position permutations proven
+    on the points (one per tuple when the config has no source graph); every
+    class takes its orbit's value, so the values, and the tensor of
+    ``keep_per_tuple``, are exactly symmetric under those permutations.  The
+    method stays ``class-cache[N]`` with N the number of classes.  The
+    reported ``tolerance`` is the larger of ``tol`` and the largest tolerance
+    an inner solve reports.  The value is the least class value, and the
+    argmin is the first tuple whose value is within ``tol`` of it.  ``keep_per_tuple``
     keeps every tuple's value (float64, or Fractions on the exact path);
     without it a config with a source graph builds no array over all tuples.
     """
@@ -146,10 +148,11 @@ def solve_chub(
         )
 
     groups = list(config.points.astype(float))
-    graph, emb = _source_graph(config)
+    graph = _source_graph(config)
     if graph is not None:
-        reps, ids = _classes(_class_keys(config, graph, emb), keep_per_tuple)
-        roots = _class_orbits(config, graph, emb, reps)
+        unary, pairs, base = _key_tables(config, graph)
+        codes, reps, ids = _classes(_grid_blocks(shape, unary, pairs), keep_per_tuple)
+        roots = _class_orbits(config, codes, base)
         solved = np.flatnonzero(roots == np.arange(len(reps)))
         values, worst = tuple_costs(groups, config.p, config.q, None, tol / 2, reps[solved])
         values = values[np.searchsorted(solved, roots)]
@@ -261,45 +264,47 @@ def _unravel(flat, shape):
     return tuple(int(v) for v in np.unravel_index(flat, shape))
 
 
-def _key_tables(config, graph, emb):
-    """``_grid_blocks`` tables of the class keys: one (unary, pairs) per key column.
+def _key_tables(config, graph):
+    """``_grid_blocks`` tables of the class codes, and the degree base b.
 
-    Column 0 is the edge pattern: bit idx is set when the tuple's idx-th
-    position pair is an edge.  For xi on an irregular graph, column 1 codes
-    the degree profile, ordered as the degrees are: digit i is the rank of
-    position i's degree among the graph's distinct degrees.
+    A tuple's code is its edge pattern times b^k plus its degree digits:
+    bit idx of the pattern is set when the tuple's idx-th position pair is
+    an edge, and digit i (weight b^(k-1-i)) is the rank of position i's
+    degree among the graph's b distinct degrees.  On a regular graph b = 1
+    and the code is the pattern.
     """
     k = config.k
     pairs = _pair_list(k)
-    if len(pairs) > 62:
-        raise ResourceCapError(f"k={k} has too many pairs for pattern keys")
+    levels = sorted(set(graph.degrees))
+    base = len(levels)
+    if 2 ** len(pairs) * base**k >= 2**63:
+        raise ResourceCapError(f"k={k} over {base} degrees has too many class codes for int64")
     adj = graph.adjacency_matrix().astype(np.int64)
-    tables = [({}, {pair: adj << idx for idx, pair in enumerate(pairs)})]
-    if emb == "xi" and not graph.is_regular():
-        levels, _, rank, _ = unique_columns(np.array([graph.degrees]))
-        base = levels.shape[1]
-        tables.append(({i: rank * base ** (k - 1 - i) for i in range(k)}, {}))
-    return tables
+    rank = np.searchsorted(levels, graph.degrees)
+    # on a regular graph every digit is 0, so no degree table is added
+    unary = {i: rank * base ** (k - 1 - i) for i in range(k)} if base > 1 else {}
+    return unary, {pair: (adj << idx) * base**k for idx, pair in enumerate(pairs)}, base
 
 
-def _class_keys(config, graph, emb):
-    """Class-key columns of every tuple, block by block: yields (start, columns)."""
-    shape = (config.n,) * config.k
-    columns = [_grid_blocks(shape, *t) for t in _key_tables(config, graph, emb)]
-    return ((blocks[0][0], [sums for _, sums in blocks]) for blocks in zip(*columns))
+def _permute_codes(codes, perm, base=1):
+    """Codes of the tuples of ``codes`` with position i moved to perm[i].
 
-
-def _tuple_keys(tuples, tables):
-    """Class keys, as tuples of ints, of the rows of the (R, k) index array ``tuples``."""
-    cols = []
-    for unary, pairs in tables:
-        acc = np.zeros(len(tuples), dtype=np.int64)
-        for i, u in unary.items():
-            acc += u[tuples[:, i]]
-        for (i, j), table in pairs.items():
-            acc += table[tuples[:, i], tuples[:, j]]
-        cols.append(acc)
-    return list(zip(*(c.tolist() for c in cols)))
+    A ``_key_tables`` code over b = ``base`` degrees is a mixed-radix number:
+    the pattern's bits, most significant first, then the k degree digits.
+    The bit of pair (i, j) moves to that of (perm[i], perm[j]), digit i to
+    digit perm[i].
+    """
+    k = len(perm)
+    pairs = _pair_list(k)
+    m = len(pairs)
+    radix = (2,) * m + (base,) * k
+    digits = np.unravel_index(codes, radix)
+    moved = [None] * (m + k)
+    for idx, (i, j) in enumerate(pairs):
+        moved[m - 1 - pairs.index(tuple(sorted((perm[i], perm[j]))))] = digits[m - 1 - idx]
+    for i in range(k):
+        moved[m + perm[i]] = digits[m + i]
+    return np.ravel_multi_index(moved, radix)
 
 
 def _position_generators(k):
@@ -343,72 +348,63 @@ def _is_symmetry(points, perm, base=None):
 
 
 def _orbit_roots(size, maps):
-    """Least member of each item's orbit under the index maps ``maps``, by union-find."""
-    parent = list(range(size))
+    """Least member of each item's orbit under the permutations ``maps``.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    Each pass lowers every item's root to that of its images, then to its
+    root's root; it stops when no root moves, and then the roots are
+    constant on every cycle of every map, so on every orbit.
+    """
+    roots = np.arange(size)
+    while True:
+        new = roots
+        for image in maps:
+            new = np.minimum(new, new[image])
+        new = new[new]
+        if np.array_equal(new, roots):
+            return roots
+        roots = new
 
-    for image in maps:
-        for a, b in enumerate(image):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(a) for a in range(size)])
 
-
-def _class_orbits(config, graph, emb, reps):
+def _class_orbits(config, codes, base):
     """Orbit root (least class index) of each class under the proven symmetries.
 
-    A generator from ``_position_generators`` maps a class to the class of
-    its representative with the positions permuted, keyed by the same
-    tables as ``_class_keys``.  It is used only when it moves some class and
-    ``_is_symmetry`` proves it on the config's points.
+    ``codes`` are the sorted class codes over ``base`` degrees.  A generator
+    from ``_position_generators`` maps a class to the class of its code
+    permuted by ``_permute_codes``.  It is used only when it moves some
+    class and ``_is_symmetry`` proves it on the config's points.
     """
     k = config.k
-    tables = _key_tables(config, graph, emb)
-    tuples = np.stack(np.unravel_index(reps, (config.n,) * k), axis=1)
-    index = {key: c for c, key in enumerate(_tuple_keys(tuples, tables))}
-    identity = list(range(len(reps)))
-    maps, base = [], None
+    maps, proof = [], None
     for perm in _position_generators(k):
         # the image puts index t_i at position perm[i]; when the check
         # passes, group perm[i] is group i up to a signed column permutation
-        image = [index[key] for key in _tuple_keys(tuples[:, np.argsort(perm)], tables)]
-        if image == identity:
+        image = np.searchsorted(codes, _permute_codes(codes, perm, base))
+        if np.array_equal(image, np.arange(len(codes))):
             continue
-        if base is None:
-            base = _column_multiset(config.points.reshape(k * config.n, config.d))
-        if _is_symmetry(config.points, perm, base):
+        if proof is None:
+            proof = _column_multiset(config.points.reshape(k * config.n, config.d))
+        if _is_symmetry(config.points, perm, proof):
             maps.append(image)
-    return _orbit_roots(len(reps), maps)
+    return _orbit_roots(len(codes), maps)
 
 
 def _classes(blocks, keep):
-    """First flat position of each distinct key, keys in lexicographic order.
+    """Distinct codes in increasing order and the first flat position of each.
 
-    ``blocks`` yields (start, columns) as ``_class_keys`` does; each block's
-    distinct keys come from ``unique_columns`` and are merged in a dict of
-    first flat positions.  Returns the representatives and, with ``keep``,
-    every tuple's class index (else None).
+    ``blocks`` yields (start, codes) as ``_grid_blocks`` does; the distinct
+    codes of each block, then those of all blocks, come from
+    ``unique_columns``.  Returns the codes, the representatives and, with
+    ``keep``, every tuple's class index (else None).
     """
-    first, codes = {}, []
-    for start, cols in blocks:
-        x = np.stack(cols)
+    seen, firsts, kept = [], [], []
+    for start, codes in blocks:
         # nonnegative codes; the narrowest dtype keeps their order and sorts fastest
-        uniq, at, inverse, _ = unique_columns(x.astype(np.min_scalar_type(int(x.max()))))
-        uniq = [tuple(key) for key in uniq.T.tolist()]
-        for key, f in zip(uniq, at.tolist()):
-            first.setdefault(key, start + f)
+        narrow = codes.astype(np.min_scalar_type(int(codes.max())))
+        uniq, at, _, _ = unique_columns(narrow[None])
+        seen.append(uniq[0].astype(np.int64))
+        firsts.append(start + at)
         if keep:
-            codes.append((uniq, inverse))
-    order = sorted(first)
-    reps = np.array([first[key] for key in order])
-    if not keep:
-        return reps, None
-    index = {key: c for c, key in enumerate(order)}
-    ids = [np.array([index[key] for key in uniq])[inverse] for uniq, inverse in codes]
-    return reps, np.concatenate(ids)
+            kept.append(codes)
+    uniq, at, _, _ = unique_columns(np.concatenate(seen)[None])
+    ids = np.searchsorted(uniq[0], np.concatenate(kept)) if keep else None
+    return uniq[0], np.concatenate(firsts)[at], ids

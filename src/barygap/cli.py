@@ -106,12 +106,10 @@ def _cmd_graph_gen(args):
         g = circulant_graph(args.n, [int(s) for s in args.offsets.split(",")])
     elif fam == "petersen":
         g = petersen_graph()
-    elif fam == "random-regular":
+    else:  # random-regular, the last of the parser's choices
         if args.degree is None:
             raise InputError("random-regular generation needs --degree")
         g = random_regular_graph(args.n, args.degree, seed=args.seed)
-    else:
-        raise InputError(f"unknown family {fam!r}")
     g.save(args.out)
     return {"n": g.n, "edges": len(g.edges), "regular": g.is_regular(), "out": args.out}, {}, 0
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, _transport_lp
-from .chub import _orbit_roots, _position_generators, solve_chub
+from .chub import _orbit_roots, _pair_list, _permute_codes, _position_generators, solve_chub
 from .embed import (
     PointConfig,
     collection_from_pattern,
@@ -84,19 +84,15 @@ def _qin_pattern_sweep(k, D, p, q, tol):
 
     Permuting the k positions maps a pattern's collection to that of the
     permuted pattern (``collection_from_pattern`` is equivariant), so one
-    solve serves each orbit of patterns, the one of its least mask.
+    solve serves each orbit of patterns, the one of its least mask.  A mask
+    is a class code over one degree, so ``_permute_codes`` moves it.
     """
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pairs = _pair_list(k)
     npairs = len(pairs)
     if 2**npairs > 2**20:
         raise ResourceCapError(f"pattern sweep for k={k} has 2^{npairs} cases")
     masks = np.arange(2**npairs)
-    maps = []
-    for perm in _position_generators(k):
-        image = np.zeros_like(masks)
-        for b, (i, j) in enumerate(pairs):
-            image |= (masks >> b & 1) << pairs.index(tuple(sorted((perm[i], perm[j]))))
-        maps.append(image.tolist())
+    maps = [_permute_codes(masks, perm) for perm in _position_generators(k)]
     roots = _orbit_roots(len(masks), maps)
     f_complete = None
     lower_other = math.inf

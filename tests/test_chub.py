@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 import barygap.chub
 import barygap.fpq
 from barygap.chub import (
-    _class_keys,
     _class_orbits,
     _classes,
+    _grid_blocks,
     _gram_costs,
     _is_symmetry,
+    _key_tables,
+    _orbit_roots,
+    _pair_list,
+    _permute_codes,
     _position_generators,
     chub_closed_form_22,
     solve_chub,
@@ -244,33 +248,89 @@ def _graph_case(draw):
     n = draw(st.integers(3, 5))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     g = Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
-    return g, draw(st.integers(1, 4)), draw(st.sampled_from(["phi", "xi"])), draw(st.integers(1, 9))
+    return g, draw(st.integers(1, 4)), draw(st.integers(1, 9))
+
+
+def _class_code(g, t):
+    # edge-pattern bits times b^k plus the positions' degree-rank digits,
+    # b the number of distinct degrees
+    k = len(t)
+    levels = sorted(set(g.degrees))
+    bits = sum(int(g.has_edge(t[i], t[j])) << idx for idx, (i, j) in enumerate(_pair_list(k)))
+    digits = sum(levels.index(g.degrees[v]) * len(levels) ** (k - 1 - i) for i, v in enumerate(t))
+    return bits * len(levels) ** k + digits
 
 
 @settings(max_examples=60, deadline=None)
 @given(_graph_case())
 def test_class_keys_and_groups_match_a_tuple_loop(case):
-    # edge-pattern bits, plus the degree profile for xi on an irregular graph,
-    # grouped by the first flat position of each key across blocks
-    g, k, emb, chunk = case
+    # one code per tuple, with degree digits on every graph, grouped by the
+    # first flat position of each code across blocks
+    g, k, chunk = case
     cfg = PointConfig(np.zeros((k, g.n, 1), dtype=np.int8), 1.0, math.inf)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    want = []
-    for t in itertools.product(range(g.n), repeat=k):
-        bits = sum(int(g.has_edge(t[i], t[j])) << idx for idx, (i, j) in enumerate(pairs))
-        degs = tuple(g.degrees[v] for v in t) if emb == "xi" and not g.is_regular() else ()
-        want.append((bits,) + degs)
+    want = [_class_code(g, t) for t in itertools.product(range(g.n), repeat=k)]
+    unary, pairs, base = _key_tables(cfg, g)
+    assert base == len(set(g.degrees))
     with mock.patch.object(barygap.chub, "CHUNK", chunk):
-        blocks = list(_class_keys(cfg, g, emb))
-        reps, ids = _classes(iter(blocks), keep=True)
-        bare, none = _classes(_class_keys(cfg, g, emb), keep=False)
+        blocks = list(_grid_blocks((g.n,) * k, unary, pairs))
+        codes, reps, ids = _classes(iter(blocks), keep=True)
+        _, bare, none = _classes(_grid_blocks((g.n,) * k, unary, pairs), keep=False)
     assert np.array_equal(reps, bare) and none is None
     assert [start for start, _ in blocks] == list(range(0, g.n**k, chunk))
-    bits = np.concatenate([cols[0] for _, cols in blocks])
-    assert bits.tolist() == [key[0] for key in want]
+    assert np.concatenate([block for _, block in blocks]).tolist() == want
     order = sorted(set(want))
+    assert codes.tolist() == order
     assert reps.tolist() == [want.index(key) for key in order]
     assert [order[c] for c in ids] == want
+
+
+@st.composite
+def _permutation_case(draw):
+    if draw(st.booleans()):
+        g, _, _ = draw(_graph_case())
+    else:
+        n = draw(st.sampled_from([4, 6]))
+        g = random_regular_graph(n, draw(st.integers(1, n - 1)), seed=draw(st.integers(0, 9)))
+    k = draw(st.integers(2, 5))
+    return g, k, draw(st.integers(0, g.n**k - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permutation_case())
+def test_permuted_codes_are_the_codes_of_permuted_tuples(case):
+    # on regular and irregular graphs and for every permutation of the
+    # positions, not only the generators: moving position i to perm[i]
+    # moves the code as _permute_codes says
+    g, k, flat = case
+    t = tuple(int(v) for v in np.unravel_index(flat, (g.n,) * k))
+    base = len(set(g.degrees))
+    code = np.array([_class_code(g, t)])
+    for perm in itertools.permutations(range(k)):
+        moved = [0] * k
+        for i, v in enumerate(t):
+            moved[perm[i]] = v
+        assert _permute_codes(code, perm, base).tolist() == [_class_code(g, moved)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda size: st.lists(st.permutations(range(size)), max_size=3).map(lambda maps: (size, maps))
+))
+def test_orbit_roots_are_the_least_member_of_each_closure(case):
+    # an orbit is the closure under every map and its inverse
+    size, maps = case
+    want = []
+    for a in range(size):
+        orbit, todo = {a}, [a]
+        while todo:
+            b = todo.pop()
+            for image in maps:
+                for c in (image[b], image.index(b)):
+                    if c not in orbit:
+                        orbit.add(c)
+                        todo.append(c)
+        want.append(min(orbit))
+    assert _orbit_roots(size, maps).tolist() == want
 
 
 @pytest.mark.parametrize("cfg", [
@@ -294,7 +354,7 @@ def test_class_sweep_over_a_wide_key_space_matches_per_tuple_solves(cfg):
 @settings(max_examples=40, deadline=None)
 @given(_graph_case())
 def test_max_multiset_edges_matches_a_tuple_loop(case):
-    g, k, _, chunk = case
+    g, k, chunk = case
     with mock.patch.object(barygap.chub, "CHUNK", chunk):
         got = max_multiset_edges(g, k)
     assert got == max(induced_edge_count(g, t) for t in itertools.product(range(g.n), repeat=k))
@@ -347,8 +407,8 @@ def test_orbit_sweep_values_match_each_tuples_own_solve(cfg, tol, sample):
     shape = (cfg.n,) * cfg.k
     flats = range(cfg.n**cfg.k)
     if sample is not None:
-        graph, emb = barygap.chub._source_graph(cfg)
-        reps, _ = _classes(_class_keys(cfg, graph, emb), keep=False)
+        unary, pairs, _ = _key_tables(cfg, barygap.chub._source_graph(cfg))
+        _, reps, _ = _classes(_grid_blocks(shape, unary, pairs), keep=False)
         rng = np.random.default_rng(0)
         flats = sorted(set(reps.tolist()) | set(rng.integers(0, cfg.n**cfg.k, sample).tolist()))
     barygap.fpq._MEMO.clear()
@@ -374,9 +434,9 @@ def test_a_flipped_point_entry_merges_no_classes(monkeypatch):
     res = solve_chub(cfg, tol=1e-3)
     assert res.method == "class-cache[15]" and len(calls) == 5
     del calls[:]
-    graph, emb = barygap.chub._source_graph(flipped)
-    reps, _ = _classes(_class_keys(flipped, graph, emb), keep=False)
-    assert _class_orbits(flipped, graph, emb, reps).tolist() == list(range(15))
+    unary, pairs, base = _key_tables(flipped, barygap.chub._source_graph(flipped))
+    codes, _, _ = _classes(_grid_blocks((4,) * 4, unary, pairs), keep=False)
+    assert _class_orbits(flipped, codes, base).tolist() == list(range(15))
     res = solve_chub(flipped, tol=1e-3)
     assert res.method == "class-cache[15]" and len(calls) == 15
 
