@@ -14,7 +14,7 @@ values, for this sweep and for the multimarginal LP's cost tensor
 value, exactly in integers for the gadget and in Python ints for exact
 transport.  Elsewhere every tuple is one ``fpq.solve_fpq`` call, whose memo
 is keyed on the canonical hub problem.  For embedded configs the tuples are
-grouped by one int64 code: the induced edge pattern times b^k plus the
+grouped by one integer code: the induced edge pattern times b^k plus the
 positions' degree-rank digits, b the number of distinct degrees (so on a
 regular graph the code is the pattern).  Each class is represented by its
 first flat position.  That grouping trusts the config's source metadata:
@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .embed import PointConfig
-from .errors import InputError, ResourceCapError, check_cap
+from .errors import InputError, check_cap
 from .fpq import FpqProblem, solve_fpq, unique_columns
 from .graph import DEFAULT_ENUM_CAP, Graph, max_multiset_edges
 
@@ -271,40 +271,38 @@ def _key_tables(config, graph):
     bit idx of the pattern is set when the tuple's idx-th position pair is
     an edge, and digit i (weight b^(k-1-i)) is the rank of position i's
     degree among the graph's b distinct degrees.  On a regular graph b = 1
-    and the code is the pattern.
+    and the code is the pattern.  The tables are int64 when every code fits
+    and Python ints otherwise.
     """
     k = config.k
     pairs = _pair_list(k)
     levels = sorted(set(graph.degrees))
     base = len(levels)
-    if 2 ** len(pairs) * base**k >= 2**63:
-        raise ResourceCapError(f"k={k} over {base} degrees has too many class codes for int64")
-    adj = graph.adjacency_matrix().astype(np.int64)
-    rank = np.searchsorted(levels, graph.degrees)
+    dtype = np.int64 if 2 ** len(pairs) * base**k <= 2**63 else object
+    adj = graph.adjacency_matrix().astype(dtype)
+    rank = np.searchsorted(levels, graph.degrees).astype(dtype)
     # on a regular graph every digit is 0, so no degree table is added
     unary = {i: rank * base ** (k - 1 - i) for i in range(k)} if base > 1 else {}
     return unary, {pair: (adj << idx) * base**k for idx, pair in enumerate(pairs)}, base
 
 
 def _permute_codes(codes, perm, base=1):
-    """Codes of the tuples of ``codes`` with position i moved to perm[i].
+    """Codes of the tuples of ``codes`` (1-D) with position i moved to perm[i].
 
-    A ``_key_tables`` code over b = ``base`` degrees is a mixed-radix number:
-    the pattern's bits, most significant first, then the k degree digits.
-    The bit of pair (i, j) moves to that of (perm[i], perm[j]), digit i to
-    digit perm[i].
+    A ``_key_tables`` code over b = ``base`` degrees is the pattern times
+    b^k plus k degree digits.  The bit of pair (i, j) moves to that of
+    (perm[i], perm[j]), digit i (weight b^(k-1-i)) to digit perm[i]; the
+    moves are integer arithmetic, in the codes' own dtype.
     """
     k = len(perm)
     pairs = _pair_list(k)
-    m = len(pairs)
-    radix = (2,) * m + (base,) * k
-    digits = np.unravel_index(codes, radix)
-    moved = [None] * (m + k)
-    for idx, (i, j) in enumerate(pairs):
-        moved[m - 1 - pairs.index(tuple(sorted((perm[i], perm[j]))))] = digits[m - 1 - idx]
-    for i in range(k):
-        moved[m + perm[i]] = digits[m + i]
-    return np.ravel_multi_index(moved, radix)
+    dest = [pairs.index(tuple(sorted((perm[i], perm[j])))) for i, j in pairs]
+    bits = (codes // base**k)[:, None] >> np.arange(len(pairs)) & 1
+    out = (bits << dest).sum(axis=1) * base**k
+    if base > 1:
+        ranks = (codes % base**k)[:, None] // base ** np.arange(k - 1, -1, -1) % base
+        out = out + (ranks * base ** (k - 1 - np.array(perm))).sum(axis=1)
+    return out
 
 
 def _position_generators(k):
@@ -401,7 +399,7 @@ def _classes(blocks, keep):
         # nonnegative codes; the narrowest dtype keeps their order and sorts fastest
         narrow = codes.astype(np.min_scalar_type(int(codes.max())))
         uniq, at, _, _ = unique_columns(narrow[None])
-        seen.append(uniq[0].astype(np.int64))
+        seen.append(uniq[0].astype(codes.dtype))
         firsts.append(start + at)
         if keep:
             kept.append(codes)

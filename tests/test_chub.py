@@ -339,14 +339,51 @@ def test_orbit_roots_are_the_least_member_of_each_closure(case):
 ])
 def test_class_sweep_over_a_wide_key_space_matches_per_tuple_solves(cfg):
     # k=7 has 21 position pairs, so 2^21 edge-pattern codes, and xi on the
-    # irregular path adds a degree column; each of the 3^7 tuples must get
-    # its own solve's value up to the two reported tolerances
+    # irregular path multiplies that by 2^7 with degree digits; each of the
+    # 3^7 tuples must get its own solve's value up to the two reported
+    # tolerances
     tol = 1e-6
     full = solve_chub(cfg, tol=tol, keep_per_tuple=True)
     assert full.method.startswith("class-cache[") and len(full.per_tuple) == 3**7
     assert full.value == full.per_tuple.min()
     barygap.fpq._MEMO.clear()
     for flat, t in enumerate(np.ndindex(*(cfg.n,) * cfg.k)):
+        sol = solve_fpq(FpqProblem(cfg.dense_tuple(t).astype(float), cfg.p, cfg.q), tol=tol / 2)
+        assert abs(full.per_tuple[flat] - sol.value) <= full.tolerance + sol.tolerance
+
+
+@pytest.mark.parametrize("cfg, dtype", [
+    (embed_phi(complete_graph(3), 8, p=1.0, q=1.5), np.int64),
+    (embed_phi(complete_graph(3), 11, p=1.0, q=1.5), np.int64),
+    (embed_xi(Graph.from_edges(3, [(0, 1), (1, 2)]), 11, p=1.0), object),
+], ids=["phi-k8", "phi-k11", "xi-irregular-k11"])
+def test_wide_sweeps_code_and_permute_every_sampled_tuple(cfg, dtype):
+    # a code has C(k,2) pattern bits and k degree digits: 36 at k=8 and 66
+    # at k=11, past the 32 or 64 axes of numpy's ravel_multi_index; on the
+    # irregular path 2^55 * 2^11 codes overflow int64, so the codes are
+    # Python ints.  Sampled tuples must have their
+    # own codes, moved by every generator and a random permutation as their
+    # positions are, and their own solve's value up to the two tolerances
+    tol = 1e-6
+    g = barygap.chub._source_graph(cfg)
+    shape = (cfg.n,) * cfg.k
+    unary, pairs, base = _key_tables(cfg, g)
+    codes, _, ids = _classes(_grid_blocks(shape, unary, pairs), keep=True)
+    assert codes.dtype == dtype
+    full = solve_chub(cfg, tol=tol, keep_per_tuple=True)
+    assert full.method == f"class-cache[{len(codes)}]" and full.value == full.per_tuple.min()
+    rng = np.random.default_rng(0)
+    flats = rng.integers(0, cfg.n**cfg.k, 20)
+    perms = _position_generators(cfg.k) + [rng.permutation(cfg.k).tolist()]
+    barygap.fpq._MEMO.clear()
+    for flat in flats.tolist():
+        t = [int(v) for v in np.unravel_index(flat, shape)]
+        assert codes[ids[flat]] == _class_code(g, t)
+        for perm in perms:
+            moved = [0] * cfg.k
+            for i, v in enumerate(t):
+                moved[perm[i]] = v
+            assert _permute_codes(codes[ids[[flat]]], perm, base).tolist() == [_class_code(g, moved)]
         sol = solve_fpq(FpqProblem(cfg.dense_tuple(t).astype(float), cfg.p, cfg.q), tol=tol / 2)
         assert abs(full.per_tuple[flat] - sol.value) <= full.tolerance + sol.tolerance
 
