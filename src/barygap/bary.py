@@ -133,8 +133,8 @@ class BaryInstance:
             if w.shape != (k,) or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
                 raise InputError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
-        if self.p < 1 or not (self.q >= 1):
-            raise InputError(f"need p >= 1 and q in [1, inf], got ({self.p}, {self.q})")
+        if not 1 <= self.p < math.inf or not self.q >= 1:
+            raise InputError(f"need finite p >= 1 and q in [1, inf], got ({self.p}, {self.q})")
 
     @property
     def k(self):

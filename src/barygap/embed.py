@@ -10,11 +10,14 @@ Three embeddings map the k groups x n vertices of a graph to points in
 * ``embed_xi``   -- asymmetric signed embedding, used for q = inf.
 
 Each returns a ``PointConfig``: the (k, n, d) int8 array it built, with p, q
-and its source graph.  Coordinates are laid out deterministically: group
-pairs (l, l') with l < l' in lexicographic order, then u, then u'
-(0-indexed vertices), and for psi a final sign channel s in {+1, -1} with
-+1 first.  Serialized configs, each point as its (coordinate, value) pairs,
-are therefore bit-reproducible.
+and its source graph.  All three share one layout, the (k, n, C(k,2), n, n,
+c) array of point group i, vertex v, group pair (l, l') with l < l' in
+lexicographic order, u, u' (0-indexed vertices) and channel, reshaped to
+(k, n, d); c = 1, except for psi's sign channel s in {+1, -1} with +1 first.
+On pair block (l, l') point (l, v) writes the row u = v and point (l', v)
+the column u' = v; psi also fills the block of every other group.
+Serialized configs, each point as its (coordinate, value) pairs, are
+therefore bit-reproducible.
 
 The module also holds what reads a config or the psi layout: the clique
 witnesses and the q=1 value bound, and the overlap collections that the
@@ -39,6 +42,8 @@ from .graph import Graph
 
 
 def regime_for(p, q) -> str:
+    if not 1 <= p < math.inf:
+        raise InputError(f"p must be a finite number >= 1, got {p}")
     if q == 1:
         return "Q1"
     if q == math.inf:
@@ -58,22 +63,12 @@ def pair_index(k, l, lp) -> int:
     return l * k - l * (l + 1) // 2 + (lp - l - 1)
 
 
-def phi_dimension(n, k):
-    return math.comb(k, 2) * n * n
-
-
 def psi_dimension(n, k):
     return 2 * math.comb(k, 2) * n * n
 
 
 def phi_coord(n, k, l, u, lp, up):
     return pair_index(k, l, lp) * n * n + u * n + up
-
-
-def psi_coord(n, k, l, u, lp, up, s):
-    """Flat psi coordinate; s = +1 or -1, +1 stored first."""
-    s_idx = 0 if s == 1 else 1
-    return (pair_index(k, l, lp) * n * n + u * n + up) * 2 + s_idx
 
 
 def tau(l, lp, i) -> int:
@@ -103,7 +98,8 @@ class PointConfig:
     """k groups of n points in {-1,0,1}^d.
 
     ``points`` is the (k, n, d) int8 array of the embedding: ``points[i, j]``
-    is the j-th point of group i.  The regime follows from (p, q).
+    is the j-th point of group i.  Any array of such values is stored as
+    int8; other values are refused.  The regime follows from (p, q).
     """
 
     points: np.ndarray
@@ -112,10 +108,16 @@ class PointConfig:
     source: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if np.ndim(self.points) != 3:
-            raise InputError(f"points must be a (k, n, d) array, got {np.shape(self.points)}")
-        if self.k < 1 or self.n < 1:
-            raise InputError(f"need k >= 1 groups of n >= 1 points, got k={self.k}, n={self.n}")
+        pts = np.asarray(self.points)
+        if pts.ndim != 3 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise InputError(f"points must be a (k, n, d) array, k, n >= 1, got {pts.shape}")
+        # the range check comes first, so the int8 cast cannot wrap
+        if pts.size and not -1 <= pts.min() <= pts.max() <= 1:
+            raise InputError("point values must lie in {-1, 0, 1}")
+        self.points = pts.astype(np.int8, copy=False)
+        if self.points is not pts and not np.array_equal(self.points, pts):
+            raise InputError("point values must lie in {-1, 0, 1}")
+        regime_for(self.p, self.q)
 
     @property
     def k(self):
@@ -172,14 +174,12 @@ class PointConfig:
             rows = np.repeat(np.arange(k * n), [len(pairs) for pairs in flat])
             coords = np.array([c for pairs in flat for c, _ in pairs])
             vals = np.array([v for pairs in flat for _, v in pairs])
-            # checked before the int8 cast, so nothing wraps or lands elsewhere
+            # checked before indexing, so no value lands elsewhere
             if coords.size and not (
                 coords.dtype.kind == "i" and 0 <= coords.min() and coords.max() < d
             ):
                 raise InputError(f"point coordinates must be integers in [0, {d})")
-            if not np.isin(vals, (-1, 0, 1)).all():
-                raise InputError("point values must lie in {-1, 0, 1}")
-            points = np.zeros((k * n, d), dtype=np.int8)
+            points = np.zeros((k * n, d), dtype=vals.dtype)
             points[rows, coords.astype(np.int64)] = vals
             return PointConfig(points.reshape(k, n, d), p, q, obj.get("source", {}))
         except (KeyError, TypeError, ValueError) as exc:
@@ -207,6 +207,26 @@ def _graph_source(g: Graph, name, k):
     }
 
 
+def _pair_blocks(k, n, left, right, filler=None):
+    """The module's layout, filled pair block by pair block, as (k, n, d).
+
+    On block e = (l, l') point (l, v) carries ``left[v]`` on its row u = v
+    and point (l', v) carries ``right[v]`` on its column u' = v; ``left``
+    and ``right`` broadcast to (n, n, c).  ``filler(l, l', i)``, when given,
+    fills the block of every other group i.
+    """
+    c = np.broadcast_shapes(np.shape(left), np.shape(right))[-1]
+    out = np.zeros((k, n, math.comb(k, 2), n, n, c), dtype=np.int8)
+    v = np.arange(n)
+    for e, (l, lp) in enumerate(combinations(range(k), 2)):
+        out[l, v, e, v] = left
+        out[lp, v, e, :, v] = right
+        if filler is not None:
+            for i in set(range(k)) - {l, lp}:
+                out[i, :, e] = filler(l, lp, i)
+    return out.reshape(k, n, math.comb(k, 2) * n * n * c)
+
+
 def embed_phi(g: Graph, k, p=2.0, q=2.0) -> PointConfig:
     """Shared-edge embedding: point (i, v) indicates edges of v on the pair
     blocks containing group i.
@@ -220,72 +240,34 @@ def embed_phi(g: Graph, k, p=2.0, q=2.0) -> PointConfig:
         raise InputError(f"k must be >= 1, got {k}")
     if q == 1 or q == math.inf:
         raise InputError("phi serves q in (1, inf); use psi for q=1, xi for q=inf")
-    n = g.n
-    d = phi_dimension(n, k)
-    dense = np.zeros((k, n, d), dtype=np.int8)
-    for l in range(k):
-        for lp in range(l + 1, k):
-            base = pair_index(k, l, lp) * n * n
-            for u, up in g.edges:
-                # both orientations of the edge occupy (u, u') and (u', u)
-                for a, b in ((u, up), (up, u)):
-                    coord = base + a * n + b
-                    dense[l, a, coord] = 1
-                    dense[lp, b, coord] = 1
-    return PointConfig(dense, p, q, _graph_source(g, "phi", k))
+    # both orientations of an edge occupy (u, u') and (u', u)
+    adj = g.adjacency_matrix()[:, :, None]
+    return PointConfig(_pair_blocks(k, g.n, adj, adj), p, q, _graph_source(g, "phi", k))
 
 
 def embed_psi(g: Graph, k, p=1.0) -> PointConfig:
-    """Signed two-channel embedding for the q=1 regime (k must be even)."""
+    """Signed two-channel embedding for the q=1 regime (k must be even):
+    (l, u) has s on channel s, (l', u') has s on edges and -s otherwise,
+    and every other group i fills the block with tau(l, l', i)."""
     if k % 2 != 0 or k < 2:
         raise InputError(f"embed_psi requires even k >= 2, got {k}")
     if not g.is_regular():
         raise InputError("embed_psi requires a regular graph")
-    n = g.n
-    d = psi_dimension(n, k)
-    dense = np.zeros((k, n, d), dtype=np.int8)
-    adj = g.adjacency_matrix()
-    for l in range(k):
-        for lp in range(l + 1, k):
-            base = pair_index(k, l, lp) * n * n * 2
-            block = slice(base, base + n * n * 2)
-            for i in range(k):
-                if i in (l, lp):
-                    continue
-                dense[i, :, block] = tau(l + 1, lp + 1, i + 1)
-            for v in range(n):
-                # (i, v) = (l, u): entry s on both sign channels
-                offs = base + (v * n + np.arange(n)) * 2
-                dense[l, v, offs] = 1
-                dense[l, v, offs + 1] = -1
-                # (i, v) = (lp, u'): entry s on edges, -s otherwise
-                offs = base + (np.arange(n) * n + v) * 2
-                sign = np.where(adj[:, v], 1, -1).astype(np.int8)
-                dense[lp, v, offs] = sign
-                dense[lp, v, offs + 1] = -sign
+    s = np.array([1, -1])
+    signs = np.where(g.adjacency_matrix().T, 1, -1)[:, :, None] * s
+    dense = _pair_blocks(k, g.n, s, signs, lambda l, lp, i: tau(l + 1, lp + 1, i + 1))
     return PointConfig(dense, p, 1.0, _graph_source(g, "psi", k))
 
 
 def embed_xi(g: Graph, k, p=1.0) -> PointConfig:
-    """Asymmetric signed embedding for the q=inf regime (needs n >= 3)."""
+    """Asymmetric signed embedding for the q=inf regime (needs n >= 3):
+    (l, u) has the sign of the edge (u, u'), (l', u') is always 1."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if g.n < 3:
         raise InputError(f"embed_xi requires n >= 3, got n={g.n}")
-    n = g.n
-    d = phi_dimension(n, k)
-    dense = np.zeros((k, n, d), dtype=np.int8)
-    adj = g.adjacency_matrix()
-    for l in range(k):
-        for lp in range(l + 1, k):
-            base = pair_index(k, l, lp) * n * n
-            for v in range(n):
-                # (i, v) = (l', u'): always 1
-                dense[lp, v, base + np.arange(n) * n + v] = 1
-                # (i, v) = (l, u): sign tracks adjacency of (v, u')
-                sign = np.where(adj[v, :], 1, -1).astype(np.int8)
-                dense[l, v, base + v * n + np.arange(n)] = sign
-    return PointConfig(dense, p, math.inf, _graph_source(g, "xi", k))
+    signs = np.where(g.adjacency_matrix(), 1, -1)[:, :, None]
+    return PointConfig(_pair_blocks(k, g.n, signs, 1), p, math.inf, _graph_source(g, "xi", k))
 
 
 def embed_auto(g: Graph, k, p, q) -> PointConfig:
@@ -333,15 +315,12 @@ def q1_clique_witness(config, vertex_tuple) -> np.ndarray:
     if g is None:
         raise InputError("config lacks source graph metadata")
     graph = Graph.from_json(g)
-    k, n = config.k, config.n
     vt = tuple(vertex_tuple)
-    y = np.zeros(config.d, dtype=np.int64)
-    for l in range(k):
-        for lp in range(l + 1, k):
-            if graph.has_edge(vt[l], vt[lp]):
-                y[psi_coord(n, k, l, vt[l], lp, vt[lp], 1)] = 1
-                y[psi_coord(n, k, l, vt[l], lp, vt[lp], -1)] = -1
-    return y
+    y = np.zeros((math.comb(config.k, 2), config.n, config.n, 2), dtype=np.int64)
+    for e, (l, lp) in enumerate(combinations(range(config.k), 2)):
+        if graph.has_edge(vt[l], vt[lp]):
+            y[e, vt[l], vt[lp]] = (1, -1)
+    return y.reshape(-1)
 
 
 def qinf_clique_witness(config, vertex_tuple) -> np.ndarray:

@@ -68,8 +68,8 @@ class FpqProblem:
             raise InputError(f"points must be a nonempty (k, d) array, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise InputError("points must be finite")
-        if self.p < 1:
-            raise InputError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise InputError(f"p must be a finite number >= 1, got {self.p}")
         if not (self.q >= 1):
             raise InputError(f"q must be in [1, inf], got {self.q}")
         object.__setattr__(self, "points", pts)

@@ -57,6 +57,13 @@ def test_measure_validation():
         DiscreteMeasure.uniform([[0.0, 1.0], [-0.0, 1.0]])  # -0.0 is 0.0
 
 
+@pytest.mark.parametrize("p, q", [(math.nan, 2), (math.inf, 2), (0.5, 2), (2, math.nan), (2, 0.5)])
+def test_instance_needs_finite_p_at_least_one_and_q_at_least_one(p, q):
+    m = DiscreteMeasure.uniform([[0.0], [1.0]])
+    with pytest.raises(InputError, match="need finite p >= 1"):
+        BaryInstance([m, m], p, q)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 4), st.data())
 def test_atom_distinctness_matches_numpy(m, d, data):

@@ -124,6 +124,18 @@ def test_exit_codes(tmp_path):
     assert main(["graph", "gen", "--family", "unknown", "--out", str(g)]) == 2
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "0.5"])
+def test_p_outside_finite_one_and_up_exits_2(tmp_path, p):
+    g, inst = tmp_path / "g.json", tmp_path / "inst.json"
+    main(["graph", "gen", "--family", "cycle", "--n", "5", "--out", str(g), "--quiet"])
+    for q in ("1", "2", "inf"):
+        assert main(["reduce", "--graph", str(g), "--k", "2", "--p", p, "--q", q, "--quiet"]) == 2
+    measure = {"d": 1, "atoms": [[0.0], [1.0]], "masses": [0.5, 0.5]}
+    inst.write_text(json.dumps({"p": float(p), "q": 2.0, "measures": [measure, measure]}))
+    for method in ("mot", "borgwardt"):
+        assert main(["bary", "solve", "--instance", str(inst), "--method", method, "--quiet"]) == 2
+
+
 @pytest.mark.parametrize(
     "coord, value", [(-1, 1), ("d", 1), (0, 5)], ids=["coord-negative", "coord-d", "value-5"]
 )

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,8 +13,12 @@ from barygap.embed import (
     embed_phi,
     embed_psi,
     embed_xi,
+    pair_index,
     phi_coord,
     PointConfig,
+    psi_dimension,
+    q1_clique_witness,
+    regime_for,
     tau,
     verify_collection,
 )
@@ -22,6 +27,7 @@ from barygap.graph import (
     Graph,
     complete_graph,
     cycle_graph,
+    even_k_doubling,
     induced_edge_count,
     petersen_graph,
     random_regular_graph,
@@ -139,6 +145,62 @@ def test_psi_tau_sum_inside_embedding():
                             if i not in (l, lp)
                         )
                         assert total == 0
+
+
+# ---------------------------------------------------------------------------
+# the coordinate layout
+
+
+def _layout_reference(g, k, emb):
+    """Every entry of an embedding, written from the documented formulas."""
+    n = g.n
+    d = psi_dimension(n, k) if emb == "psi" else math.comb(k, 2) * n * n
+    want = np.zeros((k, n, d), dtype=np.int8)
+    for l, lp in combinations(range(k), 2):
+        for u, up in product(range(n), repeat=2):
+            edge = g.has_edge(u, up)
+            if emb == "psi":
+                for c, s in enumerate((1, -1)):
+                    co = (pair_index(k, l, lp) * n * n + u * n + up) * 2 + c
+                    want[l, u, co], want[lp, up, co] = s, (s if edge else -s)
+                    for i in set(range(k)) - {l, lp}:
+                        want[i, :, co] = tau(l + 1, lp + 1, i + 1)
+            else:
+                co = phi_coord(n, k, l, u, lp, up)
+                want[l, u, co] = edge if emb == "phi" else (1 if edge else -1)
+                want[lp, up, co] = edge if emb == "phi" else 1
+    return want
+
+
+def test_embeddings_and_witness_follow_the_documented_layout():
+    irregular = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
+    regular = [K4, C5, petersen_graph(), random_regular_graph(8, 3, seed=5)]
+    cases = [(g, k, emb) for g in regular for k in range(1, 7)
+             for emb in ("phi", "xi", "psi") if emb != "psi" or k % 2 == 0]
+    cases += [(irregular, k, "xi") for k in range(1, 7)]
+    cases.append((*even_k_doubling(cycle_graph(4), 3), "psi"))
+    rng = np.random.default_rng(0)
+    for g, k, emb in cases:
+        if emb == "phi":
+            cfg = embed_phi(g, k, p=1.0, q=1.5)
+        elif emb == "psi":
+            cfg = embed_psi(g, k, p=1.0)
+        else:
+            cfg = embed_xi(g, k, p=2.0)
+        assert cfg.points.dtype == np.int8
+        assert np.array_equal(cfg.points, _layout_reference(g, k, emb)), (g.n, k, emb)
+        if emb != "psi":
+            continue
+        # the witness is s on both sign channels of every selected edge
+        for _ in range(20):
+            vt = tuple(int(v) for v in rng.integers(0, g.n, size=k))
+            want = np.zeros(cfg.d, dtype=np.int64)
+            for l, lp in combinations(range(k), 2):
+                if g.has_edge(vt[l], vt[lp]):
+                    co = (pair_index(k, l, lp) * g.n * g.n + vt[l] * g.n + vt[lp]) * 2
+                    want[co : co + 2] = (1, -1)
+            got = q1_clique_witness(cfg, vt)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (g.n, k, vt)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +429,36 @@ def test_point_config_files_are_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (name, emb)
         assert np.array_equal(PointConfig.load(path).points, cfg.points)
 
+
+
+def test_point_config_stores_int8_and_refuses_other_values():
+    pts = embed_phi(cycle_graph(4), 2).points
+    for copy in (pts.astype(np.int64), pts.astype(float), pts.astype(bool)):
+        cfg = PointConfig(copy, 2.0, 2.0)
+        assert cfg.points.dtype == np.int8 and np.array_equal(cfg.points, pts)
+    assert PointConfig(pts, 2.0, 2.0).points is pts
+    # group 1 moved by 0.4 in coordinate 0: the int16 cast of chub's symmetry
+    # proof would drop the move and prove the swap (0 1) on these points
+    moved = pts.astype(float)
+    moved[1, :, 0] += 0.4
+    bad = [moved]
+    for value in (2, -2, 255, 256, -129, math.nan, math.inf):
+        arr = pts.astype(float if isinstance(value, float) else np.int64)
+        arr[0, 0, 0] = value
+        bad.append(arr)
+    for arr in bad:
+        with pytest.raises(InputError, match="point values must lie in"):
+            PointConfig(arr, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_p_must_be_a_finite_number_at_least_one(p):
+    with pytest.raises(InputError, match="p must be a finite number >= 1"):
+        regime_for(p, 2.0)
+    with pytest.raises(InputError, match="p must be a finite number >= 1"):
+        PointConfig(np.zeros((2, 2, 1), dtype=np.int8), p, 2.0)
+    with pytest.raises(InputError, match="p must be a finite number >= 1"):
+        embed_psi(K4, 2, p=p)
 
 
 def test_point_config_json_keeps_empty_points_and_the_collector():

@@ -51,8 +51,10 @@ def test_trivial_examples():
 
 
 def test_input_validation():
-    with pytest.raises(InputError):
-        FpqProblem(np.array([[0.0]]), 0.5, 2)
+    # nan compares false against 1, so a plain p < 1 test lets it through
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(InputError, match="p must be a finite number >= 1"):
+            FpqProblem(np.array([[0.0]]), p, 2)
     with pytest.raises(InputError):
         FpqProblem(np.array([[0.0]]), 1, 0.5)
     with pytest.raises(InputError):
