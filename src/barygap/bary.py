@@ -11,13 +11,14 @@ mode; one inner hub solve per tuple elsewhere).  One helper,
 from the marginals' mass vectors and a flat cost array; the bary-mot
 clique decision (``reduction.decide_clique``) calls it on the hub sweep's
 per-tuple values, with no measure built.  It takes an assignment when two
-equal-size uniform marginals make the optimum a permutation (Birkhoff);
-the LP on axis-permutation orbits, C(n+k-1, k) columns instead of n^k, when
-the marginals are equal and the cost tensor is exactly symmetric (Bödi,
-Herr and Joswig, *Algorithms for highly symmetric linear and integer
-programs*, 2013); otherwise HiGHS on a sparse marginal matrix.  Exact mode
-proves HiGHS's vertex optimal in rationals (``simplex.solve_lp``).
-Desk-scale caps guard every enumeration.
+equal-size uniform marginals make the optimum a permutation (Birkhoff).
+Otherwise HiGHS solves one LP whose columns are the axis-permutation
+orbits, C(n+k-1, k) multisets instead of n^k tuples, when the marginals
+are equal and the cost tensor is exactly symmetric (Bödi, Herr and
+Joswig, *Algorithms for highly symmetric linear and integer programs*,
+2013), and every tuple otherwise.  Exact mode proves HiGHS's vertex
+optimal in rationals (``simplex.solve_lp``).  Desk-scale caps guard every
+enumeration.
 """
 
 from __future__ import annotations
@@ -43,10 +44,16 @@ UNIFORM_ATOM_CAP = 10**6
 
 
 def _norm_q(x, q):
-    x = np.asarray(x, dtype=float)
+    """l_q norm over the last axis."""
+    x = np.abs(np.asarray(x, dtype=float))
     if q == math.inf:
-        return float(np.abs(x).max()) if x.size else 0.0
-    return float((np.abs(x) ** q).sum() ** (1.0 / q))
+        return x.max(axis=-1, initial=0.0)
+    return (x**q).sum(axis=-1) ** (1.0 / q)
+
+
+def _uniform(a):
+    """True when every mass of ``a`` lies within 1e-12 of 1/len(a)."""
+    return bool((np.abs(a - 1 / len(a)) <= 1e-12).all())
 
 
 @dataclass
@@ -83,7 +90,7 @@ class DiscreteMeasure:
         return self.atoms.shape[0]
 
     def is_uniform(self):
-        return np.allclose(self.masses, 1.0 / self.size, atol=1e-12)
+        return _uniform(self.masses)
 
     @staticmethod
     def dirac(x):
@@ -201,12 +208,7 @@ class TransportTensor:
 
 
 def _pairwise_cost(a, b, p, q):
-    diff = a[:, None, :] - b[None, :, :]
-    if q == math.inf:
-        m = np.abs(diff).max(axis=2)
-    else:
-        m = (np.abs(diff) ** q).sum(axis=2) ** (1.0 / q)
-    return m**p
+    return _norm_q(a[:, None, :] - b[None, :, :], q) ** p
 
 
 def _marginal_matrix(shape):
@@ -248,84 +250,66 @@ def _symmetric(masses, costs):
     )
 
 
-def _orbit_lp(masses, costs, k, exact):
-    """The symmetric transport LP solved on axis-permutation orbits.
-
-    One column per multiset S of k support indices, costing c_S, and one row
-    per index v: sum_S mult_S(v) z_S = k a_v.  Averaging an optimal plan over
-    the k! axis permutations keeps it optimal, and z_S is the mass of S's
-    orbit, so the values agree; the quotient duals u, used on every axis, are
-    a feasible dual of the full LP with the same objective, so an exact
-    certificate of this LP proves the full LP optimal.  Each z_S is spread
-    evenly over the distinct permutations of S.  Returns (value, plan entries).
-    """
-    n = len(masses)
-    combos = list(combinations_with_replacement(range(n), k))
-    idx = np.array(combos)
-    A = np.zeros((n, len(combos)))  # dense: faster than sparse at these sizes
-    np.add.at(A, (idx, np.arange(len(combos))[:, None]), 1.0)
-    flat = np.ravel_multi_index(idx.T, (n,) * k)
-    if exact:
-        b = [k * v for v in _rationals(masses)]
-        value, z = solve_lp(A, b, _rationals([costs[f] for f in flat]), exact=True)
-        support = np.nonzero(z > 0)[0]
-    else:
-        value, z = solve_lp(A, k * np.asarray(masses), np.asarray(costs, dtype=float)[flat])
-        support = np.nonzero(z > 1e-12)[0]
-    z = z.tolist()
-    entries = {}
-    for s in support.tolist():
-        orbit = sorted(set(permutations(combos[s])))
-        entries.update((t, z[s] / len(orbit)) for t in orbit)
-    return value, entries
-
-
 def _transport_lp(masses, costs, exact=False):
     """Cheapest coupling of the marginals ``masses`` under flat C-order tuple ``costs``.
 
     ``masses[i]`` is the mass vector of marginal i; no atom is read.
     Returns (value, plan).  Two equal-size uniform marginals make the
-    optimum a permutation (Birkhoff), found as an assignment.  When the
-    marginals share size and masses and the cost tensor is exactly symmetric
-    under permuting its axes, HiGHS solves the LP on orbits (``_orbit_lp``:
-    C(n+k-1, k) columns instead of n^k) and the plan is a symmetrized
-    optimum, not a vertex: its support can be up to k! times the orbit
-    support.  Every other LP goes to HiGHS on the sparse marginal matrix.
-    ``exact`` certifies HiGHS's vertex in Fractions and returns a Fraction
-    value and plan.
+    optimum a permutation (Birkhoff), found as an assignment.  Otherwise
+    HiGHS solves one LP over the columns ``tuples``.  When the marginals
+    share size and masses and the cost tensor is exactly symmetric under
+    permuting its axes, a column is a multiset S of k indices (its sorted
+    tuple), costing c_S, and each index v has one row, shared by all k axes:
+    sum_S mult_S(v) z_S = k a_v.  Averaging an optimal plan over the k! axis
+    permutations keeps it optimal, and z_S is the mass of S's orbit, so the
+    values agree; the quotient duals u, used on every axis, are a feasible
+    dual of the full LP with the same objective, so an exact certificate of
+    this LP proves the full LP optimal.  Otherwise the columns are all
+    tuples, under the sparse marginal matrix.  Each column's mass is spread
+    evenly over the distinct permutations of its tuple that it stands for
+    (on the full LP, the tuple alone), so on orbits the plan is a
+    symmetrized optimum, not a vertex: its support can be up to k! times
+    the orbit support.  ``exact`` certifies HiGHS's vertex in Fractions and
+    returns a Fraction value and plan.
     """
     shape = tuple(len(a) for a in masses)
-    if (
-        not exact
-        and len(shape) == 2
-        and shape[0] == shape[1]
-        and all(np.allclose(a, 1 / len(a), atol=1e-12) for a in masses)
-    ):
+    if not exact and len(shape) == 2 and shape[0] == shape[1] and all(map(_uniform, masses)):
         cost = np.asarray(costs, dtype=float).reshape(shape)
         rows, cols = linear_sum_assignment(cost)
         n = shape[0]
         plan = TransportTensor(shape, {(int(r), int(c)): 1.0 / n for r, c in zip(rows, cols)})
         return float(cost[rows, cols].sum() / n), plan
+    k = len(shape)
     if _symmetric(masses, costs):
-        value, entries = _orbit_lp(masses[0], costs, len(shape), exact)
-        return value, TransportTensor(shape, entries)
-    A = _marginal_matrix(shape)
-    b = np.concatenate(masses)
-    if exact:
-        value, x = solve_lp(A, _rationals(b), _rationals(costs), exact=True)
-        support = np.nonzero(x > 0)[0]
+        tuples = np.array(list(combinations_with_replacement(range(shape[0]), k)))
+        A = np.zeros((shape[0], len(tuples)))  # dense: faster than sparse at these sizes
+        np.add.at(A, (tuples, np.arange(len(tuples))[:, None]), 1.0)
+        b, scale, perms = masses[0], k, list(permutations(range(k)))
     else:
-        value, x = solve_lp(A, b, np.asarray(costs, dtype=float))
-        support = np.nonzero(x > 1e-12)[0]
-    tuples = zip(*(ix.tolist() for ix in np.unravel_index(support, shape)))
-    return value, TransportTensor(shape, dict(zip(tuples, x[support].tolist())))
+        tuples = np.indices(shape).reshape(k, -1).T
+        A = _marginal_matrix(shape)
+        b, scale, perms = np.concatenate(masses), 1, [tuple(range(k))]
+    c = np.asarray(costs, dtype=object if exact else float)[np.ravel_multi_index(tuples.T, shape)]
+    if exact:
+        # k times each rational mass, not the rational of k times the float
+        b, c = [scale * v for v in _rationals(b)], _rationals(c)
+    else:
+        b = scale * b
+    value, x = solve_lp(A, b, c, exact=exact)
+    keep = np.nonzero(x > 0 if exact else x > 1e-12)[0]
+    entries = {}
+    for t, mass in zip(tuples[keep].tolist(), x[keep].tolist()):
+        orbit = sorted({tuple(t[i] for i in g) for g in perms})
+        entries.update((s, mass / len(orbit)) for s in orbit)
+    return value, TransportTensor(shape, entries)
 
 
 def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False):
     """Optimal value and plan of the transportation LP with cost ||x-y||_q^p.
 
-    ``exact`` (p=q=2, integer atoms) computes the squared distances in
-    integers and returns a certified Fraction value and plan.
+    ``exact`` (p=q=2, integer atoms) takes the squared distances from the
+    Gram kernel in integers (the unit-weight p=q=2 value of a pair) and
+    returns a certified Fraction value and plan.
     """
     if mu.d != nu.d:
         raise InputError(f"dimension mismatch: {mu.d} vs {nu.d}")
@@ -336,9 +320,7 @@ def ot_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q, exact=False):
         return _transport_lp(masses, _pairwise_cost(mu.atoms, nu.atoms, p, q).ravel())
     if p != 2 or q != 2:
         raise InputError("exact OT mode is defined for p=q=2")
-    a, b = _integer_atoms([mu, nu])
-    diff = a[:, None, :] - b[None, :, :]
-    return _transport_lp(masses, (diff * diff).sum(axis=2).ravel().tolist(), exact=True)
+    return _transport_lp(masses, _gram_costs(_integer_atoms([mu, nu]), [1, 1]), exact=True)
 
 
 def wasserstein_pq(mu: DiscreteMeasure, nu: DiscreteMeasure, p, q):

@@ -172,8 +172,12 @@ class PointConfig:
             if len(flat) != k * n:
                 raise InputError(f"expected {k * n} points, got {len(flat)}")
             rows = np.repeat(np.arange(k * n), [len(pairs) for pairs in flat])
-            coords = np.array([c for pairs in flat for c, _ in pairs])
-            vals = np.array([v for pairs in flat for _, v in pairs])
+            coords = [c for pairs in flat for c, _ in pairs]
+            vals = [v for pairs in flat for _, v in pairs]
+            # numpy reads a JSON true as 1, in an integer list too
+            if bool in {*map(type, coords), *map(type, vals)}:
+                raise InputError("point coordinates and values must be numbers, not booleans")
+            coords, vals = np.array(coords), np.array(vals)
             # checked before indexing, so no value lands elsewhere
             if coords.size and not (
                 coords.dtype.kind == "i" and 0 <= coords.min() and coords.max() < d
@@ -290,6 +294,7 @@ def q1_value_formula(n, k, t, p):
     Exact (Fraction) when p is a positive integer.  The bound does not
     depend on the degree D.
     """
+    regime_for(p, 1)  # p must be a finite number >= 1
     if k < 2 or k % 2 != 0:
         raise InputError(f"formula requires even k >= 2, got {k}")
     if t < 0:
@@ -297,7 +302,7 @@ def q1_value_formula(n, k, t, p):
     base = n * k * (k - 1) * (n * k - 2 * n + 2) - 4 * t
     if base < 0:
         raise InputError(f"negative base {base}: t too large for (n, k) = ({n}, {k})")
-    if float(p) == int(p) and p >= 1:
+    if float(p) == int(p):
         ip = int(p)
         return Fraction(base**ip, k ** (ip - 1))
     return float(k) ** (1.0 - p) * float(base) ** p

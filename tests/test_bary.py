@@ -169,6 +169,21 @@ def test_assignment_fast_path_matches_lp():
         assert abs(value - ref.fun) < 1e-9
 
 
+def test_near_uniform_masses_take_the_lp():
+    # 8e-6 relative off uniform: an assignment here would miss the optimum
+    # 2.00002 and break the first marginal by 4e-6
+    mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.500004, 0.499996]))
+    nu = DiscreteMeasure.uniform([[0.0], [3.0]])
+    assert not mu.is_uniform()
+    value, plan = ot_cost(mu, nu, 2, 2)
+    A = np.vstack([np.kron(np.eye(2), np.ones(2)), np.kron(np.ones(2), np.eye(2))])
+    b = np.concatenate([mu.masses, nu.masses])
+    ref = linprog([0.0, 9.0, 1.0, 4.0], A_eq=A, b_eq=b, method="highs")
+    assert ref.status == 0
+    assert abs(value - ref.fun) <= 1e-12 * ref.fun
+    assert plan.max_marginal_violation([mu, nu]) <= 1e-12
+
+
 def _random_measures(seed, sizes, d):
     rng = np.random.default_rng(seed)
     return [DiscreteMeasure(rng.random((m, d)), rng.dirichlet(np.ones(m))) for m in sizes]

@@ -137,7 +137,9 @@ def test_p_outside_finite_one_and_up_exits_2(tmp_path, p):
 
 
 @pytest.mark.parametrize(
-    "coord, value", [(-1, 1), ("d", 1), (0, 5)], ids=["coord-negative", "coord-d", "value-5"]
+    "coord, value",
+    [(-1, 1), ("d", 1), (0, 5), (0, True), (True, 1)],
+    ids=["coord-negative", "coord-d", "value-5", "value-true", "coord-true"],
 )
 def test_chub_rejects_bad_point_entries(tmp_path, coord, value):
     g, pts = tmp_path / "g.json", tmp_path / "pts.json"

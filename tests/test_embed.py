@@ -18,6 +18,7 @@ from barygap.embed import (
     PointConfig,
     psi_dimension,
     q1_clique_witness,
+    q1_value_formula,
     regime_for,
     tau,
     verify_collection,
@@ -459,6 +460,8 @@ def test_p_must_be_a_finite_number_at_least_one(p):
         PointConfig(np.zeros((2, 2, 1), dtype=np.int8), p, 2.0)
     with pytest.raises(InputError, match="p must be a finite number >= 1"):
         embed_psi(K4, 2, p=p)
+    with pytest.raises(InputError, match="p must be a finite number >= 1"):
+        q1_value_formula(5, 2, 1, p)
 
 
 def test_point_config_json_keeps_empty_points_and_the_collector():

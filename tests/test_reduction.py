@@ -119,14 +119,15 @@ def test_bary_mot_route_takes_the_orbit_lp_on_the_k4_q1_gadget(monkeypatch):
     # (2, 1) cost tensor is exactly symmetric and its LP runs on orbits
     import barygap.bary
 
-    calls = []
-    orig = barygap.bary._orbit_lp
+    shapes = []
+    orig = barygap.bary.solve_lp
     monkeypatch.setattr(
-        barygap.bary, "_orbit_lp", lambda *a, **kw: calls.append(1) or orig(*a, **kw)
+        barygap.bary, "solve_lp", lambda A, *a, **kw: shapes.append(A.shape) or orig(A, *a, **kw)
     )
     inst = build_instance(K4, 4, 2, 1)
     r = decide_clique(inst, "bary-mot", tol=inst.certificate.delta / 20)
-    assert len(calls) == 1
+    # one LP, one column per multiset of k = 4 of the n = 4 vertices
+    assert shapes == [(4, math.comb(4 + 4 - 1, 4))] == [(4, 35)]
     assert r["hasClique"] is True
 
 
