@@ -270,7 +270,8 @@ def _transport_lp(masses, costs, exact=False):
     (on the full LP, the tuple alone), so on orbits the plan is a
     symmetrized optimum, not a vertex: its support can be up to k! times
     the orbit support.  ``exact`` certifies HiGHS's vertex in Fractions and
-    returns a Fraction value and plan.
+    returns a Fraction value and plan; it raises InputError, before HiGHS
+    runs, unless the masses' rationals sum to one total on every marginal.
     """
     shape = tuple(len(a) for a in masses)
     if not exact and len(shape) == 2 and shape[0] == shape[1] and all(map(_uniform, masses)):
@@ -284,17 +285,25 @@ def _transport_lp(masses, costs, exact=False):
         tuples = np.array(list(combinations_with_replacement(range(shape[0]), k)))
         A = np.zeros((shape[0], len(tuples)))  # dense: faster than sparse at these sizes
         np.add.at(A, (tuples, np.arange(len(tuples))[:, None]), 1.0)
-        b, scale, perms = masses[0], k, list(permutations(range(k)))
+        rows, scale, perms = masses[:1], k, list(permutations(range(k)))
     else:
         tuples = np.indices(shape).reshape(k, -1).T
         A = _marginal_matrix(shape)
-        b, scale, perms = np.concatenate(masses), 1, [tuple(range(k))]
+        rows, scale, perms = masses, 1, [tuple(range(k))]
     c = np.asarray(costs, dtype=object if exact else float)[np.ravel_multi_index(tuples.T, shape)]
     if exact:
+        rationals = [_rationals(a) for a in rows]
+        # A x = b is solvable only when every marginal's rationals share one total
+        totals = sorted({sum(r) for r in rationals})
+        if len(totals) > 1:
+            raise InputError(
+                "exact mode needs the masses' rationals to share one total on every "
+                f"marginal, got {' and '.join(map(str, totals))}"
+            )
         # k times each rational mass, not the rational of k times the float
-        b, c = [scale * v for v in _rationals(b)], _rationals(c)
+        b, c = [scale * v for r in rationals for v in r], _rationals(c)
     else:
-        b = scale * b
+        b = scale * np.concatenate(rows)
     value, x = solve_lp(A, b, c, exact=exact)
     keep = np.nonzero(x > 0 if exact else x > 1e-12)[0]
     entries = {}

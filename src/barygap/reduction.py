@@ -207,13 +207,18 @@ def decide_clique(
     the sweep's tuple values divided by k; threshold divided by k).  A
     decision claims only what is proven: the sweep's minimum F* lies in
     [value - tolerance, value], and the LP value is at least F*/k.  So both
-    routes answer True when their value is at most the threshold, False
-    only when the sweep's F* - tolerance lies above the threshold, and None
-    otherwise.  ``reuse`` accepts a ChubResult for this instance's points
-    (same tol or tighter) so sweeps can share the tuple enumeration between
-    solvers.  The bary-mot route raises ResourceCapError, before any sweep,
-    when n^k exceeds ``DEFAULT_LP_CAP``.  It reports max(tol, sweep
-    tolerance)/k as its tolerance and the plan's support size as
+    routes answer False when the sweep's F* - tolerance lies above the
+    threshold, True when their value is at most the threshold, and None
+    otherwise.  The "no" is worked out once, from the sweep, before either
+    route computes a value: no LP value can overturn it, so the bary-mot
+    route then solves no LP (and runs no second sweep for per-tuple values)
+    and reports ``value`` and ``margin`` as None, without
+    ``mot_plan_support``.  ``reuse`` accepts a ChubResult for this
+    instance's points (same tol or tighter) so sweeps can share the tuple
+    enumeration between solvers.  The bary-mot route raises
+    ResourceCapError, before any sweep, when n^k exceeds
+    ``DEFAULT_LP_CAP``.  It reports max(tol, sweep tolerance)/k as its
+    tolerance and, when it solves the LP, the plan's support size as
     ``mot_plan_support``; on a symmetric gadget the plan is symmetrized
     over axis permutations, so that size counts every permutation of each
     multiset the orbit LP uses.
@@ -223,33 +228,37 @@ def decide_clique(
         raise InputError(
             f"tol={tol} too coarse for certificate delta={cert.delta} (need <= delta/10)"
         )
-    if solver == "chub-bruteforce":
-        sweep = reuse if reuse is not None else solve_chub(inst.points, tol=tol)
+    if solver not in ("chub-bruteforce", "bary-mot"):
+        raise InputError(f"unknown solver {solver!r}")
+    mot = solver == "bary-mot"
+    k, n = inst.k, inst.points.n
+    if mot:
+        check_cap(f"MOT LP with {n**k} variables", n**k, DEFAULT_LP_CAP)
+    sweep = reuse if reuse is not None else solve_chub(inst.points, tol=tol, keep_per_tuple=mot)
+    proven_no = sweep.value - sweep.tolerance > cert.threshold()
+    if not mot:
         value, tolerance = sweep.value, sweep.tolerance
         threshold = cert.threshold()
         detail = {"chub": sweep.to_json()}
-    elif solver == "bary-mot":
-        k, n = inst.k, inst.points.n
-        check_cap(f"MOT LP with {n**k} variables", n**k, DEFAULT_LP_CAP)
-        sweep = reuse
-        if sweep is None or sweep.per_tuple is None:
-            sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)
-        value, plan = _transport_lp([np.full(n, 1 / n)] * k, sweep.per_tuple.astype(float) / k)
+    else:
+        value, detail = None, {}
+        if not proven_no:
+            if sweep.per_tuple is None:
+                sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)
+            value, plan = _transport_lp([np.full(n, 1 / n)] * k, sweep.per_tuple.astype(float) / k)
+            detail = {"mot_plan_support": len(plan.entries)}
         tolerance = max(tol, sweep.tolerance) / k
         threshold = cert.threshold() / k
-        detail = {"mot_plan_support": len(plan.entries)}
-    else:
-        raise InputError(f"unknown solver {solver!r}")
-    if value <= threshold:
-        has = True
-    elif sweep.value - sweep.tolerance > cert.threshold():
+    if proven_no:
         has = False
+    elif value <= threshold:
+        has = True
     else:
         has = None
     return {
         "hasClique": has,
-        "value": float(value),
-        "margin": float(threshold - value),
+        "value": None if value is None else float(value),
+        "margin": None if value is None else float(threshold - value),
         "tolerance": float(tolerance),
         "threshold": float(threshold),
         "solver": solver,

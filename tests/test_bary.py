@@ -152,6 +152,29 @@ def test_exact_ot_squares_distances_in_integers():
     assert value == want and value.denominator <= 4
     assert all(isinstance(v, Fraction) for v in plan.entries.values())
 
+
+def test_exact_mode_needs_one_rational_mass_total_per_marginal():
+    # float masses that sum to 1 within 1e-12 can have rationals that do
+    # not, and then A x = b has no solution: refused as input, before HiGHS
+    masses = np.random.default_rng(1).dirichlet(np.ones(3))
+    mu = DiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), masses)
+    nu = DiscreteMeasure(np.array([[0.0], [5.0]]), np.array([0.1, 0.9]))
+    total = sum(barygap.bary._rationals(mu.masses))
+    assert total != 1
+    with mock.patch.object(barygap.bary, "solve_lp", side_effect=AssertionError("no LP")):
+        for solve in (
+            lambda: ot_cost(mu, nu, 2, 2, exact=True),
+            lambda: bary_value_mot(BaryInstance([mu, nu], 2, 2), exact=True),
+        ):
+            with pytest.raises(InputError, match=f"got {total} and 1$"):
+                solve()
+    # masses whose rationals sum to one still solve
+    dyadic = DiscreteMeasure(mu.atoms, np.array([0.25, 0.25, 0.5]))
+    assert ot_cost(dyadic, nu, 2, 2, exact=True)[0] == Fraction(49, 4)
+    # two measures at equal weights: the barycenter value is W_2^2 / 4
+    assert bary_value_mot(BaryInstance([dyadic, nu], 2, 2), exact=True).value_exact == Fraction(49, 16)
+
+
 def test_assignment_fast_path_matches_lp():
     # equal-size uniform marginals take the assignment branch at every size;
     # the reference is the transportation LP itself, solved here by HiGHS

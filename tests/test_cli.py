@@ -49,20 +49,29 @@ def test_end_to_end_pipeline(tmp_path):
     assert "decide" in report["timings"]
 
 
-def test_reduce_mot_and_inf_q(tmp_path):
+def test_reduce_mot_and_inf_q(tmp_path, capsys):
     g = tmp_path / "g.json"
+    rep = tmp_path / "rep.json"
     assert main(["graph", "gen", "--family", "cycle", "--n", "5", "--out", str(g), "--quiet"]) == 0
     assert main([
         "reduce", "--graph", str(g), "--k", "3", "--p", "1", "--q", "inf",
         "--solver", "chub", "--quiet",
     ]) == 0
+    # the sweep proves C5 triangle-free, so the transport-LP route solves no
+    # LP and reports no LP value; the summary line prints the nulls
+    capsys.readouterr()
     assert main([
         "reduce", "--graph", str(g), "--k", "3", "--p", "2", "--q", "2",
-        "--solver", "mot", "--quiet",
+        "--solver", "mot", "--report", str(rep),
     ]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    results = json.loads(rep.read_text())["results"]
+    assert summary == {key: results[key] for key in summary}
+    assert results["agree"] is True and results["decision"]["hasClique"] is False
+    assert results["value"] is None and results["decision"]["margin"] is None
+    assert "mot_plan_support" not in results["decision"]
     # an inconclusive transport-LP route reports agree null and exits 0
     barygap.reduction.unique_triangle_graph().save(g)
-    rep = tmp_path / "rep.json"
     assert main([
         "reduce", "--graph", str(g), "--k", "3", "--p", "2", "--q", "2",
         "--solver", "mot", "--report", str(rep), "--quiet",

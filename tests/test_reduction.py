@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barygap.reduction
-from barygap.bary import DEFAULT_LP_CAP, DiscreteMeasure, bary_value_mot
+from barygap.bary import DEFAULT_LP_CAP, DiscreteMeasure, _transport_lp, bary_value_mot
 from barygap.chub import ChubResult, chub_closed_form_22, solve_chub
 from barygap.errors import InputError, ResourceCapError
 from barygap.fpq import FpqProblem, solve_fpq
-from barygap.graph import Graph, complete_graph, cycle_graph, has_k_clique
+from barygap.graph import Graph, complete_graph, cycle_graph, has_k_clique, random_regular_graph
 from barygap.reduction import (
     build_instance,
     decide_clique,
@@ -183,8 +185,14 @@ def test_scale_consistency_on_gadgets():
         inst = build_instance(g, 3, 2, 2)
         chub = decide_clique(inst, "chub-bruteforce")
         mot = decide_clique(inst, "bary-mot")
-        assert abs(mot["value"] - chub["value"] / 3) < 1e-8
         assert mot["hasClique"] == chub["hasClique"] == has_k_clique(g, 3)
+        if g is K4:
+            assert abs(mot["value"] - chub["value"] / 3) < 1e-8
+        else:
+            # the sweep proves "no", so the route solves no LP; the LP
+            # identity is checked on the gadget's measures instead
+            assert mot["hasClique"] is False and mot["value"] is None
+            assert abs(bary_value_mot(inst.bary).value - chub["value"] / 3) < 1e-8
 
 
 @pytest.mark.parametrize("p, q", [(2, 2), (1, 2), (1, math.inf)])
@@ -194,7 +202,13 @@ def test_bary_mot_route_matches_bary_value_mot(g, p, q):
     tol = inst.certificate.delta / 20
     r = decide_clique(inst, "bary-mot", tol=tol)
     mot = bary_value_mot(inst.bary, tol=tol / 3)
-    assert abs(r["value"] - mot.value) <= r["tolerance"]
+    if g is K4:
+        assert abs(r["value"] - mot.value) <= r["tolerance"]
+    else:
+        # no LP on a proven "no": the LP value is F*/3 on the vertex-transitive C5
+        assert r["hasClique"] is False and r["value"] is None
+        fstar = decide_clique(inst, "chub-bruteforce", tol=tol)["value"]
+        assert abs(fstar / 3 - mot.value) <= r["tolerance"]
 
 
 def test_build_instance_builds_no_measure(monkeypatch):
@@ -224,6 +238,72 @@ def test_bary_mot_cap_is_checked_before_any_lp(monkeypatch):
     for reuse in (sweep, None):
         with pytest.raises(ResourceCapError, match=f"MOT LP with {total} variables exceeds cap"):
             decide_clique(inst, "bary-mot", tol=inst.certificate.delta / 20, reuse=reuse)
+
+
+def test_bary_mot_skips_the_lp_when_the_sweep_proves_no(monkeypatch):
+    # the LP value is at least F*/k, so once F* - tolerance lies above the
+    # threshold no LP (and no second, per-tuple sweep) can change the answer
+    cases = []
+    for p, q in [(2, 2), (1, 2), (2, 1.5), (1, math.inf), (2, math.inf)]:
+        inst = build_instance(C5, 3, p, q)
+        tol = inst.certificate.delta / 20
+        cases.append((inst, tol, solve_chub(inst.points, tol=tol)))
+    clique = build_instance(K4, 3, 2, 2)
+    clique_sweep = solve_chub(clique.points, tol=1e-6, keep_per_tuple=True)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a proven 'no' needs no LP and no sweep")
+
+    monkeypatch.setattr(barygap.reduction, "_transport_lp", unreachable)
+    monkeypatch.setattr(barygap.reduction, "solve_chub", unreachable)
+    for inst, tol, sweep in cases:
+        assert sweep.per_tuple is None
+        r = decide_clique(inst, "bary-mot", tol=tol, reuse=sweep)
+        assert r["hasClique"] is False and r["value"] is None and r["margin"] is None
+        assert "mot_plan_support" not in r
+        assert r["tolerance"] == max(tol, sweep.tolerance) / 3
+        assert r["threshold"] == inst.certificate.threshold() / 3
+        assert r["regime"] == inst.regime and r["certificate"] == inst.certificate.to_json()
+    calls = []
+    monkeypatch.setattr(
+        barygap.reduction, "_transport_lp", lambda *a: calls.append(1) or _transport_lp(*a)
+    )
+    r = decide_clique(clique, "bary-mot", reuse=clique_sweep)
+    assert calls == [1] and r["hasClique"] is True and r["mot_plan_support"] > 0
+
+
+@st.composite
+def _regular_decision_case(draw):
+    n = draw(st.integers(4, 7))
+    degree = draw(st.integers(1, n - 1).filter(lambda d: n * d % 2 == 0))
+    g = random_regular_graph(n, degree, seed=draw(st.integers(0, 9)))
+    k = draw(st.sampled_from([2, 3]))
+    pqs = [(2, 2), (1, 2), (2, 1.5), (1, math.inf), (2, math.inf)]
+    if k == 2:
+        pqs += [(1, 1), (2, 1)]  # odd k at q=1 doubles the graph past these sizes
+    p, q = draw(st.sampled_from(pqs))
+    return g, k, p, q, draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_regular_decision_case())
+def test_bary_mot_answers_the_rule_on_a_directly_solved_lp(case):
+    # the route's answer equals the rule applied to the LP it used to solve
+    # every time: True at or below threshold/k, else False on a proven "no"
+    g, k, p, q, keep = case
+    inst = build_instance(g, k, p, q)
+    tol = inst.certificate.delta / 20
+    sweep = solve_chub(inst.points, tol=tol, keep_per_tuple=True)
+    n, threshold = inst.points.n, inst.certificate.threshold()
+    value, _ = _transport_lp([np.full(n, 1 / n)] * k, sweep.per_tuple.astype(float) / k)
+    if value <= threshold / k:
+        want = True
+    elif sweep.value - sweep.tolerance > threshold:
+        want = False
+    else:
+        want = None
+    reuse = sweep if keep else dataclasses.replace(sweep, per_tuple=None)
+    assert decide_clique(inst, "bary-mot", tol=tol, reuse=reuse)["hasClique"] is want
 
 
 def test_zero_regular_gadget_decides_false():
