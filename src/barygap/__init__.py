@@ -37,6 +37,7 @@ from .fpq import (
     fpq_gradient,
     fpq_objective,
     solve_fpq,
+    solve_fpq_many,
 )
 from .graph import (
     Graph,

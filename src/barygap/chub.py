@@ -12,26 +12,27 @@ below and ``graph.max_multiset_edges``.
 values, for this sweep and for the multimarginal LP's cost tensor
 (``bary.bary_value_mot``).  At p=q=2 the Gram kernel gives every tuple's
 value, exactly in integers for the gadget and in Python ints for exact
-transport.  Elsewhere every tuple is one ``fpq.solve_fpq`` call, whose memo
-is keyed on the canonical hub problem.  For embedded configs the tuples are
-grouped by one integer code: the induced edge pattern times b^k plus the
-positions' degree-rank digits, b the number of distinct degrees (so on a
-regular graph the code is the pattern).  Each class is represented by its
-first flat position.  That grouping trusts the config's source metadata:
-tuples with one code are taken to have one value.  Without a source graph
-every tuple is its own class.
+transport.  Elsewhere the tuples of one call are one ``fpq.solve_fpq_many``
+batch, whose memo is keyed on the canonical hub problem.  For embedded
+configs the tuples are grouped by one integer code: the induced edge
+pattern times b^k plus the positions' degree-rank digits, b the number of
+distinct degrees (so on a regular graph the code is the pattern).  Each
+class is represented by its first flat position.  That grouping trusts the
+config's source metadata: tuples with one code are taken to have one
+value.  Without a source graph every tuple is its own class.
 
 Classes are then merged into orbits under the position permutations that
 are proven symmetries of the config (Bödi, Herr and Joswig, *Algorithms for
 highly symmetric linear and integer programs*, Math. Prog. 2013): permuting
 the k point groups by sigma must give the same (k*n, d) matrix up to a
 signed column permutation, checked exactly on the points
-(``_is_symmetry``), never read from the source.  Then a tuple and its
-positions permuted by sigma are one hub problem up to an isometry of the
-norm, so they have one value.  Only (0 1), the k-cycle and the reversal are
-tested, and only when they move some class; a class's image under one is
-the class of its code permuted by ``_permute_codes``, the helper the QIN
-pattern sweep (``reduction._qin_pattern_sweep``) uses too.  One class
+(``_is_symmetry``, once per point array and permutation), never read from
+the source.  Then a tuple and its positions permuted by sigma are one hub
+problem up to an isometry of the norm, so they have one value.  Only
+(0 1), the k-cycle and the reversal are tested, and only when they move
+some class; a class's image under one is the class of its code permuted by
+``_permute_codes``, the helper the QIN pattern sweep
+(``reduction._qin_pattern_sweep``) uses too.  One class
 per orbit, the least, is solved, and every class takes its orbit's value.
 Every tuple still has its class's value; caching never prunes.  Without
 ``keep_per_tuple`` the sweep keeps only the classes, so its memory grows
@@ -41,6 +42,7 @@ value as a flat array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +51,7 @@ import numpy as np
 
 from .embed import PointConfig
 from .errors import InputError, check_cap
-from .fpq import FpqProblem, solve_fpq, unique_columns
+from .fpq import FpqProblem, solve_fpq_many, unique_columns
 from .graph import DEFAULT_ENUM_CAP, Graph, max_multiset_edges
 
 CHUNK = 65536  # tuples per vectorized block
@@ -181,27 +183,28 @@ def tuple_costs(groups, p, q, weights, tol, reps=None):
     ``groups[i]`` holds the candidate points of position i, one per row.
     The values come in flat C order over every tuple, or in the order of
     the flat positions ``reps`` when given.  At p=q=2 the Gram kernel gives
-    them all at once with tolerance 0; otherwise each tuple is one
-    ``solve_fpq`` call at ``tol`` with per-point ``weights``.
+    them all at once with tolerance 0; when the groups are one array and
+    the weights are equal, each tuple takes the value of its sorted tuple,
+    so that the values are exactly symmetric.  Otherwise the tuples are
+    one ``solve_fpq_many`` call at ``tol`` with per-point ``weights``.
     """
     shape = tuple(len(g) for g in groups)
+    flat = np.arange(math.prod(shape)) if reps is None else np.asarray(reps)
     if p == 2 and q == 2:
         # the value is translation invariant; centering keeps the kernel's
         # cancellation at the scale of the points' spread, not their offset
         center = np.vstack(groups).mean(axis=0)
         a = np.ones(len(groups)) if weights is None else np.asarray(weights, dtype=float)
         values = _gram_costs([g - center for g in groups], a) / a.sum()
-        return (values if reps is None else values[reps]), 0.0
-    if reps is None:
-        reps = np.arange(math.prod(shape))
-    values = []
-    worst = 0.0
-    for t in zip(*np.unravel_index(reps, shape)):
-        pts = np.stack([g[j] for g, j in zip(groups, t)])
-        sol = solve_fpq(FpqProblem(pts, p, q, weights), tol=tol)
-        values.append(sol.value)
-        worst = max(worst, sol.tolerance)
-    return np.array(values), worst
+        if all(np.array_equal(g, groups[0]) for g in groups) and (a == a[0]).all():
+            # permuted tuples are one problem; rounding must not tell them apart
+            flat = np.ravel_multi_index(np.sort(np.unravel_index(flat, shape), axis=0), shape)
+        return values[flat], 0.0
+    # the problems are built as the batch reads them, one tuple's points at a time
+    tuples = zip(*np.unravel_index(flat, shape))
+    probs = (FpqProblem(np.stack([g[j] for g, j in zip(groups, t)]), p, q, weights) for t in tuples)
+    sols = solve_fpq_many(probs, tol=tol)
+    return np.array([sol.value for sol in sols]), max((sol.tolerance for sol in sols), default=0.0)
 
 
 def _grid_blocks(shape, unary, pairs):
@@ -331,16 +334,23 @@ def _column_multiset(m):
     return uniq, counts
 
 
-def _is_symmetry(points, perm, base=None):
+def _is_symmetry(points, perm):
     """True when moving point group perm[i] to position i gives the same
     (k*n, d) matrix up to a signed column permutation.
 
     Then a tuple and its positions permuted are one hub problem up to an
     isometry of the norm and an order of the points, so they have one value.
-    ``base`` is ``_column_multiset`` of the unpermuted matrix, when known.
+    The verdict is worked out once per point array and permutation.
     """
-    k, n, d = points.shape
-    uniq, counts = base if base is not None else _column_multiset(points.reshape(k * n, d))
+    return _proven(points.tobytes(), points.dtype.str, points.shape, tuple(perm))
+
+
+@functools.lru_cache(maxsize=256)
+def _proven(data, dtype, shape, perm):
+    """``_is_symmetry`` of the point array held in ``data``; cached."""
+    k, n, d = shape
+    points = np.frombuffer(data, dtype).reshape(shape)
+    uniq, counts = _column_multiset(points.reshape(k * n, d))
     other, other_counts = _column_multiset(points[list(perm)].reshape(k * n, d))
     return np.array_equal(uniq, other) and np.array_equal(counts, other_counts)
 
@@ -371,17 +381,12 @@ def _class_orbits(config, codes, base):
     permuted by ``_permute_codes``.  It is used only when it moves some
     class and ``_is_symmetry`` proves it on the config's points.
     """
-    k = config.k
-    maps, proof = [], None
-    for perm in _position_generators(k):
+    maps = []
+    for perm in _position_generators(config.k):
         # the image puts index t_i at position perm[i]; when the check
         # passes, group perm[i] is group i up to a signed column permutation
         image = np.searchsorted(codes, _permute_codes(codes, perm, base))
-        if np.array_equal(image, np.arange(len(codes))):
-            continue
-        if proof is None:
-            proof = _column_multiset(config.points.reshape(k * config.n, config.d))
-        if _is_symmetry(config.points, perm, proof):
+        if not np.array_equal(image, np.arange(len(codes))) and _is_symmetry(config.points, perm):
             maps.append(image)
     return _orbit_roots(len(codes), maps)
 

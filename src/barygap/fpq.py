@@ -24,8 +24,11 @@ bound with its value:
                           Fenchel dual bound: the terms' gradients, split so
                           they sum to zero, bound the optimum from below.  At
                           p = 1 the data points are tested for optimality
-                          first.
+                          first.  The engine runs on a stack of problems of
+                          one shape, one batched linear solve a step, and a
+                          problem's result does not depend on the stack.
 
+``solve_fpq_many`` is the one solve path and ``solve_fpq`` its batch of one.
 Every call at q < inf goes through one canonical hub problem.  Coordinates
 with identical values across all k points are fixed at that shared value,
 duplicate coordinate columns are merged into one weighted column, and the
@@ -34,7 +37,8 @@ all three are exact for every norm, and they are what makes brute-force
 enumeration over embedded instances cheap.  Solutions are memoized on that
 canonical form plus (p, q), so a problem met again in another tuple class,
 instance or certificate sweep, or under a point or coordinate permutation,
-is looked up rather than solved again.  At q = inf the memo is keyed on the
+is looked up rather than solved again; in one batch, each distinct
+canonical problem is solved once.  At q = inf the memo is keyed on the
 weights and the pairwise distances alone, rows sorted, and holds radii: a
 hit rebuilds the hub from the caller's own points, and the value reported
 is the entry's sum lam t^p, so it depends on the key alone, whatever the
@@ -229,125 +233,207 @@ def _solve_median_q1p1(x, w, lam):
 def _dual_norms(u, w, q):
     """Row norms dual to the w-weighted q-norm, (sum_c w_c^(1-r) |u_c|^r)^(1/r), r = q*."""
     r = q / (q - 1.0)
-    return ((np.abs(u) ** r) * w ** (1.0 - r)).sum(axis=1) ** (1.0 / r)
+    return ((np.abs(u) ** r) * w ** (1.0 - r)).sum(axis=-1) ** (1.0 / r)
 
 
 def _fenchel_bound(v, u, w, lam, p, q):
     """Fenchel dual value sum_i <u_i, v_i> - lam_i (p-1) (||u_i||_* / (lam_i p))^(p/(p-1))
-    for rows u_i summing to 0, v_i = x_i - y (Rockafellar, Convex Analysis, sec. 31).
+    for rows u_i summing to 0, v_i = x_i - y, lam > 0 (Rockafellar, Convex
+    Analysis, sec. 31); one value per (k, c) problem in the last two axes.
 
     Every such u bounds the optimum from below.  At p = 1 the conjugate is the
     indicator of ||u_i||_* <= lam_i, so u is scaled down until it holds.
     """
     dn = _dual_norms(u, w, q)
+    dot = (u * v).sum(axis=(-2, -1))
     if p == 1:
-        return min(1.0, float(np.min(lam / np.maximum(dn, 1e-300)))) * float((u * v).sum())
-    return float((u * v).sum()) - _conjugate_power_sum(dn, p, lam)
+        return np.minimum(1.0, (lam / np.maximum(dn, 1e-300)).min(axis=-1)) * dot
+    r = p / (p - 1.0)
+    return dot - ((p - 1.0) * lam * (dn / (p * lam)) ** r).sum(axis=-1)
 
 
-def _newton(x, w, lam, p, q, tol, max_steps=100):
-    """Damped Newton for 1 < q < inf, stopped once the Fenchel gap is <= tol.
+def _newton(pts, mass, w, p, q, tol, max_steps=100):
+    """Damped Newton for 1 < q < inf on a stack of T problems of one shape.
 
-    From the weighted mean of the distinct rows, at unit scale.  The Hessian
-    takes |v_c| and ||v_i|| at >= 1e-12, Levenberg-Marquardt damping follows
-    the ratio of actual to predicted decrease, and a step that crosses a kink
+    ``pts`` (T, k, c) holds each problem's k >= 2 distinct points, ``mass``
+    (T, k) their positive weights and ``w`` (T, c) the column
+    multiplicities.  Each problem starts from its weighted mean, at unit
+    scale, and stops once its Fenchel gap is <= tol.  The Hessian takes
+    |v_c| and ||v_i|| at >= 1e-12, Levenberg-Marquardt damping follows the
+    ratio of actual to predicted decrease, and a step that crosses a kink
     competes with the reweighted-least-squares (majorizing) step.  At p = 1
     the data points are tested first, and an iterate near a non-optimal one
     leaves it along its steepest descent direction (Vardi & Zhang, PNAS
     2000).  The bound splits the gradient sum over the terms by their
-    Hessians along the Newton step.  Returns (y, value, best bound).
+    Hessians along the Newton step.  Each step solves the Newton systems of
+    the problems still running in one batched call, and a problem leaves
+    the stack once it stops.  Every sum, stacked product and solve works
+    within one problem's rows, and the per-problem damping and step choices
+    run in Python floats, so a problem's result does not depend on the rest
+    of the stack.  Returns (y, best bound, steps taken), one row per problem.
     """
-    keep = lam > 0
-    if not keep.any():
-        return x[0].copy(), 0.0, 0.0
-    rows, _, inv, _ = unique_columns(x[keep].T)  # equal points merge into one
-    pts, mass = rows.T, np.bincount(inv, lam[keep])
-    y0 = mass @ pts / mass.sum()
-    top = float(np.abs(pts - y0).max())
-    if top == 0:
-        return y0, 0.0, 0.0
-    unit = top**p * float(mass.max())
-    z, mass, tol = (pts - y0) / top, mass / mass.max(), tol / unit
-    k, c = z.shape
+    T, k, c = pts.shape
+    y0 = (mass[:, None, :] @ pts)[:, 0] / mass.sum(axis=1)[:, None]
+    top = np.abs(pts - y0[:, None, :]).max(axis=(1, 2))
+    unit = top**p * mass.max(axis=1)
+    z = (pts - y0[:, None, :]) / top[:, None, None]
+    mass, tol, wk = mass / mass.max(axis=1)[:, None], tol / unit, w[:, None, :]
+    y_out, lower_out, steps_out = np.zeros((T, c)), np.zeros(T), np.zeros(T, dtype=int)
+    live = np.arange(T)
 
-    def parts(y):
-        v = z - y
+    def parts(y):  # of the problems still running
+        v = z - y[:, None, :]
         a = np.abs(v)
-        n = ((a**q) * w).sum(axis=1) ** (1.0 / q)
-        return v, a, n, float(mass @ n**p)
+        n = ((a**q) * wk).sum(axis=2) ** (1.0 / q)
+        return v, a, n, (mass * n**p).sum(axis=1)
+
+    def outer_sum(b, scale):  # sum_i scale_i b_i b_i^T for each problem
+        return (b.transpose(0, 2, 1) * scale[:, None, :]) @ b
+
+    def diagonal(m):  # writable view of each matrix's diagonal
+        return m.reshape(len(m), c * c)[:, :: c + 1]
+
+    def result():  # at the caller's scale, optimal data points exactly
+        y = y0 + top[:, None] * y_out
+        if p == 1 and at.any():
+            y[at] = pts[at, best[at]]
+        return y, lower_out * unit, steps_out
 
     if p == 1:
-        V = z[None, :, :] - z[:, None, :]  # V[j, i] = x_i - x_j
+        V = z[:, None, :, :] - z[:, :, None, :]  # V[t, j, i] = x_i - x_j
         A = np.abs(V)
-        N = ((A**q) * w).sum(axis=2) ** (1.0 / q)
-        U = _term_gradients(V, w, mass, 1.0, q)  # U[j, i]: term i's gradient at x_j
-        R = U.sum(axis=1)
-        dn = _dual_norms(R, w, q)
-        j = int(np.argmin(np.where(dn <= mass, N @ mass, np.inf)))
-        if dn[j] <= mass[j]:  # x_j is optimal, and U[j] with -R[j] certifies it
-            U[j, j] = -R[j]
-            y, lower = pts[j].copy(), _fenchel_bound(V[j], U[j], w, mass, p, q)
-            return y, _wobj(x, w, y, p, q, lam), lower * unit
+        N = ((A**q) * wk[:, None]).sum(axis=3) ** (1.0 / q)
+        U = (mass[:, None, :] * np.where(N > 0, N, 1.0) ** (1.0 - q))[:, :, :, None] * wk[:, None]
+        U = U * A ** (q - 1.0) * np.sign(V)  # U[t, j, i]: term i's gradient at x_j
+        R = U.sum(axis=2)
+        dn = _dual_norms(R, wk, q)
+        best = np.argmin(np.where(dn <= mass, (N * mass[:, None, :]).sum(axis=2), np.inf), axis=1)
+        at = dn[live, best] <= mass[live, best]
+        if at.any():  # x_j is optimal, and U[j] with -R[j] certifies it
+            j = best[at]
+            cert = U[at, j]
+            cert[np.arange(len(j)), j] = -R[at, j]
+            lower_out[at] = _fenchel_bound(V[at, j], cert, wk[at], mass[at], p, q)
+            if at.all():
+                return result()
+            go = ~at
+            live, z, wk, mass, tol = live[go], z[go], wk[go], mass[go], tol[go]
+            R, dn, N = R[go], dn[go], N[go]
         r = q / (q - 1.0)  # unit steepest descent directions out of each x_j
-        out = w ** (1.0 - r) * np.abs(R / dn[:, None]) ** (r - 1.0) * np.sign(R)
-        reach = np.where(np.eye(k, dtype=bool), np.inf, N).min(axis=1) * (dn - mass) / dn
+        out = wk ** (1.0 - r) * np.abs(R / dn[:, :, None]) ** (r - 1.0) * np.sign(R)
+        reach = np.where(np.eye(k, dtype=bool), np.inf, N).min(axis=2) * (dn - mass) / dn
 
-    y = np.zeros(c)
+    share = (mass / mass.sum(axis=1)[:, None])[:, :, None]
+    mp, wq = mass * p, (q - 1.0) * wk
+    y = np.zeros((len(live), c))
     v, a, n, f = parts(y)
-    lower, mu = -math.inf, 0.0
-    for steps in range(max_steps + 1):
-        j = int(np.argmin(n))
-        if p == 1 and n[j] < 1e-3:
-            t = reach[j]
+    lower, mu = np.full(len(live), -math.inf), np.zeros(len(live))
+
+    def accept(rows, y_new, new):  # move the listed rows to y_new, with parts new
+        nonlocal y, v, a, n, f
+        if len(rows) == len(y):
+            y, (v, a, n, f) = y_new, new
+        elif rows:
+            y[rows] = y_new[rows]
+            for cur, arr in zip((v, a, n, f), new):
+                cur[rows] = arr[rows]
+
+    def finish(rows, steps):  # record the rows' results, a list of them or all
+        ids = live[rows]
+        y_out[ids], lower_out[ids], steps_out[ids] = y[rows], lower[rows], steps
+
+    for steps in range(max_steps + 1 if len(live) else 0):
+        near = n.min(axis=1) < 1e-3 if p == 1 else None
+        if p == 1 and near.any():  # Armijo backtracking from the nearest data point
+            nearest = np.arange(len(live)), n.argmin(axis=1)
+            t, slack = reach[nearest], dn[nearest] - mass[nearest]
+            start, way = z[nearest], out[nearest]
             for _ in range(60):
-                trial = parts(z[j] + t * out[j])
-                if trial[3] <= f - 0.5 * t * (dn[j] - mass[j]):
-                    y, (v, a, n, f) = z[j] + t * out[j], trial
-                    break
-                t *= 0.5
-        b = w * a ** (q - 1.0) * np.sign(v)
+                cand = start + t[:, None] * way
+                trial = parts(cand)
+                ok = near & (trial[3] <= f - 0.5 * t * slack)
+                if ok.any():
+                    accept(np.flatnonzero(ok).tolist(), cand, trial)
+                    near &= ~ok
+                    if not near.any():
+                        break
+                t = 0.5 * t
+        b = wk * a ** (q - 1.0) * np.sign(v)
         n1 = np.where(n > 0, n, 1.0)
-        u = (mass * p * n1 ** (p - q))[:, None] * b  # d/dv of term i
-        coef = mass * p * np.maximum(n, 1e-12) ** (p - q)
+        u = (mp * n1 ** (p - q))[:, :, None] * b  # d/dv of term i
+        coef = mp * np.maximum(n, 1e-12) ** (p - q)
         rank = (p - q) / n1**q
-        diag = (q - 1.0) * w * np.maximum(a, 1e-12) ** (q - 2.0)
-        H = (b.T * (coef * rank)) @ b + np.diag(coef @ diag)
-        g = u.sum(axis=0)  # minus the gradient in y
-        damp = np.maximum(np.diag(H), 1e-12 * max(float(np.diag(H).max()), 1.0))
-        s = np.linalg.solve(H + np.diag((mu + 1e-12) * damp), g)
-        split = u - coef[:, None] * (rank[:, None] * (b @ s)[:, None] * b + diag * s)
-        split -= mass[:, None] / mass.sum() * split.sum(axis=0)
-        lower = max(lower, _fenchel_bound(v, split, w, mass, p, q))
-        if f - lower <= tol or steps == max_steps:
+        diag = wq * np.maximum(a, 1e-12) ** (q - 2.0)
+        curv = (coef[:, None, :] @ diag)[:, 0]
+        H = outer_sum(b, coef * rank)
+        hd = diagonal(H)
+        hd += curv
+        damp = np.maximum(hd, 1e-12 * np.maximum(hd.max(axis=1), 1.0)[:, None])
+        reg = (mu[:, None] + 1e-12) * damp
+        hd += reg  # H is now the damped Newton matrix
+        g = u.sum(axis=1)  # minus the gradient in y
+        s = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        bs = (b @ s[:, :, None])[:, :, 0]
+        split = u - coef[:, :, None] * (rank[:, :, None] * bs[:, :, None] * b + diag * s[:, None])
+        split -= share * split.sum(axis=1)[:, None, :]
+        lower = np.maximum(lower, _fenchel_bound(v, split, wk, mass, p, q))
+        # the stop test, the damping update and the step choice run per
+        # problem in Python floats; finished rows ride along until the end
+        fs = f.tolist()
+        done = [
+            i for i, (fi, lo, tl) in enumerate(zip(fs, lower.tolist(), tol.tolist()))
+            if fi - lo <= tl or steps == max_steps
+        ]
+        if len(done) == len(live):
+            finish(slice(None), steps)
             break
+        if done:
+            finish(done, steps)
         trial = parts(y + s)
-        pred = float(g @ s) - 0.5 * float(s @ H @ s)
-        rho = (f - trial[3]) / pred if pred > 0 else -1.0
-        if rho < 0.25:
-            mu = max(4 * mu, 1e-3)
-        elif rho > 0.75:
-            mu = mu / 4 if mu > 1e-6 else 0.0
-        vs = v * (v - s)
-        if (q < 2 and (vs < 0).any()) or (p < 2 and (vs.sum(axis=1) < 0).any()):
-            mm = (b.T * (coef * np.maximum(rank, 0.0))) @ b
-            mm += np.diag(coef @ diag * max(1.0, 1.0 / (q - 1.0)) + 1e-12 * damp)
-            ym = y + np.linalg.solve(mm, g)
+        pred = 0.5 * ((g + reg * s) * s).sum(axis=1)  # g.s - s.Hs/2 of the undamped H
+        fts = trial[3].tolist()
+        rho = [(fi - ft) / pr if pr > 0 else -1.0 for fi, ft, pr in zip(fs, fts, pred.tolist())]
+        mus = [
+            max(4 * m, 1e-3) if r < 0.25 else (m / 4 if m > 1e-6 else 0.0) if r > 0.75 else m
+            for r, m in zip(rho, mu.tolist())
+        ]
+        mu = np.array(mus)
+        vs = v * (v - s[:, None, :])
+        kink = (vs < 0).any(axis=(1, 2)) if q < 2 else np.zeros(len(live), dtype=bool)
+        if p < 2:
+            kink |= (vs.sum(axis=2) < 0).any(axis=1)
+        took = []
+        if kink.any():  # the majorizing step, taken where it beats both
+            mm = outer_sum(b, coef * np.maximum(rank, 0.0))
+            diagonal(mm)[...] += curv * max(1.0, 1.0 / (q - 1.0)) + 1e-12 * damp
+            ym = y + np.linalg.solve(mm, g[:, :, None])[:, :, 0]
             cand = parts(ym)
-            if cand[3] < min(trial[3], f):
-                y, (v, a, n, f) = ym, cand
-                continue
-        if rho > 1e-4:
-            y, (v, a, n, f) = y + s, trial
-        elif mu > 1e12:
-            break
-    y = y0 + top * y
-    val = _wobj(x, w, y, p, q, lam)
-    if val - lower * unit > tol * unit:
-        logger.debug(
-            "newton stopped after %d steps with gap %.3e above tol %.3e",
-            steps, val - lower * unit, tol * unit,
-        )
-    return y, val, lower * unit
+            fcs = cand[3].tolist()
+            took = [
+                i for i, (kk, fc, ft, fi) in enumerate(zip(kink.tolist(), fcs, fts, fs))
+                if kk and fc < min(ft, fi)
+            ]
+            accept(took, ym, cand)
+        skip = set(took)
+        accept([i for i, r in enumerate(rho) if r > 1e-4 and i not in skip], y + s, trial)
+        skip.update(done)
+        stuck = [
+            i for i, (r, m) in enumerate(zip(rho, mus)) if r <= 1e-4 and m > 1e12 and i not in skip
+        ]
+        if stuck:
+            finish(stuck, steps)
+        if done or stuck:
+            keep = np.ones(len(live), dtype=bool)
+            keep[done + stuck] = False
+            if not keep.any():
+                break
+            live, z, wk, mass, share, mp, wq, tol = (
+                arr[keep] for arr in (live, z, wk, mass, share, mp, wq, tol)
+            )
+            y, v, a, n, f, lower, mu = (arr[keep] for arr in (y, v, a, n, f, lower, mu))
+            if p == 1:
+                out, reach, dn = out[keep], reach[keep], dn[keep]
+    return result()
 
 
 def _q1_oracle(x, w, g):
@@ -646,24 +732,101 @@ def _remember(key, entry):
 
 
 def _solve_canonical(x, w, lam, p, q, tol):
-    """Dispatch on (p, q) over a canonical problem; minimizer in its columns."""
+    """Dispatch a canonical problem that Newton does not take; minimizer in its columns."""
     if x.shape[1] == 0:
         return FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
     if p == 2 and q == 2:
         y, val = _solve_mean_22(x, w, lam)
         return FpqSolution(val, y, 0.0, "closed-form-22", val)
-    if q == 1 and p == 1:
+    if p == 1:  # q = 1
         y, val = _solve_median_q1p1(x, w, lam)
         return FpqSolution(val, y, 0.0, "coordinate-q1", val)
-    if q == 1:  # p > 1
-        y, val, lb = _frank_wolfe(x, w, lam, p, tol)
-        return FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
-    y, val, lb = _newton(x, w, lam, p, q, tol)  # q in (1, inf)
-    return FpqSolution(val, y, max(val - lb, 0.0), "newton", lb)
+    y, val, lb = _frank_wolfe(x, w, lam, p, tol)  # q = 1, p > 1
+    return FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
+
+
+def _newton_solutions(problems, tol):
+    """Newton solutions of canonical problems (x, w, lam, p, q), 1 < q < inf.
+
+    Weightless rows are dropped and equal rows merged, their weights added.
+    A problem left with one point is solved there; the others go to
+    ``_newton`` as one stack per (p, q) and merged (k, c) shape.  Minimizers
+    are in the canonical columns.
+    """
+    found, stacks = [None] * len(problems), {}
+    for i, (x, w, lam, p, q) in enumerate(problems):
+        keep = lam > 0
+        rows, _, inv, _ = unique_columns(x[keep].T)  # equal points merge into one
+        pts, mass = rows.T, np.bincount(inv, lam[keep])
+        if len(pts) < 2:
+            found[i] = (pts if len(pts) else x)[0].copy(), 0.0, 0
+        else:
+            stacks.setdefault((p, q, pts.shape), []).append((i, pts, mass, w))
+    for (p, q, _), stack in stacks.items():
+        rows, pts, mass, w = zip(*stack)
+        y, lower, steps = _newton(np.array(pts), np.array(mass), np.array(w), p, q, tol)
+        for at, i in enumerate(rows):
+            found[i] = y[at], float(lower[at]), int(steps[at])
+    out = []
+    for (x, w, lam, p, q), (y, lower, steps) in zip(problems, found):
+        val = _wobj(x, w, y, p, q, lam)
+        if val - lower > tol:
+            logger.debug(
+                "newton stopped after %d steps with gap %.3e above tol %.3e",
+                steps, val - lower, tol,
+            )
+        out.append(FpqSolution(val, y, max(val - lower, 0.0), "newton", lower))
+    return out
+
+
+def solve_fpq_many(probs, tol: float = 1e-8) -> list[FpqSolution]:
+    """``solve_fpq`` over an iterable of problems, one solution each, in order.
+
+    Each problem is canonicalized as it comes and looked up in the memo;
+    past that only its canonical form and first point are kept.  Each
+    distinct canonical problem that misses is solved once.  The misses that
+    Newton takes are solved together, one ``_newton`` stack per (p, q) and
+    merged shape; every other miss goes to its engine alone.  A problem's
+    solution does not depend on the other problems in the batch.
+    """
+    if tol <= 0:
+        raise InputError(f"tol must be positive, got {tol}")
+    out, misses = [], {}
+    for i, prob in enumerate(probs):
+        if prob.q == math.inf:
+            out.append(_solve_qinf(prob.points, prob.weights, prob.p, tol))
+            continue
+        x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
+        sol = _MEMO.get(key)
+        if sol is not None and sol.tolerance <= tol:
+            out.append(_placed(prob.points[0], sol, col_of, var))
+            continue
+        out.append(None)
+        user = (i, prob.points[0].copy(), col_of, var)
+        misses.setdefault(key, ((x, w, lam, prob.p, prob.q), []))[1].append(user)
+    newton = [
+        key for key, ((x, _, _, p, q), _) in misses.items()
+        if x.shape[1] and 1 < q < math.inf and (p, q) != (2, 2)
+    ]
+    solved = dict(zip(newton, _newton_solutions([misses[key][0] for key in newton], tol)))
+    for key, (canon, users) in misses.items():
+        sol = solved[key] if key in solved else _solve_canonical(*canon, tol)
+        _remember(key, sol)
+        for i, base, col_of, var in users:
+            out[i] = _placed(base, sol, col_of, var)
+    return out
+
+
+def _placed(base, sol, col_of, var):
+    """``sol`` of a canonical problem, its minimizer in the coordinates of a
+    problem whose first point is ``base``: constant columns keep its values."""
+    y = base.copy()
+    y[var] = sol.minimizer[col_of]
+    return replace(sol, minimizer=y)
 
 
 def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
-    """Minimize sum_i w_i ||z_i - y||_q^p over y.
+    """Minimize sum_i w_i ||z_i - y||_q^p over y: ``solve_fpq_many`` of one problem.
 
     ``tol`` is the accuracy target, and every path but the closed forms
     reports ``tolerance`` = value - lower_bound, a certified gap.  Pairwise
@@ -677,18 +840,7 @@ def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
     weights and pairwise distances) is reused when its gap is at most
     ``tol``.
     """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    if prob.q == math.inf:
-        return _solve_qinf(prob.points, prob.weights, prob.p, tol)
-    x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
-    sol = _MEMO.get(key)
-    if sol is None or sol.tolerance > tol:
-        sol = _solve_canonical(x, w, lam, prob.p, prob.q, tol)
-        _remember(key, sol)
-    y = prob.points[0].copy()
-    y[var] = sol.minimizer[col_of]
-    return replace(sol, minimizer=y)
+    return solve_fpq_many([prob], tol)[0]
 
 
 def fpq_closed_form_22(points, weights=None) -> FpqSolution:

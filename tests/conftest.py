@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import barygap.chub
 import barygap.fpq
 import barygap.reduction
 from barygap.graph import (
@@ -43,25 +44,25 @@ def full_corpus():
 
 @pytest.fixture(autouse=True)
 def fresh_fpq_memo():
-    """Every test starts with an empty hub-solve memo and QIN certificate
-    cache, so a test that patches solver internals sees a fresh solve rather
-    than an earlier answer."""
+    """Every test starts with an empty hub-solve memo, QIN certificate cache
+    and symmetry-proof cache, so a test that patches solver internals sees a
+    fresh solve rather than an earlier answer."""
     barygap.fpq._MEMO.clear()
     barygap.reduction._qin_pattern_sweep.cache_clear()
+    barygap.chub._proven.cache_clear()
 
 
 def newton_solve(prob, tol=1e-8):
-    """Damped Newton on ``prob``'s canonical hub problem, at any (p, q) with
-    1 < q < inf and p=q=2 included: the iterative reference for the closed
-    form.  It neither reads nor fills the memo.  A problem whose points all
-    coincide has no free coordinate and goes to ``solve_fpq``."""
+    """Damped Newton on ``prob``'s canonical hub problem, as a batch of one,
+    at any (p, q) with 1 < q < inf and p=q=2 included: the iterative
+    reference for the closed form.  It neither reads nor fills the memo.  A
+    problem whose points all coincide has no free coordinate and goes to
+    ``solve_fpq``."""
     x, w, lam, col_of, var, _ = barygap.fpq._canonical(prob.points, prob.weights, prob.p, prob.q)
     if x.shape[1] == 0:
         return barygap.fpq.solve_fpq(prob, tol)
-    z, value, lower = barygap.fpq._newton(x, w, lam, prob.p, prob.q, tol)
-    y = prob.points[0].copy()
-    y[var] = z[col_of]
-    return barygap.fpq.FpqSolution(value, y, max(value - lower, 0.0), "newton", lower)
+    (sol,) = barygap.fpq._newton_solutions([(x, w, lam, prob.p, prob.q)], tol)
+    return barygap.fpq._placed(prob.points[0], sol, col_of, var)
 
 
 SWEEP_PQS = [(2, 2), (1, 2), (2, 1.5), (1, 1), (2, 1), (1, math.inf), (2, math.inf)]

@@ -29,7 +29,7 @@ from barygap.bary import (
 )
 from barygap.embed import embed_phi
 from barygap.errors import InputError, ResourceCapError
-from barygap.fpq import FpqProblem, solve_fpq
+from barygap.fpq import FpqProblem, solve_fpq, solve_fpq_many
 from barygap.graph import complete_graph, cycle_graph
 from barygap.simplex import solve_lp
 
@@ -394,6 +394,24 @@ def test_orbit_lp_matches_the_full_lp(seed, k, n, uniform):
     assert math.isclose(plan_cost, value, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_copies_of_one_float_measure_take_the_orbit_lp_at_p2_q2(seed):
+    # the Gram costs of permuted tuples round differently; each tuple takes
+    # its sorted tuple's cost, so the tensor is exactly symmetric.  The value
+    # is 0 up to rounding (the diagonal plan), so it is compared at the scale
+    # of the costs
+    rng = np.random.default_rng(seed)
+    mu = DiscreteMeasure(rng.random((4, 3)), rng.dirichlet(np.ones(4)))
+    with lp_shapes() as shapes:
+        res = bary_value_mot(BaryInstance([mu] * 3, 2, 2))
+    assert shapes == [(4, math.comb(6, 3))]
+    costs, _ = barygap.chub.tuple_costs([mu.atoms] * 3, 2, 2, None, 1e-6)
+    ref = linprog(costs, A_eq=full_marginal_matrix(4, 3), b_eq=np.tile(mu.masses, 3))
+    assert ref.status == 0
+    assert abs(res.value - ref.fun) <= 1e-12 * costs.max()
+    assert res.plan.max_marginal_violation([mu] * 3) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "graph, k, want",
     [
@@ -591,14 +609,14 @@ def test_mot_tolerance_covers_hub_solves(seed, monkeypatch):
     # inflated past tol must still show in the reported tolerance
     inner, reported = [], []
 
-    def recording(prob, tol):
-        sol = solve_fpq(prob, tol=tol)
-        inner.append(sol.tolerance)
-        sol = dataclasses.replace(sol, tolerance=sol.tolerance + 1e-2)
-        reported.append(sol.tolerance)
-        return sol
+    def recording(probs, tol):
+        sols = solve_fpq_many(probs, tol=tol)
+        inner.extend(sol.tolerance for sol in sols)
+        sols = [dataclasses.replace(sol, tolerance=sol.tolerance + 1e-2) for sol in sols]
+        reported.extend(sol.tolerance for sol in sols)
+        return sols
 
-    monkeypatch.setattr(barygap.chub, "solve_fpq", recording)
+    monkeypatch.setattr(barygap.chub, "solve_fpq_many", recording)
     rng = np.random.default_rng(seed)
     ms = [DiscreteMeasure(rng.random((4, 3)), rng.dirichlet(np.ones(4))) for _ in range(3)]
     res = bary_value_mot(BaryInstance(ms, 2, 1), tol=1e-6)

@@ -27,7 +27,7 @@ from barygap.chub import (
 )
 from barygap.embed import PointConfig, embed_phi, embed_psi, embed_xi
 from barygap.errors import InputError, ResourceCapError
-from barygap.fpq import FpqProblem, solve_fpq
+from barygap.fpq import FpqProblem, solve_fpq, solve_fpq_many
 from barygap.graph import (
     Graph,
     complete_graph,
@@ -165,14 +165,14 @@ def test_reported_tolerance_covers_inner_solves(monkeypatch):
     # in the reported tolerance
     inner, reported = [], []
 
-    def recording(prob, tol):
-        sol = solve_fpq(prob, tol=tol)
-        inner.append(sol.tolerance)
-        sol = dataclasses.replace(sol, tolerance=sol.tolerance + 1e-2)
-        reported.append(sol.tolerance)
-        return sol
+    def recording(probs, tol):
+        sols = solve_fpq_many(probs, tol=tol)
+        inner.extend(sol.tolerance for sol in sols)
+        sols = [dataclasses.replace(sol, tolerance=sol.tolerance + 1e-2) for sol in sols]
+        reported.extend(sol.tolerance for sol in sols)
+        return sols
 
-    monkeypatch.setattr(barygap.chub, "solve_fpq", recording)
+    monkeypatch.setattr(barygap.chub, "solve_fpq_many", recording)
     res = solve_chub(embed_psi(complete_graph(5), 4, p=2.0), tol=1e-3)
     assert max(inner) <= 1e-3 / 2
     assert res.tolerance >= max(reported) > 1e-3
@@ -463,11 +463,15 @@ def test_a_flipped_point_entry_merges_no_classes(monkeypatch):
     points[0, 0, 0] = -points[0, 0, 0]
     flipped = dataclasses.replace(cfg, points=points)
     assert flipped.source == cfg.source
-    calls = []
-    orig = barygap.chub.solve_fpq
-    monkeypatch.setattr(
-        barygap.chub, "solve_fpq", lambda *a, **kw: calls.append(1) or orig(*a, **kw)
-    )
+    calls = []  # one entry per hub problem asked for
+    orig = barygap.chub.solve_fpq_many
+
+    def counting(probs, **kw):
+        probs = list(probs)
+        calls.extend(probs)
+        return orig(probs, **kw)
+
+    monkeypatch.setattr(barygap.chub, "solve_fpq_many", counting)
     res = solve_chub(cfg, tol=1e-3)
     assert res.method == "class-cache[15]" and len(calls) == 5
     del calls[:]

@@ -33,6 +33,7 @@ from barygap.fpq import (
     fpq_gradient,
     fpq_objective,
     solve_fpq,
+    solve_fpq_many,
     unique_columns,
 )
 from barygap.graph import complete_graph, cycle_graph
@@ -616,15 +617,83 @@ def test_fenchel_bound_is_below_every_objective_value(data):
 
 
 def test_newton_logs_an_open_gap(monkeypatch, caplog):
+    # the batched engine's step cap at 0: both problems of the one stack stop
+    # open, and each logs its own DEBUG record
     monkeypatch.setattr(barygap.fpq._newton, "__defaults__", (0,))
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
-        sol = solve_fpq(FpqProblem(pts, 2, 1.5), tol=1e-9)
-    assert sol.tolerance > 1e-9
-    assert sol.lower_bound <= sol.value
+        sols = solve_fpq_many([FpqProblem(pts, 2, 1.5), FpqProblem(2 * pts, 2, 1.5)], tol=1e-9)
+    for sol in sols:
+        assert sol.tolerance > 1e-9
+        assert sol.lower_bound <= sol.value
     records = [r for r in caplog.records if r.name == "barygap.fpq"]
-    assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    assert "above tol" in records[0].getMessage()
+    assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
+    assert all("above tol" in r.getMessage() for r in records)
+
+
+@st.composite
+def _hub_problem_lists(draw):
+    # problems of a few (p, q) regimes and shapes, so that some share a
+    # Newton stack; duplicate rows, zero weights and constant columns mixed in
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    regimes = draw(st.lists(
+        st.tuples(st.sampled_from([1.0, 1.3, 2.0, 3.0]), st.sampled_from([1.2, 1.5, 2.0, 3.0])),
+        min_size=1, max_size=2,
+    ))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=2))
+    probs = []
+    for _ in range(draw(st.integers(1, 10))):
+        p, q = draw(st.sampled_from(regimes))
+        k, d = draw(st.sampled_from(shapes))
+        x = rng.normal(size=(k, d)) if draw(st.booleans()) else rng.integers(-2, 3, (k, d)) * 1.0
+        if k > 1 and draw(st.booleans()):
+            x[-1] = x[0]
+        if draw(st.booleans()):
+            x[:, 0] = x[0, 0]
+        w = rng.integers(0, 3, k) * 0.5 if draw(st.booleans()) else None
+        probs.append(FpqProblem(x, p, q, weights=w))
+    return probs, draw(st.sampled_from([1e-6, 1e-9]))
+
+
+@given(_hub_problem_lists())
+@settings(max_examples=150, deadline=None)
+def test_solve_fpq_many_matches_each_problem_alone(case):
+    # a problem's solution does not depend on the rest of its batch: every
+    # element equals solve_fpq on that problem alone, bit for bit
+    probs, tol = case
+    barygap.fpq._MEMO.clear()
+    many = solve_fpq_many(probs, tol=tol)
+    for prob, sol in zip(probs, many):
+        barygap.fpq._MEMO.clear()
+        alone = solve_fpq(prob, tol=tol)
+        assert (sol.value, sol.lower_bound, sol.tolerance, sol.method) == (
+            alone.value, alone.lower_bound, alone.tolerance, alone.method
+        )
+        assert np.array_equal(sol.minimizer, alone.minimizer)
+        want = fpq_objective(prob.points, sol.minimizer, prob.p, prob.q, prob.weights)
+        assert abs(sol.value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_newton_p1_q3_four_points_report_an_honest_interval():
+    # an open Newton gap near a kink (about 3.5e-6 at tol 1e-9); alone and
+    # inside a batch the interval holds a Nelder-Mead optimum
+    x = np.array([[-3.0, -3.0], [3.0, 3.0], [2.0, 1.0], [-2.0, -2.0]])
+    prob = FpqProblem(x, 1, 3)
+    ref = min(
+        scipy.optimize.minimize(
+            lambda y: fpq_objective(x, y, 1, 3), start, method="Nelder-Mead",
+            options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 20000},
+        ).fun
+        for start in (x[3], x.mean(axis=0))
+    )
+    alone = solve_fpq(prob, tol=1e-9)
+    barygap.fpq._MEMO.clear()
+    other = FpqProblem(np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0], [-1.0, 2.0]]), 1, 3)
+    batched = solve_fpq_many([other, prob, other], tol=1e-9)[1]
+    for sol in (alone, batched):
+        assert sol.method == "newton"
+        assert sol.lower_bound <= ref <= sol.value
+        assert sol.tolerance == sol.value - sol.lower_bound
 
 
 @st.composite
@@ -663,11 +732,12 @@ def test_unique_columns_edge_shapes():
 
 
 def _counting(monkeypatch, name):
+    # one entry per call, or per problem solved for the batched ``_newton``
     calls = []
     inner = getattr(barygap.fpq, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(args)
+        calls.extend([args] * (len(args[0]) if name == "_newton" else 1))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(barygap.fpq, name, wrapper)
@@ -691,6 +761,19 @@ def test_memo_solves_a_permuted_problem_once(monkeypatch):
     assert a.value == b.value and a.method == b.method == "newton"
     assert a.tolerance <= 1e-8 and a.lower_bound <= a.value
     assert abs(b.value - fpq_objective(moved, b.minimizer, 2, 1.5)) < 1e-9
+
+
+def test_batch_solves_each_canonical_problem_once(monkeypatch):
+    # a permuted copy in the same batch shares its canonical problem, and the
+    # two distinct problems of one shape are solved in one Newton stack
+    calls = _counting(monkeypatch, "_newton")
+    x = _qin_problem()
+    moved = x[[2, 0, 3, 1]][:, np.random.default_rng(5).permutation(x.shape[1])]
+    sols = solve_fpq_many([FpqProblem(pts, 2, 1.5) for pts in (x, moved, 2 * x)])
+    assert len(calls) == 2 and calls[0] is calls[1] and len(barygap.fpq._MEMO) == 2
+    assert sols[0].value == sols[1].value and sols[2].value == pytest.approx(2**2 * sols[0].value)
+    assert solve_fpq(FpqProblem(x, 2, 1.5)).value == sols[0].value
+    assert len(calls) == 2
 
 
 def test_memo_reuses_only_a_tight_enough_entry(monkeypatch):
