@@ -38,6 +38,7 @@ from .fpq import (
     fpq_objective,
     solve_fpq,
     solve_fpq_many,
+    solve_fpq_values,
 )
 from .graph import (
     Graph,

@@ -12,7 +12,7 @@ below and ``graph.max_multiset_edges``.
 values, for this sweep and for the multimarginal LP's cost tensor
 (``bary.bary_value_mot``).  At p=q=2 the Gram kernel gives every tuple's
 value, exactly in integers for the gadget and in Python ints for exact
-transport.  Elsewhere the tuples of one call are one ``fpq.solve_fpq_many``
+transport.  Elsewhere the tuples of one call are one ``fpq.solve_fpq_values``
 batch, whose memo is keyed on the canonical hub problem.  For embedded
 configs the tuples are grouped by one integer code: the induced edge
 pattern times b^k plus the positions' degree-rank digits, b the number of
@@ -26,9 +26,10 @@ are proven symmetries of the config (Bödi, Herr and Joswig, *Algorithms for
 highly symmetric linear and integer programs*, Math. Prog. 2013): permuting
 the k point groups by sigma must give the same (k*n, d) matrix up to a
 signed column permutation, checked exactly on the points
-(``_is_symmetry``, once per point array and permutation), never read from
-the source.  Then a tuple and its positions permuted by sigma are one hub
-problem up to an isometry of the norm, so they have one value.  Only
+(``_is_symmetry``, once per point array and permutation: ``_proven``
+keeps the verdicts), never read from the source.  Then a tuple and its
+positions permuted by sigma are one hub problem up to an isometry of the
+norm, so they have one value.  Only
 (0 1), the k-cycle and the reversal are tested, and only when they move
 some class; a class's image under one is the class of its code permuted by
 ``_permute_codes``, the helper the QIN pattern sweep
@@ -42,7 +43,7 @@ value as a flat array.
 
 from __future__ import annotations
 
-import functools
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,7 @@ import numpy as np
 
 from .embed import PointConfig
 from .errors import InputError, check_cap
-from .fpq import FpqProblem, solve_fpq_many, unique_columns
+from .fpq import FpqProblem, solve_fpq_values, unique_columns
 from .graph import DEFAULT_ENUM_CAP, Graph, max_multiset_edges
 
 CHUNK = 65536  # tuples per vectorized block
@@ -186,7 +187,8 @@ def tuple_costs(groups, p, q, weights, tol, reps=None):
     them all at once with tolerance 0; when the groups are one array and
     the weights are equal, each tuple takes the value of its sorted tuple,
     so that the values are exactly symmetric.  Otherwise the tuples are
-    one ``solve_fpq_many`` call at ``tol`` with per-point ``weights``.
+    one ``solve_fpq_values`` batch at ``tol`` with per-point ``weights``,
+    which keeps no minimizer, so memory grows with the tuples, not with d.
     """
     shape = tuple(len(g) for g in groups)
     flat = np.arange(math.prod(shape)) if reps is None else np.asarray(reps)
@@ -203,8 +205,8 @@ def tuple_costs(groups, p, q, weights, tol, reps=None):
     # the problems are built as the batch reads them, one tuple's points at a time
     tuples = zip(*np.unravel_index(flat, shape))
     probs = (FpqProblem(np.stack([g[j] for g, j in zip(groups, t)]), p, q, weights) for t in tuples)
-    sols = solve_fpq_many(probs, tol=tol)
-    return np.array([sol.value for sol in sols]), max((sol.tolerance for sol in sols), default=0.0)
+    values, tols = solve_fpq_values(probs, tol=tol)
+    return values, float(tols.max(initial=0.0))
 
 
 def _grid_blocks(shape, unary, pairs):
@@ -334,25 +336,44 @@ def _column_multiset(m):
     return uniq, counts
 
 
-def _is_symmetry(points, perm):
+def _is_symmetry(points, perm, base=None):
     """True when moving point group perm[i] to position i gives the same
     (k*n, d) matrix up to a signed column permutation.
 
     Then a tuple and its positions permuted are one hub problem up to an
     isometry of the norm and an order of the points, so they have one value.
-    The verdict is worked out once per point array and permutation.
+    ``base`` is ``_column_multiset`` of the unpermuted matrix, when known.
     """
-    return _proven(points.tobytes(), points.dtype.str, points.shape, tuple(perm))
-
-
-@functools.lru_cache(maxsize=256)
-def _proven(data, dtype, shape, perm):
-    """``_is_symmetry`` of the point array held in ``data``; cached."""
-    k, n, d = shape
-    points = np.frombuffer(data, dtype).reshape(shape)
-    uniq, counts = _column_multiset(points.reshape(k * n, d))
+    k, n, d = points.shape
+    uniq, counts = base if base is not None else _column_multiset(points.reshape(k * n, d))
     other, other_counts = _column_multiset(points[list(perm)].reshape(k * n, d))
     return np.array_equal(uniq, other) and np.array_equal(counts, other_counts)
+
+
+_PROOFS_CAP = 1024  # verdicts kept; emptied when full
+_PROOFS = {}  # (point array digest, dtype, shape, perm) -> ``_is_symmetry`` verdict
+
+
+def _proven(points, perms):
+    """``_is_symmetry`` of each of ``perms`` on ``points``, kept per point
+    array and permutation.
+
+    A point array is known by the BLAKE2b digest of its bytes (with its
+    dtype and shape), so a verdict costs one digest once proven, and the
+    cache holds no copy of the points.  The unpermuted column multiset is
+    computed at most once a call.
+    """
+    tag = hashlib.blake2b(np.ascontiguousarray(points)).digest(), points.dtype.str, points.shape
+    keys = [(*tag, tuple(perm)) for perm in perms]
+    missing = [key for key in keys if key not in _PROOFS]
+    if missing:
+        k, n, d = points.shape
+        base = _column_multiset(points.reshape(k * n, d))
+        if len(_PROOFS) + len(missing) > _PROOFS_CAP:
+            _PROOFS.clear()
+        for key in missing:
+            _PROOFS[key] = _is_symmetry(points, key[-1], base)
+    return [_PROOFS[key] for key in keys]
 
 
 def _orbit_roots(size, maps):
@@ -381,13 +402,15 @@ def _class_orbits(config, codes, base):
     permuted by ``_permute_codes``.  It is used only when it moves some
     class and ``_is_symmetry`` proves it on the config's points.
     """
-    maps = []
+    moved = []
     for perm in _position_generators(config.k):
         # the image puts index t_i at position perm[i]; when the check
         # passes, group perm[i] is group i up to a signed column permutation
         image = np.searchsorted(codes, _permute_codes(codes, perm, base))
-        if not np.array_equal(image, np.arange(len(codes))) and _is_symmetry(config.points, perm):
-            maps.append(image)
+        if not np.array_equal(image, np.arange(len(codes))):
+            moved.append((perm, image))
+    proofs = _proven(config.points, [perm for perm, _ in moved]) if moved else []
+    maps = [image for (_, image), ok in zip(moved, proofs) if ok]
     return _orbit_roots(len(codes), maps)
 
 

@@ -119,10 +119,11 @@ def fpq_gradient(points, y, p, q, weights=None):
 
 
 def _term_gradients(v, w, lam, p, q):
-    """Rows d/dv_i of lam_i ||v_i||^p in the w-weighted q-norm (0 where v_i = 0)."""
+    """d/dv_i of lam_i ||v_i||^p in the w-weighted q-norm, one row i per
+    entry of ``lam`` (0 where v_i = 0); leading axes are batch axes."""
     a = np.abs(v)
     n = ((a**q) * w).sum(axis=-1, keepdims=True) ** (1.0 / q)
-    scale = lam[:, None] * p * np.where(n > 0, n, 1.0) ** (p - q)
+    scale = lam[..., None] * p * np.where(n > 0, n, 1.0) ** (p - q)
     return scale * w * a ** (q - 1.0) * np.sign(v)
 
 
@@ -201,17 +202,13 @@ def _weighted_median_columns(x, g):
 
 
 def _conjugate_power_sum(g, p, lam):
-    """Fenchel conjugate of t -> sum_i lam_i t_i^p on t >= 0, at g >= 0."""
-    g = np.maximum(g, 0.0)
+    """Fenchel conjugate of t -> sum_i lam_i t_i^p on t >= 0, at g >= 0 and
+    lam > 0, summed over the last axis; leading axes are batch axes."""
     if p == 1:
         # conjugate is 0 where g <= lam, +inf otherwise; callers keep g <= lam
         return 0.0
-    out = 0.0
-    pos = lam > 0
     r = p / (p - 1.0)
-    out += ((p - 1.0) * lam[pos] * (g[pos] / (p * lam[pos])) ** r).sum()
-    # lam_i = 0 forces g_i = 0 for a finite conjugate; treat tiny g as 0
-    return float(out)
+    return ((p - 1.0) * lam * (np.maximum(g, 0.0) / (p * lam)) ** r).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +245,7 @@ def _fenchel_bound(v, u, w, lam, p, q):
     dot = (u * v).sum(axis=(-2, -1))
     if p == 1:
         return np.minimum(1.0, (lam / np.maximum(dn, 1e-300)).min(axis=-1)) * dot
-    r = p / (p - 1.0)
-    return dot - ((p - 1.0) * lam * (dn / (p * lam)) ** r).sum(axis=-1)
+    return dot - _conjugate_power_sum(dn, p, lam)
 
 
 def _newton(pts, mass, w, p, q, tol, max_steps=100):
@@ -268,9 +264,10 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
     Hessians along the Newton step.  Each step solves the Newton systems of
     the problems still running in one batched call, and a problem leaves
     the stack once it stops.  Every sum, stacked product and solve works
-    within one problem's rows, and the per-problem damping and step choices
-    run in Python floats, so a problem's result does not depend on the rest
-    of the stack.  Returns (y, best bound, steps taken), one row per problem.
+    within one problem's rows, and the stop test, damping update and step
+    choice are elementwise masks, so a problem's result does not depend on
+    the rest of the stack.  Returns (y, best bound, steps taken), one row
+    per problem.
     """
     T, k, c = pts.shape
     y0 = (mass[:, None, :] @ pts)[:, 0] / mass.sum(axis=1)[:, None]
@@ -301,10 +298,8 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
 
     if p == 1:
         V = z[:, None, :, :] - z[:, :, None, :]  # V[t, j, i] = x_i - x_j
-        A = np.abs(V)
-        N = ((A**q) * wk[:, None]).sum(axis=3) ** (1.0 / q)
-        U = (mass[:, None, :] * np.where(N > 0, N, 1.0) ** (1.0 - q))[:, :, :, None] * wk[:, None]
-        U = U * A ** (q - 1.0) * np.sign(V)  # U[t, j, i]: term i's gradient at x_j
+        N = ((np.abs(V) ** q) * wk[:, None]).sum(axis=3) ** (1.0 / q)
+        U = _term_gradients(V, wk[:, None], mass[:, None, :], 1.0, q)  # term i's gradient at x_j
         R = U.sum(axis=2)
         dn = _dual_norms(R, wk, q)
         best = np.argmin(np.where(dn <= mass, (N * mass[:, None, :]).sum(axis=2), np.inf), axis=1)
@@ -329,35 +324,35 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
     v, a, n, f = parts(y)
     lower, mu = np.full(len(live), -math.inf), np.zeros(len(live))
 
-    def accept(rows, y_new, new):  # move the listed rows to y_new, with parts new
+    def accept(rows, y_new, new):  # move the rows of a mask to y_new, with parts new
         nonlocal y, v, a, n, f
-        if len(rows) == len(y):
+        if rows.all():
             y, (v, a, n, f) = y_new, new
-        elif rows:
+        elif rows.any():
             y[rows] = y_new[rows]
             for cur, arr in zip((v, a, n, f), new):
                 cur[rows] = arr[rows]
 
-    def finish(rows, steps):  # record the rows' results, a list of them or all
+    def finish(rows, steps):  # record the results of the rows of a mask
         ids = live[rows]
         y_out[ids], lower_out[ids], steps_out[ids] = y[rows], lower[rows], steps
 
     for steps in range(max_steps + 1 if len(live) else 0):
-        near = n.min(axis=1) < 1e-3 if p == 1 else None
-        if p == 1 and near.any():  # Armijo backtracking from the nearest data point
-            nearest = np.arange(len(live)), n.argmin(axis=1)
-            t, slack = reach[nearest], dn[nearest] - mass[nearest]
-            start, way = z[nearest], out[nearest]
-            for _ in range(60):
-                cand = start + t[:, None] * way
-                trial = parts(cand)
-                ok = near & (trial[3] <= f - 0.5 * t * slack)
-                if ok.any():
-                    accept(np.flatnonzero(ok).tolist(), cand, trial)
+        if p == 1:  # Armijo backtracking from the nearest data point
+            near = n.min(axis=1) < 1e-3
+            if near.any():
+                nearest = np.arange(len(live)), n.argmin(axis=1)
+                t, slack = reach[nearest], dn[nearest] - mass[nearest]
+                start, way = z[nearest], out[nearest]
+                for _ in range(60):
+                    cand = start + t[:, None] * way
+                    trial = parts(cand)
+                    ok = near & (trial[3] <= f - 0.5 * t * slack)
+                    accept(ok, cand, trial)
                     near &= ~ok
                     if not near.any():
                         break
-                t = 0.5 * t
+                    t = 0.5 * t
         b = wk * a ** (q - 1.0) * np.sign(v)
         n1 = np.where(n > 0, n, 1.0)
         u = (mp * n1 ** (p - q))[:, :, None] * b  # d/dv of term i
@@ -377,62 +372,48 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
         split = u - coef[:, :, None] * (rank[:, :, None] * bs[:, :, None] * b + diag * s[:, None])
         split -= share * split.sum(axis=1)[:, None, :]
         lower = np.maximum(lower, _fenchel_bound(v, split, wk, mass, p, q))
-        # the stop test, the damping update and the step choice run per
-        # problem in Python floats; finished rows ride along until the end
-        fs = f.tolist()
-        done = [
-            i for i, (fi, lo, tl) in enumerate(zip(fs, lower.tolist(), tol.tolist()))
-            if fi - lo <= tl or steps == max_steps
-        ]
-        if len(done) == len(live):
-            finish(slice(None), steps)
-            break
-        if done:
+        done = f - lower <= tol
+        if steps == max_steps:
+            done[:] = True
+        stop = done.any()
+        if stop:  # recorded before any move; finished rows ride along
             finish(done, steps)
+            if done.all():
+                break
         trial = parts(y + s)
         pred = 0.5 * ((g + reg * s) * s).sum(axis=1)  # g.s - s.Hs/2 of the undamped H
-        fts = trial[3].tolist()
-        rho = [(fi - ft) / pr if pr > 0 else -1.0 for fi, ft, pr in zip(fs, fts, pred.tolist())]
-        mus = [
-            max(4 * m, 1e-3) if r < 0.25 else (m / 4 if m > 1e-6 else 0.0) if r > 0.75 else m
-            for r, m in zip(rho, mu.tolist())
-        ]
-        mu = np.array(mus)
+        rho = np.divide(f - trial[3], pred, out=np.full(len(live), -1.0), where=pred > 0)
+        calm = np.where(rho > 0.75, (mu > 1e-6) * (mu / 4), mu)
+        mu = np.where(rho < 0.25, np.maximum(4 * mu, 1e-3), calm)
         vs = v * (v - s[:, None, :])
         kink = (vs < 0).any(axis=(1, 2)) if q < 2 else np.zeros(len(live), dtype=bool)
         if p < 2:
             kink |= (vs.sum(axis=2) < 0).any(axis=1)
-        took = []
+        took, move = kink, rho > 1e-4
         if kink.any():  # the majorizing step, taken where it beats both
             mm = outer_sum(b, coef * np.maximum(rank, 0.0))
             diagonal(mm)[...] += curv * max(1.0, 1.0 / (q - 1.0)) + 1e-12 * damp
             ym = y + np.linalg.solve(mm, g[:, :, None])[:, :, 0]
             cand = parts(ym)
-            fcs = cand[3].tolist()
-            took = [
-                i for i, (kk, fc, ft, fi) in enumerate(zip(kink.tolist(), fcs, fts, fs))
-                if kk and fc < min(ft, fi)
-            ]
+            took = kink & (cand[3] < np.minimum(trial[3], f))
             accept(took, ym, cand)
-        skip = set(took)
-        accept([i for i, r in enumerate(rho) if r > 1e-4 and i not in skip], y + s, trial)
-        skip.update(done)
-        stuck = [
-            i for i, (r, m) in enumerate(zip(rho, mus)) if r <= 1e-4 and m > 1e12 and i not in skip
-        ]
-        if stuck:
+            move &= ~took
+        accept(move, y + s, trial)
+        stuck = mu > 1e12  # and no step taken
+        if stuck.any():
+            stuck &= ~move & ~took & ~done
+            stop |= stuck.any()
             finish(stuck, steps)
-        if done or stuck:
-            keep = np.ones(len(live), dtype=bool)
-            keep[done + stuck] = False
-            if not keep.any():
-                break
+        if stop:
+            keep = ~(done | stuck)
             live, z, wk, mass, share, mp, wq, tol = (
                 arr[keep] for arr in (live, z, wk, mass, share, mp, wq, tol)
             )
             y, v, a, n, f, lower, mu = (arr[keep] for arr in (y, v, a, n, f, lower, mu))
             if p == 1:
                 out, reach, dn = out[keep], reach[keep], dn[keep]
+            if not len(live):
+                break
     return result()
 
 
@@ -465,11 +446,12 @@ def _frank_wolfe(x, w, lam, p, tol, max_iters=1000):
     y0 = np.clip(y0, x.min(axis=0), x.max(axis=0))
     ys, ts, alpha = y0[None, :], dists(y0)[None, :], np.ones(1)
     best_lb = -math.inf
+    pos = lam > 0  # lam_i = 0 forces g_i = 0, which adds nothing to the conjugate
     for it in range(1, max_iters + 1):
         t = alpha @ ts
         g = lam * p * t ** (p - 1.0)
         y_s, t_s, lpval = _q1_oracle(x, w, g)
-        best_lb = max(best_lb, lpval - _conjugate_power_sum(g, p, lam))
+        best_lb = max(best_lb, lpval - float(_conjugate_power_sum(g[pos], p, lam[pos])))
         if fval(t) - best_lb <= tol:
             break
         a = int(np.argmax(ts @ g))
@@ -672,7 +654,7 @@ def _radii(D, lam, p, tol, max_steps=50):
         s = B.T @ z
         if p == 1:
             z *= min(1.0, float(np.min(lam / np.maximum(s, 1e-300))))
-        bound = float(De @ z) - _conjugate_power_sum(s, p, lam)
+        bound = float(De @ z) - float(_conjugate_power_sum(s, p, lam))
         d = np.maximum(c + sa * (E[:k] @ u) / den, 0.0) - t
         slope = float((p * lam * t ** (p - 1.0)) @ d)
         alpha = 1.0
@@ -723,6 +705,7 @@ def _solve_qinf(points, lam, p, tol):
 
 _MEMO_CAP = 4096  # canonical solutions kept; the memo is emptied when full
 _MEMO = {}
+_BATCH_WORK = 1 << 20  # floats of Newton work arrays the misses of one batch may need
 
 
 def _remember(key, entry):
@@ -731,18 +714,33 @@ def _remember(key, entry):
     _MEMO[key] = entry
 
 
-def _solve_canonical(x, w, lam, p, q, tol):
-    """Dispatch a canonical problem that Newton does not take; minimizer in its columns."""
-    if x.shape[1] == 0:
-        return FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
-    if p == 2 and q == 2:
-        y, val = _solve_mean_22(x, w, lam)
-        return FpqSolution(val, y, 0.0, "closed-form-22", val)
-    if p == 1:  # q = 1
-        y, val = _solve_median_q1p1(x, w, lam)
-        return FpqSolution(val, y, 0.0, "coordinate-q1", val)
-    y, val, lb = _frank_wolfe(x, w, lam, p, tol)  # q = 1, p > 1
-    return FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb)
+def _solve_canonical(problems, tol):
+    """Solutions of canonical problems (x, w, lam, p, q), q < inf, in order.
+
+    The one place that picks their engine.  Newton takes 1 < q < inf except
+    p = q = 2, all its problems in one ``_newton_solutions`` call; every
+    other problem goes to its engine alone.  Minimizers are in the
+    canonical columns.
+    """
+    out, newton = [], []
+    for x, w, lam, p, q in problems:
+        if x.shape[1] == 0:
+            out.append(FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0))
+        elif p == 2 and q == 2:
+            y, val = _solve_mean_22(x, w, lam)
+            out.append(FpqSolution(val, y, 0.0, "closed-form-22", val))
+        elif q == 1 and p == 1:
+            y, val = _solve_median_q1p1(x, w, lam)
+            out.append(FpqSolution(val, y, 0.0, "coordinate-q1", val))
+        elif q == 1:
+            y, val, lb = _frank_wolfe(x, w, lam, p, tol)
+            out.append(FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb))
+        else:
+            newton.append(len(out))
+            out.append(None)
+    for i, sol in zip(newton, _newton_solutions([problems[i] for i in newton], tol)):
+        out[i] = sol
+    return out
 
 
 def _newton_solutions(problems, tol):
@@ -779,42 +777,83 @@ def _newton_solutions(problems, tol):
     return out
 
 
-def solve_fpq_many(probs, tol: float = 1e-8) -> list[FpqSolution]:
-    """``solve_fpq`` over an iterable of problems, one solution each, in order.
+def _solve_batch(probs, tol, place):
+    """``solve_fpq`` of every problem of ``probs``, in order, batched.
 
-    Each problem is canonicalized as it comes and looked up in the memo;
-    past that only its canonical form and first point are kept.  Each
-    distinct canonical problem that misses is solved once.  The misses that
-    Newton takes are solved together, one ``_newton`` stack per (p, q) and
-    merged shape; every other miss goes to its engine alone.  A problem's
-    solution does not depend on the other problems in the batch.
+    Each problem is canonicalized as it comes and looked up in the memo.  A
+    miss waits with the misses before it; each distinct canonical problem
+    among them is solved once, by ``_solve_canonical``, when the input ends,
+    when the misses waiting number ``_MEMO_CAP`` or when their Newton work
+    arrays (c^2 + k^2 c floats for a (k, c) problem) would pass
+    ``_BATCH_WORK`` floats.  With ``place`` the result is the solutions,
+    minimizers in each problem's coordinates.  Without, a problem keeps
+    nothing of its own once canonicalized, no minimizer is placed, and the
+    result is the arrays of the values and of the tolerances.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
-    out, misses = [], {}
+    out, tols, misses, work = [], [], {}, 0
+
+    def put(i, sol, where):
+        if not place:
+            out[i], tols[i] = sol.value, sol.tolerance
+        elif where is None:
+            out[i] = sol
+        else:
+            base, col_of, var = where
+            out[i] = _placed(base, sol, col_of, var)
+
+    def solve_misses():
+        sols = _solve_canonical([canon for canon, _ in misses.values()], tol)
+        for (key, (_, users)), sol in zip(misses.items(), sols):
+            _remember(key, sol)
+            for i, where in users:
+                put(i, sol, where)
+        misses.clear()
+
     for i, prob in enumerate(probs):
+        out.append(None)
+        tols.append(None)
         if prob.q == math.inf:
-            out.append(_solve_qinf(prob.points, prob.weights, prob.p, tol))
+            put(i, _solve_qinf(prob.points, prob.weights, prob.p, tol), None)
             continue
         x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
+        where = (prob.points[0].copy(), col_of, var) if place else None
         sol = _MEMO.get(key)
         if sol is not None and sol.tolerance <= tol:
-            out.append(_placed(prob.points[0], sol, col_of, var))
+            put(i, sol, where)
             continue
-        out.append(None)
-        user = (i, prob.points[0].copy(), col_of, var)
-        misses.setdefault(key, ((x, w, lam, prob.p, prob.q), []))[1].append(user)
-    newton = [
-        key for key, ((x, _, _, p, q), _) in misses.items()
-        if x.shape[1] and 1 < q < math.inf and (p, q) != (2, 2)
-    ]
-    solved = dict(zip(newton, _newton_solutions([misses[key][0] for key in newton], tol)))
-    for key, (canon, users) in misses.items():
-        sol = solved[key] if key in solved else _solve_canonical(*canon, tol)
-        _remember(key, sol)
-        for i, base, col_of, var in users:
-            out[i] = _placed(base, sol, col_of, var)
-    return out
+        if key not in misses:
+            misses[key] = (x, w, lam, prob.p, prob.q), []
+            work += x.shape[1] * (x.shape[1] + x.shape[0] ** 2)
+        misses[key][1].append((i, where))
+        if len(misses) == _MEMO_CAP or work > _BATCH_WORK:
+            solve_misses()
+            work = 0
+    solve_misses()
+    return out if place else (np.array(out, dtype=float), np.array(tols, dtype=float))
+
+
+def solve_fpq_many(probs, tol: float = 1e-8) -> list[FpqSolution]:
+    """``solve_fpq`` over an iterable of problems, one solution each, in order.
+
+    Each distinct canonical problem that misses the memo is solved once.
+    The misses that Newton takes are solved together, one ``_newton`` stack
+    per (p, q) and merged shape; every other miss goes to its engine alone.
+    A problem's solution does not depend on the other problems in the
+    batch.  The solutions hold one minimizer per problem; a caller that
+    needs only values takes ``solve_fpq_values``.
+    """
+    return _solve_batch(probs, tol, place=True)
+
+
+def solve_fpq_values(probs, tol: float = 1e-8):
+    """The values and tolerances of ``solve_fpq_many``, as two float arrays.
+
+    The batch keeps no minimizer and no copy of a problem's points, so its
+    memory grows with the number of problems, not with their dimension.
+    """
+    return _solve_batch(probs, tol, place=False)
 
 
 def _placed(base, sol, col_of, var):

@@ -49,7 +49,7 @@ def fresh_fpq_memo():
     fresh solve rather than an earlier answer."""
     barygap.fpq._MEMO.clear()
     barygap.reduction._qin_pattern_sweep.cache_clear()
-    barygap.chub._proven.cache_clear()
+    barygap.chub._PROOFS.clear()
 
 
 def newton_solve(prob, tol=1e-8):

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -29,7 +28,7 @@ from barygap.bary import (
 )
 from barygap.embed import embed_phi
 from barygap.errors import InputError, ResourceCapError
-from barygap.fpq import FpqProblem, solve_fpq, solve_fpq_many
+from barygap.fpq import FpqProblem, solve_fpq, solve_fpq_values
 from barygap.graph import complete_graph, cycle_graph
 from barygap.simplex import solve_lp
 
@@ -610,13 +609,13 @@ def test_mot_tolerance_covers_hub_solves(seed, monkeypatch):
     inner, reported = [], []
 
     def recording(probs, tol):
-        sols = solve_fpq_many(probs, tol=tol)
-        inner.extend(sol.tolerance for sol in sols)
-        sols = [dataclasses.replace(sol, tolerance=sol.tolerance + 1e-2) for sol in sols]
-        reported.extend(sol.tolerance for sol in sols)
-        return sols
+        values, tols = solve_fpq_values(probs, tol=tol)
+        inner.extend(tols.tolist())
+        tols = tols + 1e-2
+        reported.extend(tols.tolist())
+        return values, tols
 
-    monkeypatch.setattr(barygap.chub, "solve_fpq_many", recording)
+    monkeypatch.setattr(barygap.chub, "solve_fpq_values", recording)
     rng = np.random.default_rng(seed)
     ms = [DiscreteMeasure(rng.random((4, 3)), rng.dirichlet(np.ones(4))) for _ in range(3)]
     res = bary_value_mot(BaryInstance(ms, 2, 1), tol=1e-6)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -22,12 +23,14 @@ from barygap.chub import (
     _pair_list,
     _permute_codes,
     _position_generators,
+    _proven,
     chub_closed_form_22,
     solve_chub,
+    tuple_costs,
 )
 from barygap.embed import PointConfig, embed_phi, embed_psi, embed_xi
 from barygap.errors import InputError, ResourceCapError
-from barygap.fpq import FpqProblem, solve_fpq, solve_fpq_many
+from barygap.fpq import FpqProblem, solve_fpq, solve_fpq_values
 from barygap.graph import (
     Graph,
     complete_graph,
@@ -166,13 +169,13 @@ def test_reported_tolerance_covers_inner_solves(monkeypatch):
     inner, reported = [], []
 
     def recording(probs, tol):
-        sols = solve_fpq_many(probs, tol=tol)
-        inner.extend(sol.tolerance for sol in sols)
-        sols = [dataclasses.replace(sol, tolerance=sol.tolerance + 1e-2) for sol in sols]
-        reported.extend(sol.tolerance for sol in sols)
-        return sols
+        values, tols = solve_fpq_values(probs, tol=tol)
+        inner.extend(tols.tolist())
+        tols = tols + 1e-2
+        reported.extend(tols.tolist())
+        return values, tols
 
-    monkeypatch.setattr(barygap.chub, "solve_fpq_many", recording)
+    monkeypatch.setattr(barygap.chub, "solve_fpq_values", recording)
     res = solve_chub(embed_psi(complete_graph(5), 4, p=2.0), tol=1e-3)
     assert max(inner) <= 1e-3 / 2
     assert res.tolerance >= max(reported) > 1e-3
@@ -464,14 +467,14 @@ def test_a_flipped_point_entry_merges_no_classes(monkeypatch):
     flipped = dataclasses.replace(cfg, points=points)
     assert flipped.source == cfg.source
     calls = []  # one entry per hub problem asked for
-    orig = barygap.chub.solve_fpq_many
+    orig = barygap.chub.solve_fpq_values
 
     def counting(probs, **kw):
         probs = list(probs)
         calls.extend(probs)
         return orig(probs, **kw)
 
-    monkeypatch.setattr(barygap.chub, "solve_fpq_many", counting)
+    monkeypatch.setattr(barygap.chub, "solve_fpq_values", counting)
     res = solve_chub(cfg, tol=1e-3)
     assert res.method == "class-cache[15]" and len(calls) == 5
     del calls[:]
@@ -503,3 +506,40 @@ def test_proven_position_symmetries(cfg, group):
         assert passed == cycle | {tuple((j - i) % k for i in range(k)) for j in range(k)}
         assert len(passed) == 2 * k
         assert _position_generators(k)[0] not in [list(perm) for perm in passed]
+
+
+def test_proofs_are_made_once_per_point_array(monkeypatch):
+    # a verdict is proven once per point array and permutation: a copy of
+    # the array is served from the cache, a changed entry is proven again
+    cfg = embed_psi(K4, 4, p=2.0)
+    perms = _position_generators(4)
+    multisets = []
+    orig = barygap.chub._column_multiset
+    monkeypatch.setattr(barygap.chub, "_column_multiset", lambda m: multisets.append(1) or orig(m))
+    first = _proven(cfg.points, perms)
+    assert first == [_is_symmetry(cfg.points, perm) for perm in perms] == [True] * len(perms)
+    del multisets[:]
+    assert _proven(cfg.points.copy(), perms) == first and not multisets
+    flipped = cfg.points.copy()
+    flipped[0, 0, 0] = -flipped[0, 0, 0]
+    verdicts = _proven(flipped, perms)
+    assert len(multisets) == 1 + len(perms)  # the unpermuted matrix once, then one a perm
+    assert verdicts == [_is_symmetry(flipped, perm) for perm in perms]
+
+
+def test_tuple_cost_memory_does_not_grow_with_dimension():
+    # a batch keeps no minimizer and no copy of a tuple's points: with every
+    # column repeated 20 times more, a per-tuple sweep's peak allocation grows
+    # far less than one d-vector per tuple would
+    rng = np.random.default_rng(0)
+    base = [rng.integers(-2, 3, (8, 3)).astype(float) for _ in range(3)]
+    peaks = []
+    for reps in (10, 200):
+        groups = [np.tile(g, reps) for g in base]
+        barygap.fpq._MEMO.clear()
+        tracemalloc.start()
+        values, _ = tuple_costs(groups, 2, 1.5, None, 1e-6)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(values) == 8**3
+    assert peaks[1] - peaks[0] < 8**3 * (3 * 200) * 8 / 4

@@ -34,6 +34,7 @@ from barygap.fpq import (
     fpq_objective,
     solve_fpq,
     solve_fpq_many,
+    solve_fpq_values,
     unique_columns,
 )
 from barygap.graph import complete_graph, cycle_graph
@@ -663,6 +664,10 @@ def test_solve_fpq_many_matches_each_problem_alone(case):
     probs, tol = case
     barygap.fpq._MEMO.clear()
     many = solve_fpq_many(probs, tol=tol)
+    barygap.fpq._MEMO.clear()
+    values, tols = solve_fpq_values(probs, tol=tol)
+    assert values.tolist() == [sol.value for sol in many]
+    assert tols.tolist() == [sol.tolerance for sol in many]
     for prob, sol in zip(probs, many):
         barygap.fpq._MEMO.clear()
         alone = solve_fpq(prob, tol=tol)
@@ -774,6 +779,24 @@ def test_batch_solves_each_canonical_problem_once(monkeypatch):
     assert sols[0].value == sols[1].value and sols[2].value == pytest.approx(2**2 * sols[0].value)
     assert solve_fpq(FpqProblem(x, 2, 1.5)).value == sols[0].value
     assert len(calls) == 2
+
+
+def test_a_batch_solves_its_misses_in_bounded_rounds(monkeypatch):
+    # with the work bound below one problem, each miss is solved as it comes,
+    # one Newton stack a problem, and the solutions are those of one round
+    rng = np.random.default_rng(3)
+    probs = [FpqProblem(rng.normal(size=(3, 4)), 2, 1.5) for _ in range(6)]
+    whole = solve_fpq_many(probs, tol=1e-9)
+    barygap.fpq._MEMO.clear()
+    stacks = []
+    inner = barygap.fpq._newton
+    monkeypatch.setattr(barygap.fpq, "_newton", lambda pts, *a: stacks.append(len(pts)) or inner(pts, *a))
+    monkeypatch.setattr(barygap.fpq, "_BATCH_WORK", 1)
+    rounds = solve_fpq_many(probs, tol=1e-9)
+    assert stacks == [1] * 6
+    for a, b in zip(whole, rounds):
+        assert (a.value, a.lower_bound, a.tolerance) == (b.value, b.lower_bound, b.tolerance)
+        assert np.array_equal(a.minimizer, b.minimizer)
 
 
 def test_memo_reuses_only_a_tight_enough_entry(monkeypatch):
