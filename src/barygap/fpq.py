@@ -28,7 +28,9 @@ bound with its value:
                           one shape, one batched linear solve a step, and a
                           problem's result does not depend on the stack.
 
-``solve_fpq_many`` is the one solve path and ``solve_fpq`` its batch of one.
+Every solve goes through one batch (``_solve_batch``): ``solve_fpq_many``
+returns its solutions, ``solve_fpq_values`` only their values and
+tolerances, keeping no minimizer, and ``solve_fpq`` is a batch of one.
 Every call at q < inf goes through one canonical hub problem.  Coordinates
 with identical values across all k points are fixed at that shared value,
 duplicate coordinate columns are merged into one weighted column, and the
@@ -38,7 +40,8 @@ enumeration over embedded instances cheap.  Solutions are memoized on that
 canonical form plus (p, q), so a problem met again in another tuple class,
 instance or certificate sweep, or under a point or coordinate permutation,
 is looked up rather than solved again; in one batch, each distinct
-canonical problem is solved once.  At q = inf the memo is keyed on the
+canonical problem is solved once, and the misses waiting are solved in
+rounds of bounded size.  At q = inf the memo is keyed on the
 weights and the pairwise distances alone, rows sorted, and holds radii: a
 hit rebuilds the hub from the caller's own points, and the value reported
 is the entry's sum lam t^p, so it depends on the key alone, whatever the
@@ -208,7 +211,7 @@ def _conjugate_power_sum(g, p, lam):
         # conjugate is 0 where g <= lam, +inf otherwise; callers keep g <= lam
         return 0.0
     r = p / (p - 1.0)
-    return ((p - 1.0) * lam * (np.maximum(g, 0.0) / (p * lam)) ** r).sum(axis=-1)
+    return ((p - 1.0) * lam * (g / (p * lam)) ** r).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,17 @@ def _fenchel_bound(v, u, w, lam, p, q):
     return dot - _conjugate_power_sum(dn, p, lam)
 
 
+def _levenberg_marquardt(f, f_trial, pred, mu):
+    """Gain ratio rho (actual over predicted decrease) of one problem's step
+    and its next damping mu, in Python floats."""
+    rho = (f - f_trial) / pred if pred > 0 else -1.0
+    if rho < 0.25:
+        return rho, max(4 * mu, 1e-3)
+    if rho > 0.75:
+        return rho, mu / 4 if mu > 1e-6 else 0.0
+    return rho, mu
+
+
 def _newton(pts, mass, w, p, q, tol, max_steps=100):
     """Damped Newton for 1 < q < inf on a stack of T problems of one shape.
 
@@ -264,17 +278,17 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
     Hessians along the Newton step.  Each step solves the Newton systems of
     the problems still running in one batched call, and a problem leaves
     the stack once it stops.  Every sum, stacked product and solve works
-    within one problem's rows, and the stop test, damping update and step
-    choice are elementwise masks, so a problem's result does not depend on
-    the rest of the stack.  Returns (y, best bound, steps taken), one row
-    per problem.
+    within one problem's rows, the damping update is per problem
+    (``_levenberg_marquardt``), and the stop test and the step choice are
+    elementwise masks, so a problem's result does not depend on the rest of
+    the stack.  Returns (y, best bound, steps taken), one row per problem.
     """
     T, k, c = pts.shape
     y0 = (mass[:, None, :] @ pts)[:, 0] / mass.sum(axis=1)[:, None]
-    top = np.abs(pts - y0[:, None, :]).max(axis=(1, 2))
-    unit = top**p * mass.max(axis=1)
-    z = (pts - y0[:, None, :]) / top[:, None, None]
-    mass, tol, wk = mass / mass.max(axis=1)[:, None], tol / unit, w[:, None, :]
+    z = pts - y0[:, None, :]
+    top, heavy = np.abs(z).max(axis=(1, 2)), mass.max(axis=1)
+    unit = top**p * heavy
+    z, mass, tol, wk = z / top[:, None, None], mass / heavy[:, None], tol / unit, w[:, None, :]
     y_out, lower_out, steps_out = np.zeros((T, c)), np.zeros(T), np.zeros(T, dtype=int)
     live = np.arange(T)
 
@@ -382,26 +396,26 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
                 break
         trial = parts(y + s)
         pred = 0.5 * ((g + reg * s) * s).sum(axis=1)  # g.s - s.Hs/2 of the undamped H
-        rho = np.divide(f - trial[3], pred, out=np.full(len(live), -1.0), where=pred > 0)
-        calm = np.where(rho > 0.75, (mu > 1e-6) * (mu / 4), mu)
-        mu = np.where(rho < 0.25, np.maximum(4 * mu, 1e-3), calm)
-        vs = v * (v - s[:, None, :])
-        kink = (vs < 0).any(axis=(1, 2)) if q < 2 else np.zeros(len(live), dtype=bool)
-        if p < 2:
-            kink |= (vs.sum(axis=2) < 0).any(axis=1)
-        took, move = kink, rho > 1e-4
-        if kink.any():  # the majorizing step, taken where it beats both
-            mm = outer_sum(b, coef * np.maximum(rank, 0.0))
-            diagonal(mm)[...] += curv * max(1.0, 1.0 / (q - 1.0)) + 1e-12 * damp
-            ym = y + np.linalg.solve(mm, g[:, :, None])[:, :, 0]
-            cand = parts(ym)
-            took = kink & (cand[3] < np.minimum(trial[3], f))
-            accept(took, ym, cand)
-            move &= ~took
+        lm = map(_levenberg_marquardt, f.tolist(), trial[3].tolist(), pred.tolist(), mu.tolist())
+        rho, mu = (np.array(col) for col in zip(*lm))
+        move = rho > 1e-4
+        still = ~move  # the rows that take no step
+        if q < 2 or p < 2:  # a step across a kink of |v_c| (q < 2) or ||v_i|| (p < 2)
+            vs = v * (v - s[:, None, :])
+            kink = (vs < 0).any(axis=(1, 2)) if q < 2 else (vs.sum(axis=2) < 0).any(axis=1)
+            if kink.any():  # competes with the majorizing step, taken where it beats both
+                mm = outer_sum(b, coef * np.maximum(rank, 0.0))
+                diagonal(mm)[...] += curv * max(1.0, 1.0 / (q - 1.0)) + 1e-12 * damp
+                ym = y + np.linalg.solve(mm, g[:, :, None])[:, :, 0]
+                cand = parts(ym)
+                took = kink & (cand[3] < np.minimum(trial[3], f))
+                accept(took, ym, cand)
+                move &= ~took
+                still &= ~took
         accept(move, y + s, trial)
-        stuck = mu > 1e12  # and no step taken
+        stuck = mu > 1e12
         if stuck.any():
-            stuck &= ~move & ~took & ~done
+            stuck &= still & ~done
             stop |= stuck.any()
             finish(stuck, steps)
         if stop:
