@@ -24,28 +24,33 @@ bound with its value:
                           Fenchel dual bound: the terms' gradients, split so
                           they sum to zero, bound the optimum from below.  At
                           p = 1 the data points are tested for optimality
-                          first.  The engine runs on a stack of problems of
-                          one shape, one batched linear solve a step, and a
-                          problem's result does not depend on the stack.
+                          first.
+
+The three iterative engines (radii, Frank-Wolfe, Newton) each run on a stack
+of problems of one shape, in lockstep, and a problem leaves the stack when it
+stops; every sum and solve works within one problem's rows, so a problem's
+result does not depend, in any bit, on the stack.  Each rounds its reported
+bound down by a few ulps of the value, so the interval is never empty.
 
 Every solve goes through one batch (``_solve_batch``): ``solve_fpq_many``
 returns its solutions, ``solve_fpq_values`` only their values and
 tolerances, keeping no minimizer, and ``solve_fpq`` is a batch of one.
-Every call at q < inf goes through one canonical hub problem.  Coordinates
+Every call goes through one canonical hub problem.  At q < inf, coordinates
 with identical values across all k points are fixed at that shared value,
 duplicate coordinate columns are merged into one weighted column, and the
 rows are sorted with their weights by a signature that ignores column order:
 all three are exact for every norm, and they are what makes brute-force
-enumeration over embedded instances cheap.  Solutions are memoized on that
+enumeration over embedded instances cheap.  At q = inf the canonical
+problem is the weights and the pairwise distances alone, rows sorted, and
+its solution is radii: a problem rebuilds its hub from its own points, and
+the value reported is the entry's sum lam t^p, so it depends on the key
+alone, whatever the order of the points.  Solutions are memoized on the
 canonical form plus (p, q), so a problem met again in another tuple class,
 instance or certificate sweep, or under a point or coordinate permutation,
-is looked up rather than solved again; in one batch, each distinct
-canonical problem is solved once, and the misses waiting are solved in
-rounds of bounded size.  At q = inf the memo is keyed on the
-weights and the pairwise distances alone, rows sorted, and holds radii: a
-hit rebuilds the hub from the caller's own points, and the value reported
-is the entry's sum lam t^p, so it depends on the key alone, whatever the
-order of the points.
+is looked up rather than solved again.  In one batch the misses of every q
+wait together, each distinct canonical problem is solved once, the misses
+waiting are solved in rounds of bounded size, and ``_solve_canonical`` is
+the one place that picks their engine.
 """
 
 from __future__ import annotations
@@ -186,22 +191,28 @@ def _wobj(x, w, y, p, q, lam):
     return float((lam * norms**p).sum())
 
 
-def _l1_dists(x, w, y):
-    return (np.abs(x - y[None, :]) * w[None, :]).sum(axis=1)
+def _sorted_columns(x):
+    """Each column's order along the point axis (-2) and its sorted values."""
+    order = np.argsort(x, axis=-2, kind="stable")
+    return order, np.take_along_axis(x, order, axis=-2)
 
 
-def _weighted_median_columns(x, g):
-    """argmin_y sum_i g_i |x_ic - y_c| per column, all columns at once."""
-    k, c = x.shape
-    order = np.argsort(x, axis=0, kind="stable")
-    gw = np.broadcast_to(g[:, None], (k, c))
-    g_sorted = np.take_along_axis(gw, order, axis=0)
-    csum = np.cumsum(g_sorted, axis=0)
-    total = csum[-1, :]
+def _weighted_median_columns(order, xs, g):
+    """argmin_y sum_i g_i |x_ic - y_c| per column, all columns at once, for a
+    stack of T problems: ``order, xs = _sorted_columns(x)`` of x (T, k, c)
+    and g (T, k)."""
+    T, _, c = order.shape
+    rows = np.arange(T)[:, None]
+    csum = np.cumsum(g[rows[:, :, None], order], axis=1)
     # first index where cumulative weight reaches half the total
-    idx = (csum < 0.5 * total[None, :] - 1e-15).sum(axis=0)
-    med_pos = order[idx, np.arange(c)]
-    return x[med_pos, np.arange(c)]
+    idx = (csum < 0.5 * csum[:, -1:] - 1e-15).sum(axis=1)
+    return xs[rows, idx, np.arange(c)]
+
+
+def _ordered_sum(a, axis):
+    """Sum over ``axis`` one term after another, so that trailing terms that
+    are exact zeros, such as padding, change no bit of the result."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
 
 
 def _conjugate_power_sum(g, p, lam):
@@ -226,7 +237,7 @@ def _solve_mean_22(x, w, lam):
 
 
 def _solve_median_q1p1(x, w, lam):
-    y = _weighted_median_columns(x, lam)
+    y = _weighted_median_columns(*_sorted_columns(x[None]), lam[None])[0]
     return y, _wobj(x, w, y, 1.0, 1.0, lam)
 
 
@@ -272,7 +283,8 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
     |v_c| and ||v_i|| at >= 1e-12, Levenberg-Marquardt damping follows the
     ratio of actual to predicted decrease, and a step that crosses a kink
     competes with the reweighted-least-squares (majorizing) step.  At p = 1
-    the data points are tested first, and an iterate near a non-optimal one
+    the data points are tested first, their pulls' dual norm against their
+    weight with a few ulps of slack, and an iterate near a non-optimal one
     leaves it along its steepest descent direction (Vardi & Zhang, PNAS
     2000).  The bound splits the gradient sum over the terms by their
     Hessians along the Newton step.  Each step solves the Newton systems of
@@ -316,8 +328,10 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
         U = _term_gradients(V, wk[:, None], mass[:, None, :], 1.0, q)  # term i's gradient at x_j
         R = U.sum(axis=2)
         dn = _dual_norms(R, wk, q)
-        best = np.argmin(np.where(dn <= mass, (N * mass[:, None, :]).sum(axis=2), np.inf), axis=1)
-        at = dn[live, best] <= mass[live, best]
+        # a few ulps of slack: the bound scales the pulls down to the weights
+        fits = dn <= mass * (1.0 + 4 * np.finfo(float).eps)
+        best = np.argmin(np.where(fits, (N * mass[:, None, :]).sum(axis=2), np.inf), axis=1)
+        at = fits[live, best]
         if at.any():  # x_j is optimal, and U[j] with -R[j] certifies it
             j = best[at]
             cert = U[at, j]
@@ -431,83 +445,111 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
     return result()
 
 
-def _q1_oracle(x, w, g):
-    """min_y sum_i g_i ||x_i - y||_1 (w-weighted columns): exact, separable."""
-    y = _weighted_median_columns(x, g)
-    t = _l1_dists(x, w, y)
-    return y, t, float((g * t).sum())
+def _frank_wolfe(pts, mass, w, p, q, tol, max_iters=1000):
+    """Pairwise Frank-Wolfe for q = 1, p > 1 on a stack of T problems of one shape.
 
-
-def _frank_wolfe(x, w, lam, p, tol, max_iters=1000):
-    """Pairwise Frank-Wolfe for q = 1, p > 1.
-
-    Minimizes phi(t) = sum_i lam_i t_i^p over convex combinations of oracle
-    vertices t_v = dists(y_v), the w-weighted l1 distances, starting from the
-    clipped weighted mean.  Each step moves weight from the away atom
-    (largest g . t_v) to the oracle vertex, which converges linearly on
-    polytopes (Lacoste-Julien & Jaggi, NeurIPS 2015).  Every oracle call
-    also gives the Fenchel lower bound g . t_s - phi*(g); the loop stops
-    once phi(t) is within tol of the best one.  Returns (y, phi(dists(y)),
-    lower bound) for y = sum_v alpha_v y_v; by convexity dists(y) <= t.
+    ``pts`` (T, k, c), ``mass`` (T, k) and ``w`` (T, c) are as for
+    ``_newton``; ``q`` is 1.  Each problem minimizes phi(t) = sum_i
+    mass_i t_i^p over convex combinations of oracle vertices t_v =
+    dists(y_v), the w-weighted l1 distances, starting from the clipped
+    weighted mean.  Each step moves weight from the away atom (largest
+    g . t_v) to the oracle vertex, which converges linearly on polytopes
+    (Lacoste-Julien & Jaggi, NeurIPS 2015); the step is the drop step, the
+    exact line search at p = 2 or a 50-step bisection.  Every oracle call,
+    a per-column weighted median, also gives the Fenchel lower bound
+    g . t_s - phi*(g); a problem stops once phi(t) is within tol of its best
+    one.  The problems run in lockstep, a problem leaves the stack when it
+    stops, and the atoms sit in padded (T, A, .) arrays, each problem's in
+    the order it found them, summed term by term so that the padding
+    changes no bit.  Returns (y = sum_v alpha_v y_v, best bound, oracle
+    calls), one row per problem; by convexity dists(y) <= t.
     """
-    def dists(y):
-        return _l1_dists(x, w, y)
+    T, k, c = pts.shape
+    order, xs = _sorted_columns(pts)
+    wk = w[:, None, :]
+    y0 = (mass[:, :, None] * pts).sum(axis=1) / mass.sum(axis=1)[:, None]
+    y0 = np.clip(y0, xs[:, 0], xs[:, -1])
+    y_out, lower_out, calls_out = np.zeros((T, c)), np.zeros(T), np.zeros(T, dtype=int)
+    live = np.arange(T)
 
-    def fval(t):
-        return float((lam * t**p).sum())
+    def dists(y):  # of the problems still running
+        return (np.abs(pts - y[:, None, :]) * wk).sum(axis=2)
 
-    y0 = (lam[:, None] * x).sum(axis=0) / max(lam.sum(), 1e-30)
-    y0 = np.clip(y0, x.min(axis=0), x.max(axis=0))
-    ys, ts, alpha = y0[None, :], dists(y0)[None, :], np.ones(1)
-    best_lb = -math.inf
-    pos = lam > 0  # lam_i = 0 forces g_i = 0, which adds nothing to the conjugate
-    for it in range(1, max_iters + 1):
-        t = alpha @ ts
-        g = lam * p * t ** (p - 1.0)
-        y_s, t_s, lpval = _q1_oracle(x, w, g)
-        best_lb = max(best_lb, lpval - float(_conjugate_power_sum(g[pos], p, lam[pos])))
-        if fval(t) - best_lb <= tol:
-            break
-        a = int(np.argmax(ts @ g))
-        dt = t_s - ts[a]
-        amax = alpha[a]
+    ys, ts, alpha = y0[:, None, :], dists(y0)[:, None, :], np.ones((T, 1))
+    lower = np.full(T, -math.inf)
+
+    def leave(rows, calls):  # record the rows of a mask and drop them from the stack
+        nonlocal live, pts, order, xs, wk, mass, ys, ts, alpha, lower
+        ids = live[rows]
+        y_out[ids] = _ordered_sum(alpha[rows, :, None] * ys[rows], 1)
+        lower_out[ids], calls_out[ids] = lower[rows], calls
+        keep = ~rows
+        live, pts, order, xs, wk, mass, ys, ts, alpha, lower = (
+            arr[keep] for arr in (live, pts, order, xs, wk, mass, ys, ts, alpha, lower)
+        )
+
+    for calls in range(1, max_iters + 1):
+        t = _ordered_sum(alpha[:, :, None] * ts, 1)
+        g = mass * p * t ** (p - 1.0)
+        y_s = _weighted_median_columns(order, xs, g)
+        t_s = dists(y_s)
+        lower = np.maximum(lower, (g * t_s).sum(axis=1) - _conjugate_power_sum(g, p, mass))
+        done = (mass * t**p).sum(axis=1) - lower <= tol
+        if done.any():
+            leave(done, calls)
+            if not len(live):
+                break
+            t, g, y_s, t_s = t[~done], g[~done], y_s[~done], t_s[~done]
+        rows = np.arange(len(live))
+        a = np.where(alpha > 0, (ts * g[:, None, :]).sum(axis=2), -np.inf).argmax(axis=1)
+        dt, amax = t_s - ts[rows, a], alpha[rows, a]
 
         def slope(gamma):
-            return float((lam * np.maximum(t + gamma * dt, 0.0) ** (p - 1.0) * dt).sum())
+            return (mass * np.maximum(t + gamma[:, None] * dt, 0.0) ** (p - 1.0) * dt).sum(axis=1)
 
-        if slope(amax) <= 0:
-            gamma = amax  # drop step: the away atom leaves the active set
-        elif p == 2:
-            gamma = -float((lam * t * dt).sum()) / float((lam * dt * dt).sum())
-            gamma = min(amax, max(0.0, gamma))
+        line = slope(amax) > 0  # elsewhere the drop step: the away atom leaves
+        if p == 2:
+            md = mass * dt
+            exact = -(md * t).sum(axis=1) / np.where(line, (md * dt).sum(axis=1), 1.0)
+            gamma = np.where(line, np.minimum(amax, np.maximum(0.0, exact)), amax)
         else:
-            lo_g, hi_g = 0.0, amax
+            lo, hi = np.zeros(len(live)), amax
             for _ in range(50):
-                mid = 0.5 * (lo_g + hi_g)
-                lo_g, hi_g = (mid, hi_g) if slope(mid) < 0 else (lo_g, mid)
-            gamma = lo_g
-        if gamma <= 0:
-            break  # no descent along the pairwise direction
-        same = np.nonzero((ys == y_s).all(axis=1))[0]
-        if same.size:
-            s = int(same[0])
-            if s == a:
+                mid = 0.5 * (lo + hi)
+                down = slope(mid) < 0
+                lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+            gamma = np.where(line, lo, amax)
+        same = (ys == y_s[:, None, :]).all(axis=2) & (alpha > 0)
+        known, s = same.any(axis=1), same.argmax(axis=1)
+        # no descent along the pairwise direction, or the oracle vertex is the away atom
+        stuck = (gamma <= 0) | (known & (s == a))
+        if stuck.any():
+            leave(stuck, calls)
+            if not len(live):
                 break
-        else:
-            ys, ts = np.vstack([ys, y_s]), np.vstack([ts, t_s])
-            alpha, s = np.append(alpha, 0.0), len(alpha)
-        alpha[s] += gamma
-        alpha[a] = 0.0 if gamma == amax else amax - gamma
-        keep = alpha > 0
-        ys, ts, alpha = ys[keep], ts[keep], alpha[keep]
-    y = alpha @ ys
-    val = fval(dists(y))
-    if val - best_lb > tol:
-        logger.debug(
-            "frank-wolfe stopped after %d iterations with gap %.3e above tol %.3e",
-            it, val - best_lb, tol,
-        )
-    return y, val, best_lb
+            keep = ~stuck
+            rows, t_s, y_s, a, amax, gamma, known, s = (
+                np.arange(len(live)), t_s[keep], y_s[keep], a[keep], amax[keep], gamma[keep],
+                known[keep], s[keep],
+            )
+        fresh = ~known
+        if fresh.any():  # the oracle vertex joins after each problem's atoms
+            s[fresh] = (alpha[fresh] > 0).sum(axis=1)
+            if s.max() == alpha.shape[1]:
+                ys = np.concatenate([ys, np.full((len(live), 1, c), -0.0)], axis=1)
+                ts = np.concatenate([ts, np.zeros((len(live), 1, k))], axis=1)
+                alpha = np.concatenate([alpha, np.zeros((len(live), 1))], axis=1)
+            ys[fresh, s[fresh]], ts[fresh, s[fresh]] = y_s[fresh], t_s[fresh]
+        alpha[rows, s] += gamma
+        left = np.where(gamma == amax, 0.0, amax - gamma)
+        alpha[rows, a] = left
+        if (left == 0).any():  # the atoms that keep weight move up, in order
+            move = np.argsort(alpha == 0, axis=1, kind="stable")[:, : (alpha > 0).sum(axis=1).max()]
+            alpha, ys, ts = alpha[rows[:, None], move], ys[rows[:, None], move], ts[rows[:, None], move]
+            ys[alpha == 0] = -0.0  # padding: adds -0.0, which changes no bit
+    if len(live):
+        leave(np.ones(len(live), dtype=bool), max_iters)
+    return y_out, lower_out, calls_out
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +571,11 @@ def _pairwise_linf(x):
 
 
 def _make_feasible(t, D):
-    """One sequential sweep t_a <- max(t_a, max_l D_al - t_l); feasible after it."""
+    """One sequential sweep t_a <- max(t_a, max_l D_al - t_l); feasible after
+    it.  Leading axes are batch axes."""
     t = t.copy()
-    for a in range(len(t)):
-        t[a] = max(t[a], float((D[a] - t).max()))
+    for a in range(t.shape[-1]):
+        t[..., a] = np.maximum(t[..., a], (D[..., a, :] - t).max(axis=-1))
     return t
 
 
@@ -570,38 +613,61 @@ def _pair_rows(k):
 
 
 def _nnls(A, b):
-    """argmin ||A u - b|| over u >= 0 by Lawson & Hanson's active-set method
-    (Solving Least Squares Problems, ch. 23), at most 3n outer steps.
+    """argmin ||A u - b|| over u >= 0 for each matrix of a stack A (T, M, n),
+    by Lawson & Hanson's active-set method (Solving Least Squares Problems,
+    ch. 23), at most 3n outer steps each.
 
-    Not scipy.optimize.nnls: on some degenerate radii steps it
-    returns a point that fails the optimality conditions, and the dual bound
-    read from it is worthless.
+    The problems run in lockstep, each through its own sequence of outer
+    and inner steps; the free sets are per-problem masks, and each round
+    solves the least-squares problems of the running ones by one stacked
+    SVD, the columns outside each free set zeroed and singular values below
+    max(M, n) eps of the largest cut, as ``np.linalg.lstsq`` cuts them.
+    Not scipy.optimize.nnls: on some degenerate radii steps it returns a
+    point that fails the optimality conditions, and the dual bound read
+    from it is worthless.
     """
-    n = A.shape[1]
-    tiny = 10 * np.finfo(float).eps * max(A.shape) * float(np.abs(A).sum(axis=0).max())
-    free = np.zeros(n, dtype=bool)
-    u = np.zeros(n)
-    grad = A.T @ b
-    for _ in range(3 * n):
-        if free.all() or grad[~free].max() <= tiny:
-            break
-        free[np.argmax(np.where(free, -np.inf, grad))] = True
-        while True:
-            v = np.zeros(n)
-            v[free] = np.linalg.lstsq(A[:, free], b, rcond=None)[0]
-            if v[free].min(initial=np.inf) > 0:
-                break
-            out = free & (v <= 0)  # step back to the first column that leaves
-            u += float(np.min(u[out] / (u[out] - v[out]))) * (v - u)
-            free &= u > tiny
-            u[~free] = 0.0
-        u = v
-        grad = A.T @ (b - A @ u)
-    return u
+    T, M, n = A.shape
+    tiny = 10 * np.finfo(float).eps * max(M, n) * np.abs(A).sum(axis=1).max(axis=1)
+    free, u = np.zeros((T, n), dtype=bool), np.zeros((T, n))
+    grad = (A.transpose(0, 2, 1) @ b[:, None])[:, :, 0]
+    outer, inner, live = np.zeros(T, dtype=int), np.zeros(T, dtype=bool), np.ones(T, dtype=bool)
+    while True:
+        head = live & ~inner  # at the top of an outer step
+        if head.any():
+            cand = np.where(free, -np.inf, grad)
+            live &= ~(head & ((outer == 3 * n) | (cand.max(axis=1) <= tiny)))
+            add = np.flatnonzero(head & live)
+            free[add, cand[add].argmax(axis=1)] = True
+            outer[add] += 1
+            inner[add] = True
+        run = np.flatnonzero(live)
+        if not len(run):
+            return u
+        on = free[run]
+        U, s, Vt = np.linalg.svd(A[run] * on[:, None, :], full_matrices=False)
+        big = s > max(M, n) * np.finfo(float).eps * s[:, :1]
+        coef = np.where(big, (U * b[:, None]).sum(axis=1) / np.where(big, s, 1.0), 0.0)
+        v = np.where(on, (Vt * coef[:, :, None]).sum(axis=1), 0.0)
+        ok = np.where(on, v, np.inf).min(axis=1) > 0
+        done = run[ok]
+        if len(done):  # the inner loop ends: u = v, and the gradient at it
+            u[done] = v[ok]
+            r = b - (A[done] @ u[done][:, :, None])[:, :, 0]
+            grad[done] = (A[done].transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
+            inner[done] = False
+        back = run[~ok]
+        if len(back):  # step back to the first column that leaves
+            ub, vb, fb = u[back], v[~ok], on[~ok]
+            out = fb & (vb <= 0)
+            step = np.where(out, ub / np.where(out, ub - vb, 1.0), np.inf).min(axis=1)
+            ub = ub + step[:, None] * (vb - ub)
+            fb &= ub > tiny[back, None]
+            u[back], free[back] = np.where(fb, ub, 0.0), fb
 
 
 def _radii(D, lam, p, tol, max_steps=50):
-    """min sum lam_i t_i^p over the radii polyhedron {t >= 0, t_i + t_l >= D_il}.
+    """min sum lam_i t_i^p over the radii polyhedron {t >= 0, t_i + t_l >= D_il},
+    for a stack of T problems with k points each: D (T, k, k), lam (T, k) > 0.
 
     Each step minimizes a separable quadratic model of the objective at t
     exactly over the polyhedron, as a least-distance problem solved by NNLS
@@ -615,103 +681,126 @@ def _radii(D, lam, p, tol, max_steps=50):
     which ends finitely on an LP (Ferris, Math. Programming 1991): from an
     optimal t the step stays put and its multipliers are LP dual optimal.
     The model's pair multipliers z >= 0, scaled down at p = 1 until
-    s <= lam, give the dual bound h(z).  The loop stops once the gap is at
-    most tol or a few ulps of the value, when a step neither lowers the
+    s <= lam, give the dual bound h(z).  A problem stops once its gap is at
+    most tol or a few ulps of its value, when a step neither lowers the
     value nor raises the bound, or when rounding has eaten the
-    least-distance solution.  The radii are then tightened once
+    least-distance solution.  The problems run in lockstep, one stacked
+    NNLS a step, and a problem leaves the stack when it stops; every sum
+    works within one problem's row.  Its radii are then tightened
     (``_tighten``, a function of the radii and D alone, so an entry's value
     still depends only on its memo key), and their sum lam t^p is rounded
     up by (k + 1) ulps so that it bounds the exact sum.  Returns (radii,
-    that sum, the best bound capped at it).
+    that sum, the best bound capped at it, steps), one row per problem.
     """
-    top = float(D.max())
-    if top == 0:
-        return np.zeros(len(lam)), 0.0, 0.0
+    T, k = lam.shape
+    top = D.max(axis=(1, 2))
+    radii, values, bounds, steps_out = np.zeros((T, k)), np.zeros(T), np.zeros(T), np.zeros(T, dtype=int)
+    live = np.flatnonzero(top > 0)  # the others are solved by t = 0
+    if not len(live):
+        return radii, values, bounds, steps_out
     # solve at unit scale: radii in units of top, values in units of top^p lam.max()
-    unit_value = top**p * float(lam.max())
-    D0, lam0 = D, lam
-    D, lam, tol = D / top, lam / lam.max(), tol / unit_value
-    k = len(lam)
+    unit = top[live] ** p * lam[live].max(axis=1)
+    Dn, lamn = D[live] / top[live, None, None], lam[live] / lam[live].max(axis=1)[:, None]
+    tol = tol / unit
     B, i, l = _pair_rows(k)
     m = len(i)
-    De = D[i, l]
-    G = np.vstack([B, np.eye(k)])  # G t >= lo
-    lo = np.concatenate([De, np.zeros(k)])
+    lo = np.concatenate([Dn[:, i, l], np.zeros((len(live), k))], axis=1)  # G t >= lo, G = [B; I]
+    GT = np.hstack([B.T, np.eye(k)])
     e_last = np.zeros(k + 1)
     e_last[k] = 1.0
-    floor = 1e-12 ** (1.0 / p)
+    floor, ulps = 1e-12 ** (1.0 / p), 8 * np.finfo(float).eps
+    t_out, lower_out = np.zeros((len(live), k)), np.zeros(len(live))
+    at = np.arange(len(live))  # each running problem's row in t_out
 
     def phi(t):
-        return float((lam * t**p).sum())
+        return (lamn * t**p).sum(axis=1)
 
-    t = _make_feasible(0.5 * D.max(axis=1), D)
-    upper, lower = phi(t), 0.0  # h(0) = 0
-    steps, rho, ulps = 0, 1.0, 8 * np.finfo(float).eps
-    while steps < max_steps and upper - lower > max(tol, ulps * upper):
-        steps += 1
+    t = _make_feasible(0.5 * Dn.max(axis=2), Dn)
+    upper, lower = phi(t), np.zeros(len(live))  # h(0) = 0
+
+    def leave(rows, steps):  # record the rows of a mask and drop them from the stack
+        nonlocal at, Dn, lamn, tol, lo, t, upper, lower
+        t_out[at[rows]], lower_out[at[rows]], steps_out[live[at[rows]]] = t[rows], lower[rows], steps
+        keep = ~rows
+        at, Dn, lamn, tol, lo, t, upper, lower = (
+            arr[keep] for arr in (at, Dn, lamn, tol, lo, t, upper, lower)
+        )
+
+    for steps in range(max_steps + 1):
+        done = upper - lower <= np.maximum(tol, ulps * upper)
+        if steps == max_steps:
+            done[:] = True
+        if done.any():
+            leave(done, steps)
+            if not len(at):
+                break
         if p == 1:
-            g, a = lam, lam / rho
-            rho *= 2.0
+            g, a = lamn, lamn / 2.0**steps
         else:
             ts = np.maximum(t, floor)
-            g = p * lam * ts ** (p - 1.0)
+            g = p * lamn * ts ** (p - 1.0)
             a = (p - 1.0) * g / ts
         c = t - g / a  # unconstrained minimizer of the model
         sa = 1.0 / np.sqrt(a)
-        h = lo - G @ c
-        E = np.vstack([(G * sa).T, h])
+        h = lo - np.concatenate([c[:, i] + c[:, l], c], axis=1)
+        E = np.concatenate([GT * sa[:, :, None], h[:, None, :]], axis=1)
         u = _nnls(E, e_last)
-        den = 1.0 - float(h @ u)
-        if not den > 0:
-            break  # the least-distance problem is lost in rounding
-        z = u[:m] / den
-        s = B.T @ z
+        den = 1.0 - (h * u).sum(axis=1)
+        lost = ~(den > 0)  # the least-distance problem is lost in rounding
+        if lost.any():
+            leave(lost, steps + 1)
+            if not len(at):
+                break
+            keep = ~lost
+            c, sa, E, u, den = c[keep], sa[keep], E[keep], u[keep], den[keep]
+        z = u[:, :m] / den[:, None]
+        s = (B.T * z[:, None, :]).sum(axis=2)
         if p == 1:
-            z *= min(1.0, float(np.min(lam / np.maximum(s, 1e-300))))
-        bound = float(De @ z) - float(_conjugate_power_sum(s, p, lam))
-        d = np.maximum(c + sa * (E[:k] @ u) / den, 0.0) - t
-        slope = float((p * lam * t ** (p - 1.0)) @ d)
-        alpha = 1.0
-        while phi(t + alpha * d) > upper + 1e-4 * alpha * slope and alpha > 1e-10:
-            alpha *= 0.5
-        t_new = _make_feasible(t + alpha * d, D)
+            z *= np.minimum(1.0, (lamn / np.maximum(s, 1e-300)).min(axis=1))[:, None]
+        bound = (lo[:, :m] * z).sum(axis=1) - _conjugate_power_sum(s, p, lamn)
+        d = np.maximum(c + sa * (E[:, :k] * u[:, None, :]).sum(axis=2) / den[:, None], 0.0) - t
+        slope = (p * lamn * t ** (p - 1.0) * d).sum(axis=1)
+        alpha = np.ones(len(at))
+        while True:
+            back = (phi(t + alpha[:, None] * d) > upper + 1e-4 * alpha * slope) & (alpha > 1e-10)
+            if not back.any():
+                break
+            alpha[back] *= 0.5
+        t_new = _make_feasible(t + alpha[:, None] * d, Dn)
         f_new = phi(t_new)
-        if not (f_new < upper or bound > lower):
-            break  # no progress left at this precision
-        lower = max(lower, bound)
-        if f_new < upper:
-            t, upper = t_new, f_new
-    t = _tighten(t * top, D0)
-    value = float((lam0 * t**p).sum()) * (1.0 + (k + 1) * np.finfo(float).eps)
-    lower = min(lower * unit_value, value)
-    if value - lower > tol * unit_value:
-        logger.debug(
-            "radii stopped after %d steps with gap %.3e above tol %.3e",
-            steps, value - lower, tol * unit_value,
-        )
-    return t, value, lower
+        better = f_new < upper
+        stalled = ~(better | (bound > lower))  # no progress left at this precision
+        lower = np.maximum(lower, bound)
+        t[better], upper[better] = t_new[better], f_new[better]
+        if stalled.any():
+            leave(stalled, steps + 1)
+            if not len(at):
+                break
+    for row, j in enumerate(live):
+        t = _tighten(t_out[row] * top[j], D[j])
+        radii[j] = t
+        values[j] = float((lam[j] * t**p).sum()) * (1.0 + (k + 1) * np.finfo(float).eps)
+        bounds[j] = min(lower_out[row] * unit[row], values[j])
+    return radii, values, bounds, steps_out
 
 
-def _solve_qinf(points, lam, p, tol):
-    """q = inf through the radii problem; memo keyed on (p, lam, D), rows sorted."""
+def _canonical_qinf(points, lam, p):
+    """Canonical form of a q = inf hub problem: (D, lam, x, rows, key).
+
+    Weightless points constrain nothing and are dropped (one is kept when
+    all are).  ``D`` holds the pairwise l_inf distances of the points ``x``
+    left, rows sorted with ``lam`` by (weight, sorted distances); the radii
+    of ``x`` are the canonical ones put back in place by ``rows``.
+    """
     lam = np.ones(points.shape[0]) if lam is None else lam
-    x, lam = points[lam > 0], lam[lam > 0]  # weightless points constrain nothing
-    if x.shape[0] < 2:
-        y = (x if len(x) else points)[0].copy()
-        return FpqSolution(0.0, y, 0.0, "linf-radii", 0.0)
+    keep = lam > 0
+    if not keep.any():
+        keep = np.arange(len(lam)) == 0
+    x, lam = points[keep], lam[keep]
     D = _pairwise_linf(x)
     rows = np.lexsort(np.hstack([lam[:, None], np.sort(D, axis=1)]).T[::-1])
-    lam_s, D_s = lam[rows], D[np.ix_(rows, rows)]
-    key = (p, math.inf, lam_s.tobytes(), D_s.tobytes())
-    entry = _MEMO.get(key)
-    if entry is None or entry[1] - entry[2] > tol:
-        entry = _radii(D_s, lam_s, p, tol)
-        _remember(key, entry)
-    radii, upper, lower = entry
-    t = np.empty(len(rows))
-    t[rows] = radii
-    y = _hub_from_radii(x, t)  # its objective is at most upper, up to rounding
-    return FpqSolution(upper, y, max(upper - lower, 0.0), "linf-radii", lower)
+    lam, D = lam[rows], D[np.ix_(rows, rows)]
+    return D, lam, x, rows, (p, math.inf, lam.tobytes(), D.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +808,7 @@ def _solve_qinf(points, lam, p, tol):
 
 _MEMO_CAP = 4096  # canonical solutions kept; the memo is emptied when full
 _MEMO = {}
-_BATCH_WORK = 1 << 20  # floats of Newton work arrays the misses of one batch may need
+_BATCH_WORK = 1 << 20  # floats of engine work arrays the misses of one batch may need
 
 
 def _remember(key, entry):
@@ -728,43 +817,93 @@ def _remember(key, entry):
     _MEMO[key] = entry
 
 
-def _solve_canonical(problems, tol):
-    """Solutions of canonical problems (x, w, lam, p, q), q < inf, in order.
+def _work(x, q):
+    """Floats of engine work arrays one canonical problem adds to its stack:
+    at q = inf (x is the (k, k) distance matrix) the least-distance matrix
+    and its SVD, at q = 1 the sorted columns and 16 atoms, else the Newton
+    Hessian and pair terms."""
+    k, c = x.shape
+    if q == math.inf:
+        return 3 * (k + 1) * (k * (k + 1) // 2)
+    if q == 1:
+        return 4 * k * c + 16 * (c + k)
+    return c * (c + k**2)
 
-    The one place that picks their engine.  Newton takes 1 < q < inf except
-    p = q = 2, all its problems in one ``_newton_solutions`` call; every
-    other problem goes to its engine alone.  Minimizers are in the
-    canonical columns.
+
+def _certified(method, value, y, lower, steps, tol):
+    """An iterative engine's solution.  Its bound is rounded down by 4 ulps
+    of the value, so that the rounding of either never puts the bound above
+    the value, and kept >= 0, which bounds every objective; an open gap is
+    logged."""
+    lower = max(0.0, min(float(lower), value) - 4 * math.ulp(value))
+    if value - lower > tol:
+        logger.debug(
+            "%s stopped after %d steps with gap %.3e above tol %.3e",
+            method, steps, value - lower, tol,
+        )
+    return FpqSolution(value, y, value - lower, method, lower)
+
+
+def _solve_canonical(problems, tol):
+    """Solutions of canonical problems (x, w, lam, p, q), in order.
+
+    The one place that picks an engine.  At q = inf, x is the (k, k)
+    distance matrix of ``_canonical_qinf`` (w is None), the radii engine
+    takes the problem and the minimizer is its radii; otherwise minimizers
+    are in the canonical columns.  The closed forms are solved here one by
+    one; each iterative engine (radii, Frank-Wolfe at q = 1, Newton for
+    1 < q < inf but p = q = 2) takes all its problems, one stack a shape.
     """
-    out, newton = [], []
-    for x, w, lam, p, q in problems:
-        if x.shape[1] == 0:
-            out.append(FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0))
+    out, stacked = [None] * len(problems), {}
+    for i, (x, w, lam, p, q) in enumerate(problems):
+        if q == math.inf:
+            stacked.setdefault("linf-radii", []).append(i)
+        elif x.shape[1] == 0:
+            out[i] = FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
         elif p == 2 and q == 2:
             y, val = _solve_mean_22(x, w, lam)
-            out.append(FpqSolution(val, y, 0.0, "closed-form-22", val))
+            out[i] = FpqSolution(val, y, 0.0, "closed-form-22", val)
         elif q == 1 and p == 1:
             y, val = _solve_median_q1p1(x, w, lam)
-            out.append(FpqSolution(val, y, 0.0, "coordinate-q1", val))
-        elif q == 1:
-            y, val, lb = _frank_wolfe(x, w, lam, p, tol)
-            out.append(FpqSolution(val, y, max(val - lb, 0.0), "pairwise-frank-wolfe", lb))
+            out[i] = FpqSolution(val, y, 0.0, "coordinate-q1", val)
         else:
-            newton.append(len(out))
-            out.append(None)
-    for i, sol in zip(newton, _newton_solutions([problems[i] for i in newton], tol)):
-        out[i] = sol
+            stacked.setdefault("pairwise-frank-wolfe" if q == 1 else "newton", []).append(i)
+    for method, rows in stacked.items():
+        batch = [problems[i] for i in rows]
+        if method == "linf-radii":
+            sols = _radii_solutions(batch, tol)
+        else:
+            sols = _point_solutions(method, batch, tol)
+        for i, sol in zip(rows, sols):
+            out[i] = sol
     return out
 
 
-def _newton_solutions(problems, tol):
-    """Newton solutions of canonical problems (x, w, lam, p, q), 1 < q < inf.
+def _radii_solutions(problems, tol):
+    """Radii solutions of canonical q = inf problems (D, None, lam, p, inf),
+    one ``_radii`` stack per (p, k)."""
+    out, stacks = [None] * len(problems), {}
+    for i, (D, _, lam, p, _) in enumerate(problems):
+        stacks.setdefault((p, len(lam)), []).append(i)
+    for (p, _), rows in stacks.items():
+        D = np.array([problems[i][0] for i in rows])
+        lam = np.array([problems[i][2] for i in rows])
+        radii, values, bounds, steps = _radii(D, lam, p, tol)
+        for at, i in enumerate(rows):
+            out[i] = _certified("linf-radii", float(values[at]), radii[at], bounds[at], steps[at], tol)
+    return out
+
+
+def _point_solutions(method, problems, tol):
+    """Solutions of canonical problems (x, w, lam, p, q) by Newton or
+    Frank-Wolfe, ``method``'s engine.
 
     Weightless rows are dropped and equal rows merged, their weights added.
-    A problem left with one point is solved there; the others go to
-    ``_newton`` as one stack per (p, q) and merged (k, c) shape.  Minimizers
-    are in the canonical columns.
+    A problem left with one point is solved there; the others go to the
+    engine as one stack per (p, q) and merged (k, c) shape.  Minimizers are
+    in the canonical columns.
     """
+    engine = _newton if method == "newton" else _frank_wolfe
     found, stacks = [None] * len(problems), {}
     for i, (x, w, lam, p, q) in enumerate(problems):
         keep = lam > 0
@@ -776,46 +915,39 @@ def _newton_solutions(problems, tol):
             stacks.setdefault((p, q, pts.shape), []).append((i, pts, mass, w))
     for (p, q, _), stack in stacks.items():
         rows, pts, mass, w = zip(*stack)
-        y, lower, steps = _newton(np.array(pts), np.array(mass), np.array(w), p, q, tol)
+        y, lower, steps = engine(np.array(pts), np.array(mass), np.array(w), p, q, tol)
         for at, i in enumerate(rows):
-            found[i] = y[at], float(lower[at]), int(steps[at])
-    out = []
-    for (x, w, lam, p, q), (y, lower, steps) in zip(problems, found):
-        val = _wobj(x, w, y, p, q, lam)
-        if val - lower > tol:
-            logger.debug(
-                "newton stopped after %d steps with gap %.3e above tol %.3e",
-                steps, val - lower, tol,
-            )
-        out.append(FpqSolution(val, y, max(val - lower, 0.0), "newton", lower))
-    return out
+            found[i] = y[at], lower[at], steps[at]
+    return [
+        _certified(method, _wobj(x, w, y, p, q, lam), y, lower, steps, tol)
+        for (x, w, lam, p, q), (y, lower, steps) in zip(problems, found)
+    ]
 
 
 def _solve_batch(probs, tol, place):
     """``solve_fpq`` of every problem of ``probs``, in order, batched.
 
-    Each problem is canonicalized as it comes and looked up in the memo.  A
-    miss waits with the misses before it; each distinct canonical problem
-    among them is solved once, by ``_solve_canonical``, when the input ends,
-    when the misses waiting number ``_MEMO_CAP`` or when their Newton work
-    arrays (c^2 + k^2 c floats for a (k, c) problem) would pass
-    ``_BATCH_WORK`` floats.  With ``place`` the result is the solutions,
-    minimizers in each problem's coordinates.  Without, a problem keeps
-    nothing of its own once canonicalized, no minimizer is placed, and the
-    result is the arrays of the values and of the tolerances.
+    Each problem is canonicalized as it comes (at q = inf by
+    ``_canonical_qinf``) and looked up in the memo.  A miss waits with the
+    misses before it; each distinct canonical problem among them is solved
+    once, by ``_solve_canonical``, when the input ends, when the misses
+    waiting number ``_MEMO_CAP`` or when their engine work arrays
+    (``_work``) would pass ``_BATCH_WORK`` floats.  With ``place`` the
+    result is the solutions, minimizers in each problem's coordinates (at
+    q = inf a hub rebuilt from the radii).  Without, a problem keeps nothing
+    of its own once canonicalized, no minimizer is placed, and the result
+    is the arrays of the values and of the tolerances.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
     out, tols, misses, work = [], [], {}, 0
 
     def put(i, sol, where):
-        if not place:
-            out[i], tols[i] = sol.value, sol.tolerance
-        elif where is None:
-            out[i] = sol
+        if place:
+            placer, args = where
+            out[i] = placer(sol, *args)
         else:
-            base, col_of, var = where
-            out[i] = _placed(base, sol, col_of, var)
+            out[i], tols[i] = sol.value, sol.tolerance
 
     def solve_misses():
         sols = _solve_canonical([canon for canon, _ in misses.values()], tol)
@@ -829,17 +961,20 @@ def _solve_batch(probs, tol, place):
         out.append(None)
         tols.append(None)
         if prob.q == math.inf:
-            put(i, _solve_qinf(prob.points, prob.weights, prob.p, tol), None)
-            continue
-        x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
-        where = (prob.points[0].copy(), col_of, var) if place else None
+            D, lam, x, rows, key = _canonical_qinf(prob.points, prob.weights, prob.p)
+            canon = D, None, lam, prob.p, prob.q
+            where = (_hub_placed, (x, rows)) if place else None
+        else:
+            x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
+            canon = x, w, lam, prob.p, prob.q
+            where = (_placed, (prob.points[0].copy(), col_of, var)) if place else None
         sol = _MEMO.get(key)
         if sol is not None and sol.tolerance <= tol:
             put(i, sol, where)
             continue
         if key not in misses:
-            misses[key] = (x, w, lam, prob.p, prob.q), []
-            work += x.shape[1] * (x.shape[1] + x.shape[0] ** 2)
+            misses[key] = canon, []
+            work += _work(canon[0], prob.q)
         misses[key][1].append((i, where))
         if len(misses) == _MEMO_CAP or work > _BATCH_WORK:
             solve_misses()
@@ -851,12 +986,14 @@ def _solve_batch(probs, tol, place):
 def solve_fpq_many(probs, tol: float = 1e-8) -> list[FpqSolution]:
     """``solve_fpq`` over an iterable of problems, one solution each, in order.
 
-    Each distinct canonical problem that misses the memo is solved once.
-    The misses that Newton takes are solved together, one ``_newton`` stack
-    per (p, q) and merged shape; every other miss goes to its engine alone.
-    A problem's solution does not depend on the other problems in the
-    batch.  The solutions hold one minimizer per problem; a caller that
-    needs only values takes ``solve_fpq_values``.
+    Each distinct canonical problem that misses the memo is solved once,
+    q = inf included.  Every iterative engine takes its misses as stacks:
+    one ``_radii`` stack per (p, k) at q = inf, one ``_frank_wolfe`` stack
+    per (p, merged shape) at q = 1, one ``_newton`` stack per (p, q, merged
+    shape) for 1 < q < inf.  A problem's solution does not depend, in any
+    bit, on the other problems in the batch.  The solutions hold one
+    minimizer per problem; a caller that needs only values takes
+    ``solve_fpq_values``.
     """
     return _solve_batch(probs, tol, place=True)
 
@@ -865,12 +1002,13 @@ def solve_fpq_values(probs, tol: float = 1e-8):
     """The values and tolerances of ``solve_fpq_many``, as two float arrays.
 
     The batch keeps no minimizer and no copy of a problem's points, so its
-    memory grows with the number of problems, not with their dimension.
+    memory grows with the number of problems, not with their dimension; at
+    q = inf no hub is rebuilt from the radii.
     """
     return _solve_batch(probs, tol, place=False)
 
 
-def _placed(base, sol, col_of, var):
+def _placed(sol, base, col_of, var):
     """``sol`` of a canonical problem, its minimizer in the coordinates of a
     problem whose first point is ``base``: constant columns keep its values."""
     y = base.copy()
@@ -878,20 +1016,29 @@ def _placed(base, sol, col_of, var):
     return replace(sol, minimizer=y)
 
 
+def _hub_placed(sol, x, rows):
+    """``sol`` of a canonical q = inf problem, its minimizer the hub of the
+    points ``x`` read off the radii, put back in place by ``rows``; its
+    objective is at most the value, up to rounding."""
+    t = np.empty(len(rows))
+    t[rows] = sol.minimizer
+    return replace(sol, minimizer=_hub_from_radii(x, t))
+
+
 def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
     """Minimize sum_i w_i ||z_i - y||_q^p over y: ``solve_fpq_many`` of one problem.
 
     ``tol`` is the accuracy target, and every path but the closed forms
-    reports ``tolerance`` = value - lower_bound, a certified gap.  Pairwise
-    Frank-Wolfe (q = 1) stops once it is at most ``tol`` or after 1000
-    oracle calls; at q = inf the radii problem takes at most 50 NNLS steps
-    (proximal point steps at p = 1, SQP steps at p > 1), stopped once the
-    gap is at most ``tol`` or a few ulps of the value, and ``lower_bound``
-    is the Lagrange dual at a point z >= 0; at q in (1, inf) damped Newton
-    stops once its Fenchel dual bound is within ``tol`` or after 100 steps.
-    A memoized solution of the same canonical problem (at q = inf: the same
-    weights and pairwise distances) is reused when its gap is at most
-    ``tol``.
+    reports ``tolerance`` = value - lower_bound, a certified gap, with the
+    bound rounded down by a few ulps of the value.  Pairwise Frank-Wolfe
+    (q = 1) stops once it is at most ``tol`` or after 1000 oracle calls; at
+    q = inf the radii problem takes at most 50 NNLS steps (proximal point
+    steps at p = 1, SQP steps at p > 1), stopped once the gap is at most
+    ``tol`` or a few ulps of the value, and ``lower_bound`` is the Lagrange
+    dual at a point z >= 0; at q in (1, inf) damped Newton stops once its
+    Fenchel dual bound is within ``tol`` or after 100 steps.  A memoized
+    solution of the same canonical problem (at q = inf: the same weights
+    and pairwise distances) is reused when its gap is at most ``tol``.
     """
     return solve_fpq_many([prob], tol)[0]
 

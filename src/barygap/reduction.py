@@ -45,7 +45,7 @@ from .embed import (
     regime_for,
 )
 from .errors import InputError, ResourceCapError, check_cap
-from .fpq import FpqProblem, solve_fpq
+from .fpq import FpqProblem, solve_fpq_many
 from .graph import Graph, even_k_doubling, has_k_clique
 
 
@@ -85,7 +85,8 @@ def _qin_pattern_sweep(k, D, p, q, tol):
     Permuting the k positions maps a pattern's collection to that of the
     permuted pattern (``collection_from_pattern`` is equivariant), so one
     solve serves each orbit of patterns, the one of its least mask.  A mask
-    is a class code over one degree, so ``_permute_codes`` moves it.
+    is a class code over one degree, so ``_permute_codes`` moves it.  The
+    orbit representatives are solved as one ``solve_fpq_many`` batch.
     """
     pairs = _pair_list(k)
     npairs = len(pairs)
@@ -94,16 +95,15 @@ def _qin_pattern_sweep(k, D, p, q, tol):
     masks = np.arange(2**npairs)
     maps = [_permute_codes(masks, perm) for perm in _position_generators(k)]
     roots = _orbit_roots(len(masks), maps)
-    f_complete = None
-    lower_other = math.inf
-    for mask in np.flatnonzero(roots == masks).tolist():
-        edges = [pairs[b] for b in range(npairs) if mask >> b & 1]
-        coll = collection_from_pattern(k, D, edges)
-        sol = solve_fpq(FpqProblem(coll.vectors.astype(float), p, q), tol=tol)
-        if len(edges) == npairs:
-            f_complete = sol.value
-        else:
-            lower_other = min(lower_other, sol.lower_bound)
+    full = 2**npairs - 1
+    reps = np.flatnonzero(roots == masks).tolist()
+    probs = []
+    for mask in reps:
+        coll = collection_from_pattern(k, D, [pairs[b] for b in range(npairs) if mask >> b & 1])
+        probs.append(FpqProblem(coll.vectors.astype(float), p, q))
+    sols = dict(zip(reps, solve_fpq_many(probs, tol=tol)))
+    f_complete = sols.pop(full).value
+    lower_other = min((sol.lower_bound for sol in sols.values()), default=math.inf)
     return f_complete, lower_other
 
 

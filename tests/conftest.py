@@ -61,8 +61,8 @@ def newton_solve(prob, tol=1e-8):
     x, w, lam, col_of, var, _ = barygap.fpq._canonical(prob.points, prob.weights, prob.p, prob.q)
     if x.shape[1] == 0:
         return barygap.fpq.solve_fpq(prob, tol)
-    (sol,) = barygap.fpq._newton_solutions([(x, w, lam, prob.p, prob.q)], tol)
-    return barygap.fpq._placed(prob.points[0], sol, col_of, var)
+    (sol,) = barygap.fpq._point_solutions("newton", [(x, w, lam, prob.p, prob.q)], tol)
+    return barygap.fpq._placed(sol, prob.points[0], col_of, var)
 
 
 SWEEP_PQS = [(2, 2), (1, 2), (2, 1.5), (1, 1), (2, 1), (1, math.inf), (2, math.inf)]

@@ -413,17 +413,21 @@ def test_linf_p_above_1_makes_no_lp_call(monkeypatch):
 
 
 def test_linf_radii_log_an_open_gap(monkeypatch, caplog):
+    # the step cap at 0: both problems of the one radii stack stop open, and
+    # each logs its own DEBUG record
     monkeypatch.setattr(barygap.fpq._radii, "__defaults__", (0,))
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     for p in (1, 2):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
-            sol = solve_fpq(FpqProblem(pts, p, math.inf), tol=1e-9)
-        assert sol.tolerance > 1e-9
-        assert sol.lower_bound <= sol.value
+            sols = solve_fpq_many([FpqProblem(pts, p, math.inf), FpqProblem(2 * pts, p, math.inf)],
+                                  tol=1e-9)
+        for sol in sols:
+            assert sol.tolerance > 1e-9
+            assert sol.lower_bound <= sol.value
         records = [r for r in caplog.records if r.name == "barygap.fpq"]
-        assert len(records) == 1 and records[0].levelno == logging.DEBUG
-        assert "above tol" in records[0].getMessage()
+        assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
+        assert all("above tol" in r.getMessage() for r in records)
 
 
 def test_linf_p1_radii_match_highs():
@@ -451,7 +455,7 @@ def test_linf_radii_at_large_scales(monkeypatch, scale, p):
     # tol is absolute, so at these scales some gaps can only close to a few
     # ulps of the value: the loop must stop in time, cleanly, with a bound
     # still at or below the optimum
-    steps = _counting(monkeypatch, "_nnls")  # one least-distance solve a step
+    steps = _counting(monkeypatch, "_nnls")  # one least-distance solve a step of each problem
     max_steps = barygap.fpq._radii.__defaults__[0]
     rng = np.random.default_rng(4)
     for i in range(40):
@@ -515,14 +519,18 @@ def test_frank_wolfe_metamorphic(data):
 
 
 def test_frank_wolfe_logs_an_open_gap(monkeypatch, caplog):
+    # the oracle-call cap at 1: both problems of the one Frank-Wolfe stack
+    # stop open, and each logs its own DEBUG record
     monkeypatch.setattr(barygap.fpq._frank_wolfe, "__defaults__", (1,))
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
-        sol = solve_fpq(FpqProblem(pts, 2, 1), tol=1e-9)
-    assert sol.tolerance > 1e-9
+        sols = solve_fpq_many([FpqProblem(pts, 2, 1), FpqProblem(2 * pts, 2, 1)], tol=1e-9)
+    for sol in sols:
+        assert sol.tolerance > 1e-9
+        assert sol.lower_bound <= sol.value
     records = [r for r in caplog.records if r.name == "barygap.fpq"]
-    assert len(records) == 1 and records[0].levelno == logging.DEBUG
-    assert "above tol" in records[0].getMessage()
+    assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
+    assert all("above tol" in r.getMessage() for r in records)
 
 
 def _random_smooth_hub_problems(count=400, seed=0):
@@ -635,10 +643,12 @@ def test_newton_logs_an_open_gap(monkeypatch, caplog):
 @st.composite
 def _hub_problem_lists(draw):
     # problems of a few (p, q) regimes and shapes, so that some share a
-    # Newton stack; duplicate rows, zero weights and constant columns mixed in
+    # Newton, Frank-Wolfe (q = 1) or radii (q = inf) stack; duplicate rows,
+    # zero weights and constant columns mixed in
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     regimes = draw(st.lists(
-        st.tuples(st.sampled_from([1.0, 1.3, 2.0, 3.0]), st.sampled_from([1.2, 1.5, 2.0, 3.0])),
+        st.tuples(st.sampled_from([1.0, 1.3, 2.0, 3.0]),
+                  st.sampled_from([1.0, 1.2, 1.5, 2.0, 3.0, math.inf])),
         min_size=1, max_size=2,
     ))
     shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=2))
@@ -680,8 +690,9 @@ def test_solve_fpq_many_matches_each_problem_alone(case):
 
 
 def test_newton_p1_q3_four_points_report_an_honest_interval():
-    # an open Newton gap near a kink (about 3.5e-6 at tol 1e-9); alone and
-    # inside a batch the interval holds a Nelder-Mead optimum
+    # an optimal data point that the data-point test once missed by one ulp,
+    # leaving a gap of 3.5e-6 at tol 1e-9; alone and inside a batch the
+    # interval holds a Nelder-Mead optimum and is closed
     x = np.array([[-3.0, -3.0], [3.0, 3.0], [2.0, 1.0], [-2.0, -2.0]])
     prob = FpqProblem(x, 1, 3)
     ref = min(
@@ -699,6 +710,9 @@ def test_newton_p1_q3_four_points_report_an_honest_interval():
         assert sol.method == "newton"
         assert sol.lower_bound <= ref <= sol.value
         assert sol.tolerance == sol.value - sol.lower_bound
+        # the optimum is the data point (-2, -2), whose pulls' dual norm is 1,
+        # its weight, up to one ulp: the data-point test certifies it
+        assert sol.tolerance <= 1e-9
 
 
 @st.composite
@@ -737,12 +751,13 @@ def test_unique_columns_edge_shapes():
 
 
 def _counting(monkeypatch, name):
-    # one entry per call, or per problem solved for the batched ``_newton``
+    # one entry per problem of each call: every engine (``_newton``,
+    # ``_frank_wolfe``, ``_radii``) and ``_nnls`` take a stack of problems
     calls = []
     inner = getattr(barygap.fpq, name)
 
     def wrapper(*args, **kwargs):
-        calls.extend([args] * (len(args[0]) if name == "_newton" else 1))
+        calls.extend([args] * len(args[0]))
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(barygap.fpq, name, wrapper)
@@ -783,20 +798,23 @@ def test_batch_solves_each_canonical_problem_once(monkeypatch):
 
 def test_a_batch_solves_its_misses_in_bounded_rounds(monkeypatch):
     # with the work bound below one problem, each miss is solved as it comes,
-    # one Newton stack a problem, and the solutions are those of one round
-    rng = np.random.default_rng(3)
-    probs = [FpqProblem(rng.normal(size=(3, 4)), 2, 1.5) for _ in range(6)]
-    whole = solve_fpq_many(probs, tol=1e-9)
-    barygap.fpq._MEMO.clear()
-    stacks = []
-    inner = barygap.fpq._newton
-    monkeypatch.setattr(barygap.fpq, "_newton", lambda pts, *a: stacks.append(len(pts)) or inner(pts, *a))
-    monkeypatch.setattr(barygap.fpq, "_BATCH_WORK", 1)
-    rounds = solve_fpq_many(probs, tol=1e-9)
-    assert stacks == [1] * 6
-    for a, b in zip(whole, rounds):
-        assert (a.value, a.lower_bound, a.tolerance) == (b.value, b.lower_bound, b.tolerance)
-        assert np.array_equal(a.minimizer, b.minimizer)
+    # one engine stack a problem, and the solutions are those of one round
+    for q, engine in [(1.5, "_newton"), (1.0, "_frank_wolfe"), (math.inf, "_radii")]:
+        rng = np.random.default_rng(3)
+        probs = [FpqProblem(rng.normal(size=(3, 4)), 2, q) for _ in range(6)]
+        whole = solve_fpq_many(probs, tol=1e-9)
+        barygap.fpq._MEMO.clear()
+        stacks = []
+        inner = getattr(barygap.fpq, engine)
+        with monkeypatch.context() as patch:
+            patch.setattr(barygap.fpq, engine,
+                          lambda first, *a: stacks.append(len(first)) or inner(first, *a))
+            patch.setattr(barygap.fpq, "_BATCH_WORK", 1)
+            rounds = solve_fpq_many(probs, tol=1e-9)
+        assert stacks == [1] * 6
+        for a, b in zip(whole, rounds):
+            assert (a.value, a.lower_bound, a.tolerance) == (b.value, b.lower_bound, b.tolerance)
+            assert np.array_equal(a.minimizer, b.minimizer)
 
 
 def test_memo_reuses_only_a_tight_enough_entry(monkeypatch):
@@ -831,19 +849,24 @@ def test_memo_keeps_weights_p_and_q_apart(monkeypatch):
     assert len(calls) == len(variants)
 
 
-def test_memo_solves_equal_linf_distances_once(monkeypatch):
-    # at q = inf the memo is keyed on weights and pairwise distances: a
-    # reflected copy, rows permuted, with one more coordinate that never sets a
-    # distance, is the same problem; each hit rebuilds its hub from its own points
-    calls = _counting(monkeypatch, "_radii")
+def _equal_linf_problems():
+    # a reflected copy, rows permuted, with one more coordinate that never
+    # sets a distance: the same (p, weights, distances) at q = inf
     rng = np.random.default_rng(8)
     x = rng.normal(size=(4, 3))
     shortest = barygap.fpq._pairwise_linf(x)[np.triu_indices(4, 1)].min()
     perm = [2, 0, 3, 1]
     other = np.hstack([-x, 0.5 * shortest * rng.random((4, 1))])[perm]
     lam = np.array([1.0, 2.0, 0.5, 1.5])
-    probs = [FpqProblem(x, 3, math.inf, weights=lam),
-             FpqProblem(other, 3, math.inf, weights=lam[perm])]
+    return [FpqProblem(x, 3, math.inf, weights=lam),
+            FpqProblem(other, 3, math.inf, weights=lam[perm])]
+
+
+def test_memo_solves_equal_linf_distances_once(monkeypatch):
+    # at q = inf the memo is keyed on weights and pairwise distances: the
+    # two problems are one, and each hit rebuilds its hub from its own points
+    calls = _counting(monkeypatch, "_radii")
+    probs = _equal_linf_problems()
     a, b = (solve_fpq(prob, tol=1e-9) for prob in probs)
     assert len(calls) == 1
     for prob, sol in zip(probs, (a, b)):
@@ -861,6 +884,45 @@ def test_memo_solves_equal_linf_distances_once(monkeypatch):
     assert len(calls) == 3
     assert solve_fpq(probs[0], tol=1e-1).tolerance <= 1e-9  # the tighter entry serves
     assert len(calls) == 3
+
+
+def test_a_batch_solves_equal_linf_distances_once(monkeypatch):
+    # in one batch the two problems wait as one miss: one radii problem is
+    # solved, both report its value, and each places its own hub
+    calls = _counting(monkeypatch, "_radii")
+    probs = _equal_linf_problems()
+    sols = solve_fpq_many(probs + [FpqProblem(2 * probs[0].points, 3, math.inf)], tol=1e-9)
+    assert len(calls) == 2 and len(barygap.fpq._MEMO) == 2
+    assert sols[0].value == sols[1].value and sols[0].tolerance == sols[1].tolerance <= 1e-9
+    assert [sol.minimizer.shape for sol in sols[:2]] == [(3,), (4,)]
+    for prob, sol in zip(probs, sols):
+        direct = fpq_objective(prob.points, sol.minimizer, 3, math.inf, prob.weights)
+        assert abs(sol.value - direct) <= 1e-9
+    values, tols = solve_fpq_values(probs, tol=1e-9)  # memo hits, no hub rebuilt
+    assert len(calls) == 2
+    assert values.tolist() == [sols[0].value] * 2 and tols.tolist() == [sols[0].tolerance] * 2
+
+
+def test_lower_bounds_never_lie_above_their_values():
+    # a bound rounded above its value, seen at (2, 1.5) on the second (3, 3)
+    # normal draw of default_rng(1); every engine rounds its bound down by a
+    # few ulps of the value, so that the reported interval is never empty
+    rng = np.random.default_rng(1)
+    rng.normal(size=(3, 3))
+    sol = solve_fpq(FpqProblem(rng.normal(size=(3, 3)), 2, 1.5), tol=1e-9)
+    assert sol.lower_bound < sol.value and sol.tolerance == sol.value - sol.lower_bound
+    rng = np.random.default_rng(2)
+    probs = []
+    for i in range(1200):
+        k, d = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        p = float(rng.choice([1.0, 1.3, 2.0, 3.0]))
+        q = float(rng.choice([1.0, 1.2, 1.5, 2.0, 3.0, math.inf]))
+        x = rng.normal(size=(k, d)) if i % 4 else rng.integers(-2, 3, (k, d)) * 1.0
+        w = rng.random(k) + 0.1 if i % 3 == 0 else None
+        probs.append(FpqProblem(x, p, q, weights=w))
+    for sol in solve_fpq_many(probs, tol=1e-9):
+        assert sol.lower_bound <= sol.value
+        assert sol.tolerance == sol.value - sol.lower_bound
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

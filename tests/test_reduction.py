@@ -72,14 +72,14 @@ def test_certificate_qin_calibration():
 def test_qin_certificate_sweeps_once_per_key(monkeypatch):
     import barygap.reduction
 
-    calls = []
-    orig = barygap.reduction.solve_fpq
+    calls = []  # one entry per problem the sweep solves
+    orig = barygap.reduction.solve_fpq_many
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
+    def counted(probs, **kwargs):
+        calls.extend(probs)
+        return orig(probs, **kwargs)
 
-    monkeypatch.setattr(barygap.reduction, "solve_fpq", counted)
+    monkeypatch.setattr(barygap.reduction, "solve_fpq_many", counted)
     first = gap_certificate(4, 3, 3, 2, 1.5, tol=1e-7)
     assert len(calls) == 4  # one solve per orbit of the 2^3 overlap patterns
     # n is not part of the key: the patterns depend only on (k, D, p, q, tol)
@@ -106,10 +106,10 @@ def test_qin_pattern_sweep_solves_one_pattern_per_orbit(monkeypatch, k, D, p, q,
             complete = sol.value
         else:
             lower = min(lower, sol.lower_bound)
-    calls = []
-    orig = barygap.reduction.solve_fpq
+    calls = []  # one entry per problem the sweep solves
+    orig = barygap.reduction.solve_fpq_many
     monkeypatch.setattr(
-        barygap.reduction, "solve_fpq", lambda *a, **kw: calls.append(1) or orig(*a, **kw)
+        barygap.reduction, "solve_fpq_many", lambda probs, **kw: calls.extend(probs) or orig(probs, **kw)
     )
     barygap.fpq._MEMO.clear()
     assert barygap.reduction._qin_pattern_sweep(k, D, p, q, tol) == (complete, lower)
