@@ -37,7 +37,6 @@ from .fpq import (
     fpq_gradient,
     fpq_objective,
     solve_fpq,
-    solve_fpq_many,
     solve_fpq_values,
 )
 from .graph import (

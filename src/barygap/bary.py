@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from .chub import _gram_costs, tuple_costs
-from .errors import InputError, ResourceCapError, check_cap
+from .errors import InputError, ResourceCapError, check_cap, check_tol
 from .fpq import FpqProblem, solve_fpq, unique_columns
 from .simplex import solve_lp
 
@@ -72,8 +72,8 @@ class DiscreteMeasure:
             )
         if not np.isfinite(atoms).all():
             raise InputError("atoms must be finite")
-        if (masses < -1e-15).any():
-            raise InputError("masses must be nonnegative")
+        if not (np.isfinite(masses) & (masses >= -1e-15)).all():
+            raise InputError("masses must be finite and nonnegative")
         if abs(masses.sum() - 1.0) > 1e-12:
             raise InputError(f"masses sum to {masses.sum()!r}, expected 1")
         if unique_columns(atoms.T)[0].shape[1] != atoms.shape[0]:
@@ -137,7 +137,7 @@ class BaryInstance:
             w = np.full(k, 1.0 / k)
         else:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (k,) or (w < 0).any() or abs(w.sum() - 1.0) > 1e-12:
+            if w.shape != (k,) or not (w >= 0).all() or not abs(w.sum() - 1.0) <= 1e-12:
                 raise InputError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
         if not 1 <= self.p < math.inf or not self.q >= 1:
@@ -374,6 +374,7 @@ def bary_value_mot(
     symmetric, the plan is a symmetrized optimum rather than a vertex, with
     up to k! times the support of the orbit LP's vertex (``_transport_lp``).
     """
+    check_tol(tol)
     total = math.prod(m.size for m in inst.measures)
     check_cap(f"MOT LP with {total} variables", total, cap)
     tolerance = tol

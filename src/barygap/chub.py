@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .embed import PointConfig
-from .errors import InputError, check_cap
+from .errors import InputError, check_cap, check_tol
 from .fpq import FpqProblem, solve_fpq_values, unique_columns
 from .graph import DEFAULT_ENUM_CAP, Graph, max_multiset_edges
 
@@ -122,8 +122,7 @@ def solve_chub(
     keeps every tuple's value (float64, or Fractions on the exact path);
     without it a config with a source graph builds no array over all tuples.
     """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     n, k = config.n, config.k
     shape = (n,) * k
     check_cap(f"enumerating {n**k} tuples", n**k, cap)
@@ -188,7 +187,9 @@ def tuple_costs(groups, p, q, weights, tol, reps=None):
     the weights are equal, each tuple takes the value of its sorted tuple,
     so that the values are exactly symmetric.  Otherwise the tuples are
     one ``solve_fpq_values`` batch at ``tol`` with per-point ``weights``,
-    which keeps no minimizer, so memory grows with the tuples, not with d.
+    which keeps no minimizer, so memory grows with the tuples, not with d;
+    the worst tolerance is the largest value minus lower bound, the same
+    float subtraction each solve's tolerance is.
     """
     shape = tuple(len(g) for g in groups)
     flat = np.arange(math.prod(shape)) if reps is None else np.asarray(reps)
@@ -205,8 +206,8 @@ def tuple_costs(groups, p, q, weights, tol, reps=None):
     # the problems are built as the batch reads them, one tuple's points at a time
     tuples = zip(*np.unravel_index(flat, shape))
     probs = (FpqProblem(np.stack([g[j] for g, j in zip(groups, t)]), p, q, weights) for t in tuples)
-    values, tols = solve_fpq_values(probs, tol=tol)
-    return values, float(tols.max(initial=0.0))
+    values, lower = solve_fpq_values(probs, tol=tol)
+    return values, float((values - lower).max(initial=0.0))
 
 
 def _grid_blocks(shape, unary, pairs):

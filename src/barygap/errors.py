@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one resource-cap check."""
+"""Exception types shared across the package, its one resource-cap check and
+its one tolerance check."""
 
 
 class BarygapError(Exception):
@@ -26,3 +27,9 @@ def check_cap(what, required, cap):
     """Raise ResourceCapError when ``required`` exceeds the desk-scale ``cap``."""
     if required > cap:
         raise ResourceCapError(f"{what} exceeds cap {cap}", required=required, cap=cap)
+
+
+def check_tol(tol):
+    """Raise InputError unless ``tol`` is a positive number (nan is not)."""
+    if not tol > 0:
+        raise InputError(f"tol must be positive, got {tol}")

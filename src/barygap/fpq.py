@@ -32,25 +32,26 @@ stops; every sum and solve works within one problem's rows, so a problem's
 result does not depend, in any bit, on the stack.  Each rounds its reported
 bound down by a few ulps of the value, so the interval is never empty.
 
-Every solve goes through one batch (``_solve_batch``): ``solve_fpq_many``
-returns its solutions, ``solve_fpq_values`` only their values and
-tolerances, keeping no minimizer, and ``solve_fpq`` is a batch of one.
-Every call goes through one canonical hub problem.  At q < inf, coordinates
-with identical values across all k points are fixed at that shared value,
-duplicate coordinate columns are merged into one weighted column, and the
-rows are sorted with their weights by a signature that ignores column order:
-all three are exact for every norm, and they are what makes brute-force
-enumeration over embedded instances cheap.  At q = inf the canonical
-problem is the weights and the pairwise distances alone, rows sorted, and
-its solution is radii: a problem rebuilds its hub from its own points, and
-the value reported is the entry's sum lam t^p, so it depends on the key
-alone, whatever the order of the points.  Solutions are memoized on the
-canonical form plus (p, q), so a problem met again in another tuple class,
-instance or certificate sweep, or under a point or coordinate permutation,
-is looked up rather than solved again.  In one batch the misses of every q
-wait together, each distinct canonical problem is solved once, the misses
-waiting are solved in rounds of bounded size, and ``_solve_canonical`` is
-the one place that picks their engine.
+There are two entry points.  ``solve_fpq_values`` is the one batch: it
+returns the values and lower bounds of many problems and keeps no
+minimizer.  ``solve_fpq`` solves one problem and places its minimizer.
+Both go through one canonical hub problem (``_canonical_problem``).  At
+q < inf, coordinates with identical values across all k points are fixed
+at that shared value, duplicate coordinate columns are merged into one
+weighted column, and the rows are sorted with their weights by a signature
+that ignores column order: all three are exact for every norm, and they
+are what makes brute-force enumeration over embedded instances cheap.  At
+q = inf the canonical problem is the weights and the pairwise distances
+alone, rows sorted, and its solution is radii: a problem rebuilds its hub
+from its own points, and the value reported is the entry's sum lam t^p, so
+it depends on the key alone, whatever the order of the points.  Solutions
+are memoized on the canonical form plus (p, q), so a problem met again in
+another tuple class, instance or certificate sweep, or under a point or
+coordinate permutation, is looked up rather than solved again.  In one
+batch the misses of every q wait together, each distinct canonical problem
+is solved once, and the misses waiting are solved in rounds of bounded
+size.  ``_solve_canonical`` is the one place that picks an engine and
+forms stacks.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_tol
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +88,8 @@ class FpqProblem:
         object.__setattr__(self, "points", pts)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (pts.shape[0],) or (w < 0).any():
-                raise InputError("weights must be nonnegative, one per point")
+            if w.shape != (pts.shape[0],) or not (np.isfinite(w) & (w >= 0)).all():
+                raise InputError("weights must be finite and nonnegative, one per point")
             object.__setattr__(self, "weights", w)
 
 
@@ -847,18 +848,22 @@ def _certified(method, value, y, lower, steps, tol):
 def _solve_canonical(problems, tol):
     """Solutions of canonical problems (x, w, lam, p, q), in order.
 
-    The one place that picks an engine.  At q = inf, x is the (k, k)
-    distance matrix of ``_canonical_qinf`` (w is None), the radii engine
-    takes the problem and the minimizer is its radii; otherwise minimizers
-    are in the canonical columns.  The closed forms are solved here one by
-    one; each iterative engine (radii, Frank-Wolfe at q = 1, Newton for
-    1 < q < inf but p = q = 2) takes all its problems, one stack a shape.
+    The one place that picks an engine and forms stacks.  At q = inf, x is
+    the (k, k) distance matrix of ``_canonical_qinf`` (w is None) and the
+    minimizer is the radii; otherwise it is in the canonical columns.  The
+    closed forms are solved here one by one.  For Newton (1 < q < inf but
+    p = q = 2) and Frank-Wolfe (q = 1, p > 1) weightless rows are dropped
+    and equal rows merged, their weights added, and a problem left with one
+    point is solved there.  Every other problem goes to its iterative
+    engine in one stack per (engine, p, q, shape): radii per k, the others
+    per merged (k, c).
     """
-    out, stacked = [None] * len(problems), {}
+    out, stacks = [None] * len(problems), {}
     for i, (x, w, lam, p, q) in enumerate(problems):
         if q == math.inf:
-            stacked.setdefault("linf-radii", []).append(i)
-        elif x.shape[1] == 0:
+            stacks.setdefault(("linf-radii", p, q, x.shape), []).append((i, x, lam, w))
+            continue
+        if x.shape[1] == 0:
             out[i] = FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
         elif p == 2 and q == 2:
             y, val = _solve_mean_22(x, w, lam)
@@ -867,166 +872,98 @@ def _solve_canonical(problems, tol):
             y, val = _solve_median_q1p1(x, w, lam)
             out[i] = FpqSolution(val, y, 0.0, "coordinate-q1", val)
         else:
-            stacked.setdefault("pairwise-frank-wolfe" if q == 1 else "newton", []).append(i)
-    for method, rows in stacked.items():
-        batch = [problems[i] for i in rows]
+            method = "pairwise-frank-wolfe" if q == 1 else "newton"
+            keep = lam > 0
+            rows, _, inv, _ = unique_columns(x[keep].T)  # equal points merge into one
+            pts, mass = rows.T, np.bincount(inv, lam[keep])
+            if len(pts) < 2:
+                y = (pts if len(pts) else x)[0].copy()
+                out[i] = _certified(method, _wobj(x, w, y, p, q, lam), y, 0.0, 0, tol)
+            else:
+                stacks.setdefault((method, p, q, pts.shape), []).append((i, pts, mass, w))
+    for (method, p, q, _), stack in stacks.items():
+        rows, a, mass, w = zip(*stack)
         if method == "linf-radii":
-            sols = _radii_solutions(batch, tol)
+            y, values, lower, steps = _radii(np.array(a), np.array(mass), p, tol)
         else:
-            sols = _point_solutions(method, batch, tol)
-        for i, sol in zip(rows, sols):
-            out[i] = sol
+            engine = _newton if method == "newton" else _frank_wolfe
+            y, lower, steps = engine(np.array(a), np.array(mass), np.array(w), p, q, tol)
+        for at, i in enumerate(rows):
+            x, w, lam = problems[i][:3]
+            value = float(values[at]) if method == "linf-radii" else _wobj(x, w, y[at], p, q, lam)
+            out[i] = _certified(method, value, y[at], lower[at], steps[at], tol)
     return out
 
 
-def _radii_solutions(problems, tol):
-    """Radii solutions of canonical q = inf problems (D, None, lam, p, inf),
-    one ``_radii`` stack per (p, k)."""
-    out, stacks = [None] * len(problems), {}
-    for i, (D, _, lam, p, _) in enumerate(problems):
-        stacks.setdefault((p, len(lam)), []).append(i)
-    for (p, _), rows in stacks.items():
-        D = np.array([problems[i][0] for i in rows])
-        lam = np.array([problems[i][2] for i in rows])
-        radii, values, bounds, steps = _radii(D, lam, p, tol)
-        for at, i in enumerate(rows):
-            out[i] = _certified("linf-radii", float(values[at]), radii[at], bounds[at], steps[at], tol)
-    return out
+def _canonical_problem(prob):
+    """A problem's canonical problem (x, w, lam, p, q), its memo key, and the
+    function that places a solution of it in the problem's coordinates."""
+    p, q = prob.p, prob.q
+    if q == math.inf:
+        D, lam, x, rows, key = _canonical_qinf(prob.points, prob.weights, p)
+
+        def place(sol):  # the hub of the problem's own points, read off the radii
+            t = np.empty(len(rows))
+            t[rows] = sol.minimizer
+            return replace(sol, minimizer=_hub_from_radii(x, t))
+
+        return (D, None, lam, p, q), key, place
+    x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, p, q)
+
+    def place(sol):  # constant columns keep the problem's values
+        y = prob.points[0].copy()
+        y[var] = sol.minimizer[col_of]
+        return replace(sol, minimizer=y)
+
+    return (x, w, lam, p, q), key, place
 
 
-def _point_solutions(method, problems, tol):
-    """Solutions of canonical problems (x, w, lam, p, q) by Newton or
-    Frank-Wolfe, ``method``'s engine.
+def solve_fpq_values(probs, tol: float = 1e-8):
+    """The values and lower bounds of ``solve_fpq`` over an iterable of
+    problems, in order, as two float arrays.
 
-    Weightless rows are dropped and equal rows merged, their weights added.
-    A problem left with one point is solved there; the others go to the
-    engine as one stack per (p, q) and merged (k, c) shape.  Minimizers are
-    in the canonical columns.
+    Each problem is canonicalized as it comes and looked up in the memo.  A
+    miss waits with the misses before it; each distinct canonical problem
+    among them is solved once, by ``_solve_canonical``, when the input
+    ends, when the misses waiting number ``_MEMO_CAP`` or when their engine
+    work arrays (``_work``) would pass ``_BATCH_WORK`` floats.  A problem's
+    result does not depend, in any bit, on the other problems in the batch.
+    No minimizer is placed and a problem keeps nothing of its own once
+    canonicalized, so memory grows with the number of problems, not with
+    their dimension.  A problem's tolerance is its value minus its bound.
     """
-    engine = _newton if method == "newton" else _frank_wolfe
-    found, stacks = [None] * len(problems), {}
-    for i, (x, w, lam, p, q) in enumerate(problems):
-        keep = lam > 0
-        rows, _, inv, _ = unique_columns(x[keep].T)  # equal points merge into one
-        pts, mass = rows.T, np.bincount(inv, lam[keep])
-        if len(pts) < 2:
-            found[i] = (pts if len(pts) else x)[0].copy(), 0.0, 0
-        else:
-            stacks.setdefault((p, q, pts.shape), []).append((i, pts, mass, w))
-    for (p, q, _), stack in stacks.items():
-        rows, pts, mass, w = zip(*stack)
-        y, lower, steps = engine(np.array(pts), np.array(mass), np.array(w), p, q, tol)
-        for at, i in enumerate(rows):
-            found[i] = y[at], lower[at], steps[at]
-    return [
-        _certified(method, _wobj(x, w, y, p, q, lam), y, lower, steps, tol)
-        for (x, w, lam, p, q), (y, lower, steps) in zip(problems, found)
-    ]
-
-
-def _solve_batch(probs, tol, place):
-    """``solve_fpq`` of every problem of ``probs``, in order, batched.
-
-    Each problem is canonicalized as it comes (at q = inf by
-    ``_canonical_qinf``) and looked up in the memo.  A miss waits with the
-    misses before it; each distinct canonical problem among them is solved
-    once, by ``_solve_canonical``, when the input ends, when the misses
-    waiting number ``_MEMO_CAP`` or when their engine work arrays
-    (``_work``) would pass ``_BATCH_WORK`` floats.  With ``place`` the
-    result is the solutions, minimizers in each problem's coordinates (at
-    q = inf a hub rebuilt from the radii).  Without, a problem keeps nothing
-    of its own once canonicalized, no minimizer is placed, and the result
-    is the arrays of the values and of the tolerances.
-    """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    out, tols, misses, work = [], [], {}, 0
-
-    def put(i, sol, where):
-        if place:
-            placer, args = where
-            out[i] = placer(sol, *args)
-        else:
-            out[i], tols[i] = sol.value, sol.tolerance
+    check_tol(tol)
+    values, lower, misses, work = [], [], {}, 0
 
     def solve_misses():
         sols = _solve_canonical([canon for canon, _ in misses.values()], tol)
         for (key, (_, users)), sol in zip(misses.items(), sols):
             _remember(key, sol)
-            for i, where in users:
-                put(i, sol, where)
+            for i in users:
+                values[i], lower[i] = sol.value, sol.lower_bound
         misses.clear()
 
     for i, prob in enumerate(probs):
-        out.append(None)
-        tols.append(None)
-        if prob.q == math.inf:
-            D, lam, x, rows, key = _canonical_qinf(prob.points, prob.weights, prob.p)
-            canon = D, None, lam, prob.p, prob.q
-            where = (_hub_placed, (x, rows)) if place else None
-        else:
-            x, w, lam, col_of, var, key = _canonical(prob.points, prob.weights, prob.p, prob.q)
-            canon = x, w, lam, prob.p, prob.q
-            where = (_placed, (prob.points[0].copy(), col_of, var)) if place else None
+        canon, key, _ = _canonical_problem(prob)
         sol = _MEMO.get(key)
-        if sol is not None and sol.tolerance <= tol:
-            put(i, sol, where)
+        hit = sol is not None and sol.tolerance <= tol
+        values.append(sol.value if hit else None)
+        lower.append(sol.lower_bound if hit else None)
+        if hit:
             continue
         if key not in misses:
             misses[key] = canon, []
             work += _work(canon[0], prob.q)
-        misses[key][1].append((i, where))
+        misses[key][1].append(i)
         if len(misses) == _MEMO_CAP or work > _BATCH_WORK:
             solve_misses()
             work = 0
     solve_misses()
-    return out if place else (np.array(out, dtype=float), np.array(tols, dtype=float))
-
-
-def solve_fpq_many(probs, tol: float = 1e-8) -> list[FpqSolution]:
-    """``solve_fpq`` over an iterable of problems, one solution each, in order.
-
-    Each distinct canonical problem that misses the memo is solved once,
-    q = inf included.  Every iterative engine takes its misses as stacks:
-    one ``_radii`` stack per (p, k) at q = inf, one ``_frank_wolfe`` stack
-    per (p, merged shape) at q = 1, one ``_newton`` stack per (p, q, merged
-    shape) for 1 < q < inf.  A problem's solution does not depend, in any
-    bit, on the other problems in the batch.  The solutions hold one
-    minimizer per problem; a caller that needs only values takes
-    ``solve_fpq_values``.
-    """
-    return _solve_batch(probs, tol, place=True)
-
-
-def solve_fpq_values(probs, tol: float = 1e-8):
-    """The values and tolerances of ``solve_fpq_many``, as two float arrays.
-
-    The batch keeps no minimizer and no copy of a problem's points, so its
-    memory grows with the number of problems, not with their dimension; at
-    q = inf no hub is rebuilt from the radii.
-    """
-    return _solve_batch(probs, tol, place=False)
-
-
-def _placed(sol, base, col_of, var):
-    """``sol`` of a canonical problem, its minimizer in the coordinates of a
-    problem whose first point is ``base``: constant columns keep its values."""
-    y = base.copy()
-    y[var] = sol.minimizer[col_of]
-    return replace(sol, minimizer=y)
-
-
-def _hub_placed(sol, x, rows):
-    """``sol`` of a canonical q = inf problem, its minimizer the hub of the
-    points ``x`` read off the radii, put back in place by ``rows``; its
-    objective is at most the value, up to rounding."""
-    t = np.empty(len(rows))
-    t[rows] = sol.minimizer
-    return replace(sol, minimizer=_hub_from_radii(x, t))
+    return np.array(values, dtype=float), np.array(lower, dtype=float)
 
 
 def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
-    """Minimize sum_i w_i ||z_i - y||_q^p over y: ``solve_fpq_many`` of one problem.
+    """Minimize sum_i w_i ||z_i - y||_q^p over y.
 
     ``tol`` is the accuracy target, and every path but the closed forms
     reports ``tolerance`` = value - lower_bound, a certified gap, with the
@@ -1038,9 +975,16 @@ def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
     dual at a point z >= 0; at q in (1, inf) damped Newton stops once its
     Fenchel dual bound is within ``tol`` or after 100 steps.  A memoized
     solution of the same canonical problem (at q = inf: the same weights
-    and pairwise distances) is reused when its gap is at most ``tol``.
+    and pairwise distances) is reused when its gap is at most ``tol``;
+    otherwise the canonical problem is solved alone and remembered.
     """
-    return solve_fpq_many([prob], tol)[0]
+    check_tol(tol)
+    canon, key, place = _canonical_problem(prob)
+    sol = _MEMO.get(key)
+    if sol is None or sol.tolerance > tol:
+        (sol,) = _solve_canonical([canon], tol)
+        _remember(key, sol)
+    return place(sol)
 
 
 def fpq_closed_form_22(points, weights=None) -> FpqSolution:

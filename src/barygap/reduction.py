@@ -44,8 +44,8 @@ from .embed import (
     q1_value_formula,
     regime_for,
 )
-from .errors import InputError, ResourceCapError, check_cap
-from .fpq import FpqProblem, solve_fpq_many
+from .errors import InputError, ResourceCapError, check_cap, check_tol
+from .fpq import FpqProblem, solve_fpq_values
 from .graph import Graph, even_k_doubling, has_k_clique
 
 
@@ -86,7 +86,9 @@ def _qin_pattern_sweep(k, D, p, q, tol):
     permuted pattern (``collection_from_pattern`` is equivariant), so one
     solve serves each orbit of patterns, the one of its least mask.  A mask
     is a class code over one degree, so ``_permute_codes`` moves it.  The
-    orbit representatives are solved as one ``solve_fpq_many`` batch.
+    orbit representatives are one ``solve_fpq_values`` batch: the clique
+    pattern's value and the least lower bound of the others are all the
+    sweep reads.
     """
     pairs = _pair_list(k)
     npairs = len(pairs)
@@ -95,16 +97,13 @@ def _qin_pattern_sweep(k, D, p, q, tol):
     masks = np.arange(2**npairs)
     maps = [_permute_codes(masks, perm) for perm in _position_generators(k)]
     roots = _orbit_roots(len(masks), maps)
-    full = 2**npairs - 1
-    reps = np.flatnonzero(roots == masks).tolist()
     probs = []
-    for mask in reps:
+    for mask in np.flatnonzero(roots == masks).tolist():
         coll = collection_from_pattern(k, D, [pairs[b] for b in range(npairs) if mask >> b & 1])
         probs.append(FpqProblem(coll.vectors.astype(float), p, q))
-    sols = dict(zip(reps, solve_fpq_many(probs, tol=tol)))
-    f_complete = sols.pop(full).value
-    lower_other = min((sol.lower_bound for sol in sols.values()), default=math.inf)
-    return f_complete, lower_other
+    values, lower = solve_fpq_values(probs, tol=tol)
+    # the clique pattern, the largest mask and alone in its orbit, comes last
+    return float(values[-1]), float(lower[:-1].min(initial=math.inf))
 
 
 def gap_certificate(n, k, D, p, q, tol=1e-7) -> GapCertificate:
@@ -223,6 +222,7 @@ def decide_clique(
     over axis permutations, so that size counts every permutation of each
     multiset the orbit LP uses.
     """
+    check_tol(tol)
     cert = inst.certificate
     if tol > cert.delta / 10.0:
         raise InputError(

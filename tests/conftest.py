@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import barygap.chub
@@ -53,16 +54,21 @@ def fresh_fpq_memo():
 
 
 def newton_solve(prob, tol=1e-8):
-    """Damped Newton on ``prob``'s canonical hub problem, as a batch of one,
+    """Damped Newton on ``prob``'s canonical hub problem, as a stack of one,
     at any (p, q) with 1 < q < inf and p=q=2 included: the iterative
-    reference for the closed form.  It neither reads nor fills the memo.  A
-    problem whose points all coincide has no free coordinate and goes to
-    ``solve_fpq``."""
-    x, w, lam, col_of, var, _ = barygap.fpq._canonical(prob.points, prob.weights, prob.p, prob.q)
-    if x.shape[1] == 0:
-        return barygap.fpq.solve_fpq(prob, tol)
-    (sol,) = barygap.fpq._point_solutions("newton", [(x, w, lam, prob.p, prob.q)], tol)
-    return barygap.fpq._placed(sol, prob.points[0], col_of, var)
+    reference for the closed form.  Equal rows merge and weightless rows
+    drop, as for the solver's own Newton stacks.  It neither reads nor
+    fills the memo.  A problem left with fewer than two distinct weighted
+    points goes to ``solve_fpq``."""
+    fpq = barygap.fpq
+    (x, w, lam, p, q), _, place = fpq._canonical_problem(prob)
+    keep = lam > 0
+    rows, _, inv, _ = fpq.unique_columns(x[keep].T)
+    if rows.shape[1] < 2:
+        return fpq.solve_fpq(prob, tol)
+    mass = np.bincount(inv, lam[keep])
+    (y,), (lower,), (steps,) = fpq._newton(rows.T[None], mass[None], w[None], p, q, tol)
+    return place(fpq._certified("newton", fpq._wobj(x, w, y, p, q, lam), y, lower, steps, tol))
 
 
 SWEEP_PQS = [(2, 2), (1, 2), (2, 1.5), (1, 1), (2, 1), (1, math.inf), (2, math.inf)]

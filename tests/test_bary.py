@@ -56,6 +56,19 @@ def test_measure_validation():
         DiscreteMeasure.uniform([[0.0, 1.0], [-0.0, 1.0]])  # -0.0 is 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda bad: DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([bad, 1.0])),
+    lambda bad: BaryInstance([DiscreteMeasure.dirac([0.0])] * 2, 2, 2, weights=[bad, 1.0]),
+    lambda bad: FpqProblem(np.array([[0.0], [1.0], [2.0]]), 2, 1.5, weights=[bad, 1.0, 1.0]),
+], ids=["masses", "instance-weights", "hub-weights"])
+def test_non_finite_masses_and_weights_are_refused(build, bad):
+    # every comparison with nan is false, so a plain "< 0" or "sum != 1"
+    # test let a nan mass or weight through
+    with pytest.raises(InputError):
+        build(bad)
+
+
 @pytest.mark.parametrize("p, q", [(math.nan, 2), (math.inf, 2), (0.5, 2), (2, math.nan), (2, 0.5)])
 def test_instance_needs_finite_p_at_least_one_and_q_at_least_one(p, q):
     m = DiscreteMeasure.uniform([[0.0], [1.0]])
@@ -609,11 +622,11 @@ def test_mot_tolerance_covers_hub_solves(seed, monkeypatch):
     inner, reported = [], []
 
     def recording(probs, tol):
-        values, tols = solve_fpq_values(probs, tol=tol)
-        inner.extend(tols.tolist())
-        tols = tols + 1e-2
-        reported.extend(tols.tolist())
-        return values, tols
+        values, lower = solve_fpq_values(probs, tol=tol)
+        inner.extend((values - lower).tolist())
+        lower = lower - 1e-2
+        reported.extend((values - lower).tolist())
+        return values, lower
 
     monkeypatch.setattr(barygap.chub, "solve_fpq_values", recording)
     rng = np.random.default_rng(seed)

@@ -169,11 +169,11 @@ def test_reported_tolerance_covers_inner_solves(monkeypatch):
     inner, reported = [], []
 
     def recording(probs, tol):
-        values, tols = solve_fpq_values(probs, tol=tol)
-        inner.extend(tols.tolist())
-        tols = tols + 1e-2
-        reported.extend(tols.tolist())
-        return values, tols
+        values, lower = solve_fpq_values(probs, tol=tol)
+        inner.extend((values - lower).tolist())
+        lower = lower - 1e-2
+        reported.extend((values - lower).tolist())
+        return values, lower
 
     monkeypatch.setattr(barygap.chub, "solve_fpq_values", recording)
     res = solve_chub(embed_psi(complete_graph(5), 4, p=2.0), tol=1e-3)

@@ -33,7 +33,6 @@ from barygap.fpq import (
     fpq_gradient,
     fpq_objective,
     solve_fpq,
-    solve_fpq_many,
     solve_fpq_values,
     unique_columns,
 )
@@ -420,11 +419,11 @@ def test_linf_radii_log_an_open_gap(monkeypatch, caplog):
     for p in (1, 2):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
-            sols = solve_fpq_many([FpqProblem(pts, p, math.inf), FpqProblem(2 * pts, p, math.inf)],
-                                  tol=1e-9)
-        for sol in sols:
-            assert sol.tolerance > 1e-9
-            assert sol.lower_bound <= sol.value
+            values, lower = solve_fpq_values(
+                [FpqProblem(pts, p, math.inf), FpqProblem(2 * pts, p, math.inf)], tol=1e-9
+            )
+        assert (values - lower > 1e-9).all()
+        assert (lower <= values).all()
         records = [r for r in caplog.records if r.name == "barygap.fpq"]
         assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
         assert all("above tol" in r.getMessage() for r in records)
@@ -524,10 +523,9 @@ def test_frank_wolfe_logs_an_open_gap(monkeypatch, caplog):
     monkeypatch.setattr(barygap.fpq._frank_wolfe, "__defaults__", (1,))
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
-        sols = solve_fpq_many([FpqProblem(pts, 2, 1), FpqProblem(2 * pts, 2, 1)], tol=1e-9)
-    for sol in sols:
-        assert sol.tolerance > 1e-9
-        assert sol.lower_bound <= sol.value
+        values, lower = solve_fpq_values([FpqProblem(pts, 2, 1), FpqProblem(2 * pts, 2, 1)], tol=1e-9)
+    assert (values - lower > 1e-9).all()
+    assert (lower <= values).all()
     records = [r for r in caplog.records if r.name == "barygap.fpq"]
     assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
     assert all("above tol" in r.getMessage() for r in records)
@@ -631,10 +629,9 @@ def test_newton_logs_an_open_gap(monkeypatch, caplog):
     monkeypatch.setattr(barygap.fpq._newton, "__defaults__", (0,))
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
-        sols = solve_fpq_many([FpqProblem(pts, 2, 1.5), FpqProblem(2 * pts, 2, 1.5)], tol=1e-9)
-    for sol in sols:
-        assert sol.tolerance > 1e-9
-        assert sol.lower_bound <= sol.value
+        values, lower = solve_fpq_values([FpqProblem(pts, 2, 1.5), FpqProblem(2 * pts, 2, 1.5)], tol=1e-9)
+    assert (values - lower > 1e-9).all()
+    assert (lower <= values).all()
     records = [r for r in caplog.records if r.name == "barygap.fpq"]
     assert len(records) == 2 and all(r.levelno == logging.DEBUG for r in records)
     assert all("above tol" in r.getMessage() for r in records)
@@ -668,25 +665,20 @@ def _hub_problem_lists(draw):
 
 @given(_hub_problem_lists())
 @settings(max_examples=150, deadline=None)
-def test_solve_fpq_many_matches_each_problem_alone(case):
-    # a problem's solution does not depend on the rest of its batch: every
-    # element equals solve_fpq on that problem alone, bit for bit
+def test_solve_fpq_values_matches_each_problem_alone(case):
+    # a problem's result does not depend on the rest of its batch: every
+    # value and lower bound equals solve_fpq's on that problem alone, bit for
+    # bit, and the tolerance is their difference
     probs, tol = case
     barygap.fpq._MEMO.clear()
-    many = solve_fpq_many(probs, tol=tol)
-    barygap.fpq._MEMO.clear()
-    values, tols = solve_fpq_values(probs, tol=tol)
-    assert values.tolist() == [sol.value for sol in many]
-    assert tols.tolist() == [sol.tolerance for sol in many]
-    for prob, sol in zip(probs, many):
+    values, lower = solve_fpq_values(probs, tol=tol)
+    for prob, value, bound in zip(probs, values, lower):
         barygap.fpq._MEMO.clear()
         alone = solve_fpq(prob, tol=tol)
-        assert (sol.value, sol.lower_bound, sol.tolerance, sol.method) == (
-            alone.value, alone.lower_bound, alone.tolerance, alone.method
-        )
-        assert np.array_equal(sol.minimizer, alone.minimizer)
-        want = fpq_objective(prob.points, sol.minimizer, prob.p, prob.q, prob.weights)
-        assert abs(sol.value - want) <= 1e-12 * max(1.0, abs(want))
+        assert np.array([value, bound]).tobytes() == np.array([alone.value, alone.lower_bound]).tobytes()
+        assert alone.tolerance == alone.value - alone.lower_bound
+        want = fpq_objective(prob.points, alone.minimizer, prob.p, prob.q, prob.weights)
+        assert abs(alone.value - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_newton_p1_q3_four_points_report_an_honest_interval():
@@ -703,16 +695,16 @@ def test_newton_p1_q3_four_points_report_an_honest_interval():
         for start in (x[3], x.mean(axis=0))
     )
     alone = solve_fpq(prob, tol=1e-9)
+    assert alone.method == "newton"
+    assert alone.tolerance == alone.value - alone.lower_bound
     barygap.fpq._MEMO.clear()
     other = FpqProblem(np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0], [-1.0, 2.0]]), 1, 3)
-    batched = solve_fpq_many([other, prob, other], tol=1e-9)[1]
-    for sol in (alone, batched):
-        assert sol.method == "newton"
-        assert sol.lower_bound <= ref <= sol.value
-        assert sol.tolerance == sol.value - sol.lower_bound
+    values, lower = solve_fpq_values([other, prob, other], tol=1e-9)
+    for value, bound in ((alone.value, alone.lower_bound), (values[1], lower[1])):
+        assert bound <= ref <= value
         # the optimum is the data point (-2, -2), whose pulls' dual norm is 1,
         # its weight, up to one ulp: the data-point test certifies it
-        assert sol.tolerance <= 1e-9
+        assert value - bound <= 1e-9
 
 
 @st.composite
@@ -789,10 +781,10 @@ def test_batch_solves_each_canonical_problem_once(monkeypatch):
     calls = _counting(monkeypatch, "_newton")
     x = _qin_problem()
     moved = x[[2, 0, 3, 1]][:, np.random.default_rng(5).permutation(x.shape[1])]
-    sols = solve_fpq_many([FpqProblem(pts, 2, 1.5) for pts in (x, moved, 2 * x)])
+    values, _ = solve_fpq_values([FpqProblem(pts, 2, 1.5) for pts in (x, moved, 2 * x)])
     assert len(calls) == 2 and calls[0] is calls[1] and len(barygap.fpq._MEMO) == 2
-    assert sols[0].value == sols[1].value and sols[2].value == pytest.approx(2**2 * sols[0].value)
-    assert solve_fpq(FpqProblem(x, 2, 1.5)).value == sols[0].value
+    assert values[0] == values[1] and values[2] == pytest.approx(2**2 * values[0])
+    assert solve_fpq(FpqProblem(x, 2, 1.5)).value == values[0]
     assert len(calls) == 2
 
 
@@ -802,7 +794,7 @@ def test_a_batch_solves_its_misses_in_bounded_rounds(monkeypatch):
     for q, engine in [(1.5, "_newton"), (1.0, "_frank_wolfe"), (math.inf, "_radii")]:
         rng = np.random.default_rng(3)
         probs = [FpqProblem(rng.normal(size=(3, 4)), 2, q) for _ in range(6)]
-        whole = solve_fpq_many(probs, tol=1e-9)
+        whole = solve_fpq_values(probs, tol=1e-9)
         barygap.fpq._MEMO.clear()
         stacks = []
         inner = getattr(barygap.fpq, engine)
@@ -810,11 +802,10 @@ def test_a_batch_solves_its_misses_in_bounded_rounds(monkeypatch):
             patch.setattr(barygap.fpq, engine,
                           lambda first, *a: stacks.append(len(first)) or inner(first, *a))
             patch.setattr(barygap.fpq, "_BATCH_WORK", 1)
-            rounds = solve_fpq_many(probs, tol=1e-9)
+            rounds = solve_fpq_values(probs, tol=1e-9)
         assert stacks == [1] * 6
         for a, b in zip(whole, rounds):
-            assert (a.value, a.lower_bound, a.tolerance) == (b.value, b.lower_bound, b.tolerance)
-            assert np.array_equal(a.minimizer, b.minimizer)
+            assert a.tobytes() == b.tobytes()
 
 
 def test_memo_reuses_only_a_tight_enough_entry(monkeypatch):
@@ -888,19 +879,20 @@ def test_memo_solves_equal_linf_distances_once(monkeypatch):
 
 def test_a_batch_solves_equal_linf_distances_once(monkeypatch):
     # in one batch the two problems wait as one miss: one radii problem is
-    # solved, both report its value, and each places its own hub
+    # solved and both report its value; each memo hit of solve_fpq places
+    # its own hub
     calls = _counting(monkeypatch, "_radii")
     probs = _equal_linf_problems()
-    sols = solve_fpq_many(probs + [FpqProblem(2 * probs[0].points, 3, math.inf)], tol=1e-9)
+    values, lower = solve_fpq_values(probs + [FpqProblem(2 * probs[0].points, 3, math.inf)], tol=1e-9)
     assert len(calls) == 2 and len(barygap.fpq._MEMO) == 2
-    assert sols[0].value == sols[1].value and sols[0].tolerance == sols[1].tolerance <= 1e-9
-    assert [sol.minimizer.shape for sol in sols[:2]] == [(3,), (4,)]
+    assert values[0] == values[1] and lower[0] == lower[1] and values[0] - lower[0] <= 1e-9
+    sols = [solve_fpq(prob, tol=1e-9) for prob in probs]  # memo hits
+    assert len(calls) == 2
+    assert [sol.minimizer.shape for sol in sols] == [(3,), (4,)]
     for prob, sol in zip(probs, sols):
+        assert (sol.value, sol.lower_bound) == (values[0], lower[0])
         direct = fpq_objective(prob.points, sol.minimizer, 3, math.inf, prob.weights)
         assert abs(sol.value - direct) <= 1e-9
-    values, tols = solve_fpq_values(probs, tol=1e-9)  # memo hits, no hub rebuilt
-    assert len(calls) == 2
-    assert values.tolist() == [sols[0].value] * 2 and tols.tolist() == [sols[0].tolerance] * 2
 
 
 def test_lower_bounds_never_lie_above_their_values():
@@ -920,8 +912,11 @@ def test_lower_bounds_never_lie_above_their_values():
         x = rng.normal(size=(k, d)) if i % 4 else rng.integers(-2, 3, (k, d)) * 1.0
         w = rng.random(k) + 0.1 if i % 3 == 0 else None
         probs.append(FpqProblem(x, p, q, weights=w))
-    for sol in solve_fpq_many(probs, tol=1e-9):
-        assert sol.lower_bound <= sol.value
+    values, lower = solve_fpq_values(probs, tol=1e-9)
+    assert (lower <= values).all()
+    for prob, value, bound in zip(probs, values, lower):  # memo hits
+        sol = solve_fpq(prob, tol=1e-9)
+        assert (sol.value, sol.lower_bound) == (value, bound)
         assert sol.tolerance == sol.value - sol.lower_bound
 
 

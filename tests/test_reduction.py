@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barygap.reduction
-from barygap.bary import DEFAULT_LP_CAP, DiscreteMeasure, _transport_lp, bary_value_mot
+from barygap.bary import DEFAULT_LP_CAP, BaryInstance, DiscreteMeasure, _transport_lp, bary_value_mot
 from barygap.chub import ChubResult, chub_closed_form_22, solve_chub
+from barygap.embed import embed_phi
 from barygap.errors import InputError, ResourceCapError
-from barygap.fpq import FpqProblem, solve_fpq
+from barygap.fpq import FpqProblem, solve_fpq, solve_fpq_values
 from barygap.graph import Graph, complete_graph, cycle_graph, has_k_clique, random_regular_graph
 from barygap.reduction import (
     build_instance,
@@ -73,13 +74,13 @@ def test_qin_certificate_sweeps_once_per_key(monkeypatch):
     import barygap.reduction
 
     calls = []  # one entry per problem the sweep solves
-    orig = barygap.reduction.solve_fpq_many
+    orig = barygap.reduction.solve_fpq_values
 
     def counted(probs, **kwargs):
         calls.extend(probs)
         return orig(probs, **kwargs)
 
-    monkeypatch.setattr(barygap.reduction, "solve_fpq_many", counted)
+    monkeypatch.setattr(barygap.reduction, "solve_fpq_values", counted)
     first = gap_certificate(4, 3, 3, 2, 1.5, tol=1e-7)
     assert len(calls) == 4  # one solve per orbit of the 2^3 overlap patterns
     # n is not part of the key: the patterns depend only on (k, D, p, q, tol)
@@ -107,9 +108,9 @@ def test_qin_pattern_sweep_solves_one_pattern_per_orbit(monkeypatch, k, D, p, q,
         else:
             lower = min(lower, sol.lower_bound)
     calls = []  # one entry per problem the sweep solves
-    orig = barygap.reduction.solve_fpq_many
+    orig = barygap.reduction.solve_fpq_values
     monkeypatch.setattr(
-        barygap.reduction, "solve_fpq_many", lambda probs, **kw: calls.extend(probs) or orig(probs, **kw)
+        barygap.reduction, "solve_fpq_values", lambda probs, **kw: calls.extend(probs) or orig(probs, **kw)
     )
     barygap.fpq._MEMO.clear()
     assert barygap.reduction._qin_pattern_sweep(k, D, p, q, tol) == (complete, lower)
@@ -424,3 +425,19 @@ def test_bary_mot_never_answers_a_wrong_no(p, q):
     mot = decide_clique(inst, "bary-mot", tol=tol, reuse=sweep)
     assert mot["hasClique"] is not False
     assert decide_clique(inst, "chub-bruteforce", tol=tol, reuse=sweep)["hasClique"] is True
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", [
+    lambda tol: solve_fpq(FpqProblem(np.array([[0.0], [1.0]]), 2, 1.5), tol=tol),
+    lambda tol: solve_fpq_values([FpqProblem(np.array([[0.0], [1.0]]), 2, 1.5)], tol=tol),
+    lambda tol: solve_chub(embed_phi(K4, 3, p=2.0, q=1.5), tol=tol),
+    lambda tol: bary_value_mot(BaryInstance([DiscreteMeasure.uniform([[0.0], [1.0]])] * 2, 2, 2), tol=tol),
+    lambda tol: decide_clique(build_instance(K4, 3, 2, 2), tol=tol),
+], ids=["solve_fpq", "solve_fpq_values", "solve_chub", "bary_value_mot", "decide_clique"])
+def test_every_entry_point_refuses_a_tolerance_that_is_not_positive(entry, tol):
+    # nan passed the old inline "tol <= 0" checks: solve_fpq and
+    # bary_value_mot returned values at tol=nan, and solve_chub died on an
+    # empty reduction
+    with pytest.raises(InputError, match="tol must be positive"):
+        entry(tol)
