@@ -513,8 +513,8 @@ def uniformize(inst: BaryInstance, eps: float, c: float = 4.0):
     distance eps/(p 2^p) of the original (split offsets use half that radius
     so the radial projection back into the unit ball cannot overshoot).
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise InputError(f"eps must be positive and finite, got {eps}")
     p, q = inst.p, inst.q
     for m in inst.measures:
         for a in m.atoms:

@@ -7,11 +7,12 @@ bound with its value:
 
 * p = q = 2            -- closed form (weighted mean).
 * q = 1,  p = 1        -- exact per-coordinate weighted median.
-* q = 1,  p > 1        -- pairwise Frank-Wolfe from the weighted mean over the
-                          achievable-distance polytope; the linear oracle is a
-                          per-coordinate weighted median, and every oracle call
-                          carries a Fenchel lower bound, so each solve is
-                          certified.
+* q = 1,  p > 1        -- simplicial decomposition from the weighted mean over
+                          the achievable distances: the linear oracle, a
+                          per-coordinate weighted median, adds an atom and a
+                          Fenchel lower bound, and each step minimizes the
+                          second-order model over the atoms' hull as one NNLS
+                          minimum-norm point problem (exact at p = 2).
 * q = inf              -- in distance space: l_inf is hyperconvex, so the
                           problem is min sum_i w_i t_i^p over radii with
                           t_i + t_l >= ||z_i - z_l||_inf, and a hub is read off
@@ -26,11 +27,13 @@ bound with its value:
                           p = 1 the data points are tested for optimality
                           first.
 
-The three iterative engines (radii, Frank-Wolfe, Newton) each run on a stack
+The three iterative engines (radii, simplicial, Newton) each run on a stack
 of problems of one shape, in lockstep, and a problem leaves the stack when it
 stops; every sum and solve works within one problem's rows, so a problem's
-result does not depend, in any bit, on the stack.  Each rounds its reported
-bound down by a few ulps of the value, so the interval is never empty.
+result does not depend, in any bit, on the stack.  The two polyhedral norms
+share one least-distance core, the Lawson-Hanson NNLS ``_nnls``.  Each
+engine's bound is rounded down by a few ulps of the value, so the interval is
+never empty.
 
 There are two entry points.  ``solve_fpq_values`` is the one batch: it
 returns the values and lower bounds of many problems and keeps no
@@ -208,12 +211,6 @@ def _weighted_median_columns(order, xs, g):
     # first index where cumulative weight reaches half the total
     idx = (csum < 0.5 * csum[:, -1:] - 1e-15).sum(axis=1)
     return xs[rows, idx, np.arange(c)]
-
-
-def _ordered_sum(a, axis):
-    """Sum over ``axis`` one term after another, so that trailing terms that
-    are exact zeros, such as padding, change no bit of the result."""
-    return np.cumsum(a, axis=axis).take(-1, axis=axis)
 
 
 def _conjugate_power_sum(g, p, lam):
@@ -446,110 +443,148 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
     return result()
 
 
-def _frank_wolfe(pts, mass, w, p, q, tol, max_iters=1000):
-    """Pairwise Frank-Wolfe for q = 1, p > 1 on a stack of T problems of one shape.
+def _nnls(A, b):
+    """argmin ||A u - b|| over u >= 0 for each matrix of a stack A (T, M, n),
+    by Lawson & Hanson's active-set method (Solving Least Squares Problems,
+    ch. 23), at most 3n outer steps each.
+
+    The problems run in lockstep, each through its own sequence of outer
+    and inner steps; the free sets are per-problem masks, and each round
+    solves the least-squares problems of the running ones by one stacked
+    SVD, the columns outside each free set zeroed and singular values below
+    max(M, n) eps of the largest cut, as ``np.linalg.lstsq`` cuts them.
+    Not scipy.optimize.nnls: on some degenerate radii steps it returns a
+    point that fails the optimality conditions, and the dual bound read
+    from it is worthless.
+    """
+    T, M, n = A.shape
+    tiny = 10 * np.finfo(float).eps * max(M, n) * np.abs(A).sum(axis=1).max(axis=1)
+    free, u = np.zeros((T, n), dtype=bool), np.zeros((T, n))
+    grad = (A.transpose(0, 2, 1) @ b[:, None])[:, :, 0]
+    outer, inner, live = np.zeros(T, dtype=int), np.zeros(T, dtype=bool), np.ones(T, dtype=bool)
+    while True:
+        head = live & ~inner  # at the top of an outer step
+        if head.any():
+            cand = np.where(free, -np.inf, grad)
+            live &= ~(head & ((outer == 3 * n) | (cand.max(axis=1) <= tiny)))
+            add = np.flatnonzero(head & live)
+            free[add, cand[add].argmax(axis=1)] = True
+            outer[add] += 1
+            inner[add] = True
+        run = np.flatnonzero(live)
+        if not len(run):
+            return u
+        on = free[run]
+        U, s, Vt = np.linalg.svd(A[run] * on[:, None, :], full_matrices=False)
+        big = s > max(M, n) * np.finfo(float).eps * s[:, :1]
+        coef = np.where(big, (U * b[:, None]).sum(axis=1) / np.where(big, s, 1.0), 0.0)
+        v = np.where(on, (Vt * coef[:, :, None]).sum(axis=1), 0.0)
+        ok = np.where(on, v, np.inf).min(axis=1) > 0
+        done = run[ok]
+        if len(done):  # the inner loop ends: u = v, and the gradient at it
+            u[done] = v[ok]
+            r = b - (A[done] @ u[done][:, :, None])[:, :, 0]
+            grad[done] = (A[done].transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
+            inner[done] = False
+        back = run[~ok]
+        if len(back):  # step back to the first column that leaves
+            ub, vb, fb = u[back], v[~ok], on[~ok]
+            out = fb & (vb <= 0)
+            step = np.where(out, ub / np.where(out, ub - vb, 1.0), np.inf).min(axis=1)
+            ub = ub + step[:, None] * (vb - ub)
+            fb &= ub > tiny[back, None]
+            u[back], free[back] = np.where(fb, ub, 0.0), fb
+
+
+def _simplicial(pts, mass, w, p, q, tol, max_steps=100):
+    """Simplicial decomposition for q = 1, p > 1 on a stack of T problems of one shape.
 
     ``pts`` (T, k, c), ``mass`` (T, k) and ``w`` (T, c) are as for
-    ``_newton``; ``q`` is 1.  Each problem minimizes phi(t) = sum_i
-    mass_i t_i^p over convex combinations of oracle vertices t_v =
-    dists(y_v), the w-weighted l1 distances, starting from the clipped
-    weighted mean.  Each step moves weight from the away atom (largest
-    g . t_v) to the oracle vertex, which converges linearly on polytopes
-    (Lacoste-Julien & Jaggi, NeurIPS 2015); the step is the drop step, the
-    exact line search at p = 2 or a 50-step bisection.  Every oracle call,
-    a per-column weighted median, also gives the Fenchel lower bound
-    g . t_s - phi*(g); a problem stops once phi(t) is within tol of its best
-    one.  The problems run in lockstep, a problem leaves the stack when it
-    stops, and the atoms sit in padded (T, A, .) arrays, each problem's in
-    the order it found them, summed term by term so that the padding
-    changes no bit.  Returns (y = sum_v alpha_v y_v, best bound, oracle
-    calls), one row per problem; by convexity dists(y) <= t.
+    ``_newton``; ``q`` is 1.  Each problem minimizes phi(t) = sum_i mass_i
+    t_i^p over the convex hull of atoms t_v = dists(y_v), the w-weighted l1
+    distances of points y_v, from the clipped weighted mean, at unit scale.
+    Each step calls the oracle, a per-column weighted median with the
+    weights g = grad phi(t), whose point joins the atoms and whose value
+    gives the Fenchel lower bound g . t_s - phi*(g); a problem stops once
+    phi(t) is within tol of its best bound.  The step then minimizes the
+    separable second-order model of phi at t over the hull of the atoms
+    (von Hohenbalken, Math. Programming 1977): with curvature a (taken at
+    t >= floor) and unconstrained minimizer m = t - g / a, that is the
+    minimum-norm point of the columns P_v = sqrt(a) (t_v - m) (Wolfe,
+    Math. Programming 1976), one NNLS min ||[P; 1] u - e_last|| with
+    weights u / sum u.  At p = 2 the model is phi and the step is exact;
+    elsewhere a step that raises phi by more than 4 ulps is refused and
+    multiplies the curvature by 4, and a step that moves no bit of t ends
+    the run.  An NNLS vertex keeps at most k + 1 atoms, so each problem has
+    k + 2 fixed atom slots, the oracle's point taking the first empty one.
+    The problems run in lockstep, one stacked NNLS a step, and a problem
+    leaves the stack when it stops.  Returns (y = sum_v alpha_v y_v, best
+    bound, oracle calls), one row per problem; by convexity dists(y) <= t.
     """
     T, k, c = pts.shape
-    order, xs = _sorted_columns(pts)
-    wk = w[:, None, :]
-    y0 = (mass[:, :, None] * pts).sum(axis=1) / mass.sum(axis=1)[:, None]
-    y0 = np.clip(y0, xs[:, 0], xs[:, -1])
+    y0 = (mass[:, None, :] @ pts)[:, 0] / mass.sum(axis=1)[:, None]
+    z = pts - y0[:, None, :]
+    top, heavy = np.abs(z).max(axis=(1, 2)), mass.max(axis=1)
+    unit = top**p * heavy
+    z, mass, tol, wk = z / top[:, None, None], mass / heavy[:, None], tol / unit, w[:, None, :]
+    order, zs = _sorted_columns(z)
     y_out, lower_out, calls_out = np.zeros((T, c)), np.zeros(T), np.zeros(T, dtype=int)
     live = np.arange(T)
 
     def dists(y):  # of the problems still running
-        return (np.abs(pts - y[:, None, :]) * wk).sum(axis=2)
+        return (np.abs(z - y[:, None, :]) * wk).sum(axis=2)
 
-    ys, ts, alpha = y0[:, None, :], dists(y0)[:, None, :], np.ones((T, 1))
-    lower = np.full(T, -math.inf)
+    ys, ts, alpha = np.zeros((T, k + 2, c)), np.zeros((T, k + 2, k)), np.zeros((T, k + 2))
+    ys[:, 0] = np.clip(0.0, zs[:, 0], zs[:, -1])
+    ts[:, 0], alpha[:, 0] = dists(ys[:, 0]), 1.0
+    lower, mu = np.full(T, -math.inf), np.ones(T)
+    e_last = np.zeros(k + 1)
+    e_last[k] = 1.0
+    floor = 1e-12 ** (1.0 / p)
 
     def leave(rows, calls):  # record the rows of a mask and drop them from the stack
-        nonlocal live, pts, order, xs, wk, mass, ys, ts, alpha, lower
+        nonlocal live, z, order, zs, wk, mass, tol, ys, ts, alpha, lower, mu
         ids = live[rows]
-        y_out[ids] = _ordered_sum(alpha[rows, :, None] * ys[rows], 1)
-        lower_out[ids], calls_out[ids] = lower[rows], calls
+        y_out[ids] = y0[ids] + top[ids, None] * (alpha[rows, :, None] * ys[rows]).sum(axis=1)
+        lower_out[ids], calls_out[ids] = lower[rows] * unit[ids], calls
         keep = ~rows
-        live, pts, order, xs, wk, mass, ys, ts, alpha, lower = (
-            arr[keep] for arr in (live, pts, order, xs, wk, mass, ys, ts, alpha, lower)
+        live, z, order, zs, wk, mass, tol, ys, ts, alpha, lower, mu = (
+            arr[keep] for arr in (live, z, order, zs, wk, mass, tol, ys, ts, alpha, lower, mu)
         )
 
-    for calls in range(1, max_iters + 1):
-        t = _ordered_sum(alpha[:, :, None] * ts, 1)
+    for calls in range(1, max_steps + 1):
+        t = (alpha[:, :, None] * ts).sum(axis=1)
+        f = (mass * t**p).sum(axis=1)
         g = mass * p * t ** (p - 1.0)
-        y_s = _weighted_median_columns(order, xs, g)
+        y_s = _weighted_median_columns(order, zs, g)
         t_s = dists(y_s)
         lower = np.maximum(lower, (g * t_s).sum(axis=1) - _conjugate_power_sum(g, p, mass))
-        done = (mass * t**p).sum(axis=1) - lower <= tol
+        done = f - lower <= tol
+        if calls == max_steps:
+            done[:] = True
         if done.any():
             leave(done, calls)
             if not len(live):
                 break
-            t, g, y_s, t_s = t[~done], g[~done], y_s[~done], t_s[~done]
-        rows = np.arange(len(live))
-        a = np.where(alpha > 0, (ts * g[:, None, :]).sum(axis=2), -np.inf).argmax(axis=1)
-        dt, amax = t_s - ts[rows, a], alpha[rows, a]
-
-        def slope(gamma):
-            return (mass * np.maximum(t + gamma[:, None] * dt, 0.0) ** (p - 1.0) * dt).sum(axis=1)
-
-        line = slope(amax) > 0  # elsewhere the drop step: the away atom leaves
-        if p == 2:
-            md = mass * dt
-            exact = -(md * t).sum(axis=1) / np.where(line, (md * dt).sum(axis=1), 1.0)
-            gamma = np.where(line, np.minimum(amax, np.maximum(0.0, exact)), amax)
-        else:
-            lo, hi = np.zeros(len(live)), amax
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                down = slope(mid) < 0
-                lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
-            gamma = np.where(line, lo, amax)
-        same = (ys == y_s[:, None, :]).all(axis=2) & (alpha > 0)
-        known, s = same.any(axis=1), same.argmax(axis=1)
-        # no descent along the pairwise direction, or the oracle vertex is the away atom
-        stuck = (gamma <= 0) | (known & (s == a))
-        if stuck.any():
-            leave(stuck, calls)
+            t, f, g, y_s, t_s = t[~done], f[~done], g[~done], y_s[~done], t_s[~done]
+        rows, slot = np.arange(len(live)), (alpha > 0).argmin(axis=1)
+        ys[rows, slot], ts[rows, slot] = y_s, t_s
+        on = alpha > 0
+        on[rows, slot] = True
+        sa = np.sqrt(mu[:, None] * (p - 1.0) * p * mass * np.maximum(t, floor) ** (p - 2.0))
+        P = sa[:, None, :] * (ts - t[:, None, :]) + (g / sa)[:, None, :]
+        A = np.concatenate([P, np.ones((len(live), k + 2, 1))], axis=2) * on[:, :, None]
+        u = _nnls(A.transpose(0, 2, 1), e_last)
+        new = u / u.sum(axis=1)[:, None]
+        t_new = (new[:, :, None] * ts).sum(axis=1)
+        take = (mass * t_new**p).sum(axis=1) <= f + 4 * np.spacing(f)
+        mu[~take] *= 4.0
+        alpha[take] = new[take]
+        still = take & (t_new == t).all(axis=1)  # the step moved no bit: a fixed point
+        if still.any():
+            leave(still, calls)
             if not len(live):
                 break
-            keep = ~stuck
-            rows, t_s, y_s, a, amax, gamma, known, s = (
-                np.arange(len(live)), t_s[keep], y_s[keep], a[keep], amax[keep], gamma[keep],
-                known[keep], s[keep],
-            )
-        fresh = ~known
-        if fresh.any():  # the oracle vertex joins after each problem's atoms
-            s[fresh] = (alpha[fresh] > 0).sum(axis=1)
-            if s.max() == alpha.shape[1]:
-                ys = np.concatenate([ys, np.full((len(live), 1, c), -0.0)], axis=1)
-                ts = np.concatenate([ts, np.zeros((len(live), 1, k))], axis=1)
-                alpha = np.concatenate([alpha, np.zeros((len(live), 1))], axis=1)
-            ys[fresh, s[fresh]], ts[fresh, s[fresh]] = y_s[fresh], t_s[fresh]
-        alpha[rows, s] += gamma
-        left = np.where(gamma == amax, 0.0, amax - gamma)
-        alpha[rows, a] = left
-        if (left == 0).any():  # the atoms that keep weight move up, in order
-            move = np.argsort(alpha == 0, axis=1, kind="stable")[:, : (alpha > 0).sum(axis=1).max()]
-            alpha, ys, ts = alpha[rows[:, None], move], ys[rows[:, None], move], ts[rows[:, None], move]
-            ys[alpha == 0] = -0.0  # padding: adds -0.0, which changes no bit
-    if len(live):
-        leave(np.ones(len(live), dtype=bool), max_iters)
     return y_out, lower_out, calls_out
 
 
@@ -611,59 +646,6 @@ def _pair_rows(k):
     B[np.arange(len(i)), i] = 1.0
     B[np.arange(len(i)), l] = 1.0
     return B, i, l
-
-
-def _nnls(A, b):
-    """argmin ||A u - b|| over u >= 0 for each matrix of a stack A (T, M, n),
-    by Lawson & Hanson's active-set method (Solving Least Squares Problems,
-    ch. 23), at most 3n outer steps each.
-
-    The problems run in lockstep, each through its own sequence of outer
-    and inner steps; the free sets are per-problem masks, and each round
-    solves the least-squares problems of the running ones by one stacked
-    SVD, the columns outside each free set zeroed and singular values below
-    max(M, n) eps of the largest cut, as ``np.linalg.lstsq`` cuts them.
-    Not scipy.optimize.nnls: on some degenerate radii steps it returns a
-    point that fails the optimality conditions, and the dual bound read
-    from it is worthless.
-    """
-    T, M, n = A.shape
-    tiny = 10 * np.finfo(float).eps * max(M, n) * np.abs(A).sum(axis=1).max(axis=1)
-    free, u = np.zeros((T, n), dtype=bool), np.zeros((T, n))
-    grad = (A.transpose(0, 2, 1) @ b[:, None])[:, :, 0]
-    outer, inner, live = np.zeros(T, dtype=int), np.zeros(T, dtype=bool), np.ones(T, dtype=bool)
-    while True:
-        head = live & ~inner  # at the top of an outer step
-        if head.any():
-            cand = np.where(free, -np.inf, grad)
-            live &= ~(head & ((outer == 3 * n) | (cand.max(axis=1) <= tiny)))
-            add = np.flatnonzero(head & live)
-            free[add, cand[add].argmax(axis=1)] = True
-            outer[add] += 1
-            inner[add] = True
-        run = np.flatnonzero(live)
-        if not len(run):
-            return u
-        on = free[run]
-        U, s, Vt = np.linalg.svd(A[run] * on[:, None, :], full_matrices=False)
-        big = s > max(M, n) * np.finfo(float).eps * s[:, :1]
-        coef = np.where(big, (U * b[:, None]).sum(axis=1) / np.where(big, s, 1.0), 0.0)
-        v = np.where(on, (Vt * coef[:, :, None]).sum(axis=1), 0.0)
-        ok = np.where(on, v, np.inf).min(axis=1) > 0
-        done = run[ok]
-        if len(done):  # the inner loop ends: u = v, and the gradient at it
-            u[done] = v[ok]
-            r = b - (A[done] @ u[done][:, :, None])[:, :, 0]
-            grad[done] = (A[done].transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
-            inner[done] = False
-        back = run[~ok]
-        if len(back):  # step back to the first column that leaves
-            ub, vb, fb = u[back], v[~ok], on[~ok]
-            out = fb & (vb <= 0)
-            step = np.where(out, ub / np.where(out, ub - vb, 1.0), np.inf).min(axis=1)
-            ub = ub + step[:, None] * (vb - ub)
-            fb &= ub > tiny[back, None]
-            u[back], free[back] = np.where(fb, ub, 0.0), fb
 
 
 def _radii(D, lam, p, tol, max_steps=50):
@@ -821,13 +803,14 @@ def _remember(key, entry):
 def _work(x, q):
     """Floats of engine work arrays one canonical problem adds to its stack:
     at q = inf (x is the (k, k) distance matrix) the least-distance matrix
-    and its SVD, at q = 1 the sorted columns and 16 atoms, else the Newton
-    Hessian and pair terms."""
+    and its SVD, at q = 1 the sorted columns, the k + 2 atoms and the
+    (k + 1, k + 2) NNLS matrix and its SVD, else the Newton Hessian and pair
+    terms."""
     k, c = x.shape
     if q == math.inf:
         return 3 * (k + 1) * (k * (k + 1) // 2)
     if q == 1:
-        return 4 * k * c + 16 * (c + k)
+        return 4 * k * c + (k + 2) * (c + k) + 3 * (k + 1) * (k + 2)
     return c * (c + k**2)
 
 
@@ -852,9 +835,9 @@ def _solve_canonical(problems, tol):
     the (k, k) distance matrix of ``_canonical_qinf`` (w is None) and the
     minimizer is the radii; otherwise it is in the canonical columns.  The
     closed forms are solved here one by one.  For Newton (1 < q < inf but
-    p = q = 2) and Frank-Wolfe (q = 1, p > 1) weightless rows are dropped
-    and equal rows merged, their weights added, and a problem left with one
-    point is solved there.  Every other problem goes to its iterative
+    p = q = 2) and simplicial decomposition (q = 1, p > 1) weightless rows
+    are dropped and equal rows merged, their weights added, and a problem
+    left with one point is solved there.  Every other problem goes to its iterative
     engine in one stack per (engine, p, q, shape): radii per k, the others
     per merged (k, c).
     """
@@ -872,7 +855,7 @@ def _solve_canonical(problems, tol):
             y, val = _solve_median_q1p1(x, w, lam)
             out[i] = FpqSolution(val, y, 0.0, "coordinate-q1", val)
         else:
-            method = "pairwise-frank-wolfe" if q == 1 else "newton"
+            method = "simplicial-decomposition" if q == 1 else "newton"
             keep = lam > 0
             rows, _, inv, _ = unique_columns(x[keep].T)  # equal points merge into one
             pts, mass = rows.T, np.bincount(inv, lam[keep])
@@ -886,7 +869,7 @@ def _solve_canonical(problems, tol):
         if method == "linf-radii":
             y, values, lower, steps = _radii(np.array(a), np.array(mass), p, tol)
         else:
-            engine = _newton if method == "newton" else _frank_wolfe
+            engine = _newton if method == "newton" else _simplicial
             y, lower, steps = engine(np.array(a), np.array(mass), np.array(w), p, q, tol)
         for at, i in enumerate(rows):
             x, w, lam = problems[i][:3]
@@ -967,8 +950,9 @@ def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
 
     ``tol`` is the accuracy target, and every path but the closed forms
     reports ``tolerance`` = value - lower_bound, a certified gap, with the
-    bound rounded down by a few ulps of the value.  Pairwise Frank-Wolfe
-    (q = 1) stops once it is at most ``tol`` or after 1000 oracle calls; at
+    bound rounded down by a few ulps of the value.  Simplicial
+    decomposition (q = 1) stops once it is at most ``tol``, at a fixed point
+    of its steps or after 100 oracle calls; at
     q = inf the radii problem takes at most 50 NNLS steps (proximal point
     steps at p = 1, SQP steps at p > 1), stopped once the gap is at most
     ``tol`` or a few ulps of the value, and ``lower_bound`` is the Lagrange

@@ -361,7 +361,10 @@ SUITES = {
 
 
 def verify_lemma(lemma_id, seed=0, budget=1.0):
-    """Run one property suite; returns {id, passed, checks}."""
+    """Run one property suite; returns {id, passed, checks}.  ``budget``
+    scales the number of trials and must be finite and >= 0."""
+    if not 0 <= budget < math.inf:
+        raise InputError(f"budget must be finite and nonnegative, got {budget}")
     key = ALIASES.get(lemma_id, lemma_id)
     if key not in SUITES:
         raise InputError(

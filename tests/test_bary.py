@@ -606,6 +606,13 @@ def test_uniformize_guards():
     assert exc.value.required is not None
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+def test_uniformize_refuses_an_eps_outside_zero_to_inf(eps):
+    inside = DiscreteMeasure.dirac([0.5, 0.0])
+    with pytest.raises(InputError, match="eps"):
+        uniformize(BaryInstance([inside, inside], 2, 2), eps)
+
+
 def test_uniformize_rejects_colliding_split_atoms():
     # N = 3 atoms of mass 1/3 at split radius r = 1/3: the atom at 0 moves to
     # r, and the first of the two split from r/2 lands on r as well

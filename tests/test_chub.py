@@ -163,7 +163,7 @@ def test_max_multiset_consistency():
 
 
 def test_reported_tolerance_covers_inner_solves(monkeypatch):
-    # K5, k=4, (p,q)=(2,1): every inner Frank-Wolfe solve meets the tol/2 it
+    # K5, k=4, (p,q)=(2,1): every inner simplicial solve meets the tol/2 it
     # is asked for, and an inner tolerance inflated past tol must still show
     # in the reported tolerance
     inner, reported = [], []

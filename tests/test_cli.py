@@ -10,6 +10,7 @@ import pytest
 import barygap
 import barygap.reduction
 from barygap.cli import main
+from barygap.errors import InputError
 from barygap.verify import SUITES, verify_lemma
 
 
@@ -216,6 +217,21 @@ def test_subprocess_entry_point(tmp_path):
     res = run_cli(["graph", "gen", "--family", "complete", "--n", "4", "--out", str(g)], tmp_path)
     assert res.returncode == 0, res.stderr
     assert g.exists()
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
+def test_verify_refuses_a_non_finite_or_negative_budget(budget):
+    with pytest.raises(InputError, match="budget"):
+        verify_lemma("unif", seed=0, budget=budget)
+    assert main(["verify", "--lemma", "unif", "--budget", str(budget), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_uniformize_refuses_a_non_finite_eps(tmp_path, eps):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(BARY_INST))
+    assert main(["bary", "uniformize", "--instance", str(inst), "--eps", eps,
+                 "--out", str(tmp_path / "out.json"), "--quiet"]) == 2
 
 
 def test_all_verify_suites_pass_at_small_budget():

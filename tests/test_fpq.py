@@ -351,11 +351,11 @@ def _random_hub_problems(count=300, seed=0):
     return probs
 
 
-def test_frank_wolfe_certifies_random_hub_problems():
+def test_simplicial_certifies_random_hub_problems():
     tol = 1e-6
     for prob in _random_hub_problems():
         sol = solve_fpq(prob, tol=tol)
-        assert sol.method == ("pairwise-frank-wolfe" if prob.q == 1 else "linf-radii")
+        assert sol.method == ("simplicial-decomposition" if prob.q == 1 else "linf-radii")
         assert sol.tolerance <= tol
         assert sol.lower_bound <= sol.value + 1e-9 * max(1.0, abs(sol.value))
 
@@ -479,20 +479,32 @@ def test_linf_radii_at_large_scales(monkeypatch, scale, p):
 
 
 
-def test_frank_wolfe_cap_miss_reports_an_honest_interval(monkeypatch):
-    # weighted p=3, q=1, k=5, d=3: Frank-Wolfe stops at its 1000-call cap
-    # with a gap above tol, since its Fenchel bound lags the primal value;
-    # the interval it reports must still hold the optimum
+def test_simplicial_closes_a_former_cap_miss():
+    # weighted p=3, q=1, k=5, d=3: pairwise Frank-Wolfe stopped at its
+    # 1000-call cap with gap 6.1e-6 here, its Fenchel bound lagging the
+    # primal value; the corrective steps close it under the default cap, and
+    # the interval holds the optimum of a solve at tol 1e-12
     prob = _random_hub_problems(400, seed=3)[365]
     sol = solve_fpq(prob, tol=1e-6)
-    monkeypatch.setattr(barygap.fpq._frank_wolfe, "__defaults__", (5000,))
-    opt = solve_fpq(prob, tol=1e-12)  # the memo's entry is too loose to reuse
+    assert sol.method == "simplicial-decomposition"
+    assert sol.tolerance <= 1e-6
+    barygap.fpq._MEMO.clear()
+    opt = solve_fpq(prob, tol=1e-12)
     assert opt.tolerance <= 1e-12
     assert sol.value - sol.tolerance <= opt.lower_bound <= opt.value <= sol.value
 
+
+def test_simplicial_closes_a_three_point_p2_problem():
+    # pairwise Frank-Wolfe stopped here with value 14.667466852259428 and
+    # gap 5.6e-7 at tol 1e-9; at p = 2 each corrective step is exact
+    x = np.array([[1.31, -0.33, 0.59], [-0.6, 0.43, -0.7], [2.08, -1.1, 0.27]])
+    sol = solve_fpq(FpqProblem(x, 2, 1), tol=1e-9)
+    assert sol.tolerance <= 1e-9
+    assert sol.lower_bound <= 14.667466666666667 <= sol.value + 1e-12
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_frank_wolfe_metamorphic(data):
+def test_simplicial_metamorphic(data):
     # point and coordinate permutations and translations keep the value;
     # scaling by c multiplies it by c^p, all within the reported tolerances
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -517,10 +529,10 @@ def test_frank_wolfe_metamorphic(data):
         assert abs(sol.value - factor * base.value) <= slack
 
 
-def test_frank_wolfe_logs_an_open_gap(monkeypatch, caplog):
-    # the oracle-call cap at 1: both problems of the one Frank-Wolfe stack
+def test_simplicial_logs_an_open_gap(monkeypatch, caplog):
+    # the oracle-call cap at 1: both problems of the one simplicial stack
     # stop open, and each logs its own DEBUG record
-    monkeypatch.setattr(barygap.fpq._frank_wolfe, "__defaults__", (1,))
+    monkeypatch.setattr(barygap.fpq._simplicial, "__defaults__", (1,))
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
         values, lower = solve_fpq_values([FpqProblem(pts, 2, 1), FpqProblem(2 * pts, 2, 1)], tol=1e-9)
@@ -640,7 +652,7 @@ def test_newton_logs_an_open_gap(monkeypatch, caplog):
 @st.composite
 def _hub_problem_lists(draw):
     # problems of a few (p, q) regimes and shapes, so that some share a
-    # Newton, Frank-Wolfe (q = 1) or radii (q = inf) stack; duplicate rows,
+    # Newton, simplicial (q = 1) or radii (q = inf) stack; duplicate rows,
     # zero weights and constant columns mixed in
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     regimes = draw(st.lists(
@@ -744,7 +756,7 @@ def test_unique_columns_edge_shapes():
 
 def _counting(monkeypatch, name):
     # one entry per problem of each call: every engine (``_newton``,
-    # ``_frank_wolfe``, ``_radii``) and ``_nnls`` take a stack of problems
+    # ``_simplicial``, ``_radii``) and ``_nnls`` take a stack of problems
     calls = []
     inner = getattr(barygap.fpq, name)
 
@@ -791,7 +803,7 @@ def test_batch_solves_each_canonical_problem_once(monkeypatch):
 def test_a_batch_solves_its_misses_in_bounded_rounds(monkeypatch):
     # with the work bound below one problem, each miss is solved as it comes,
     # one engine stack a problem, and the solutions are those of one round
-    for q, engine in [(1.5, "_newton"), (1.0, "_frank_wolfe"), (math.inf, "_radii")]:
+    for q, engine in [(1.5, "_newton"), (1.0, "_simplicial"), (math.inf, "_radii")]:
         rng = np.random.default_rng(3)
         probs = [FpqProblem(rng.normal(size=(3, 4)), 2, q) for _ in range(6)]
         whole = solve_fpq_values(probs, tol=1e-9)
