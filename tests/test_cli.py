@@ -227,7 +227,7 @@ def test_verify_refuses_a_non_finite_or_negative_budget(budget):
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
-def test_uniformize_refuses_a_non_finite_eps(tmp_path, eps):
+def test_bary_uniformize_exits_2_on_a_bad_eps(tmp_path, eps):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(BARY_INST))
     assert main(["bary", "uniformize", "--instance", str(inst), "--eps", eps,

@@ -502,6 +502,7 @@ def test_simplicial_closes_a_three_point_p2_problem():
     assert sol.tolerance <= 1e-9
     assert sol.lower_bound <= 14.667466666666667 <= sol.value + 1e-12
 
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_simplicial_metamorphic(data):
