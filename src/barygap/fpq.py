@@ -53,8 +53,8 @@ another tuple class, instance or certificate sweep, or under a point or
 coordinate permutation, is looked up rather than solved again.  In one
 batch the misses of every q wait together, each distinct canonical problem
 is solved once, and the misses waiting are solved in rounds of bounded
-size.  ``_solve_canonical`` is the one place that picks an engine and
-forms stacks.
+size.  ``_solve_canonical`` is the one loop that picks every problem's
+method, closed forms and constants included, and forms the stacks.
 """
 
 from __future__ import annotations
@@ -190,9 +190,11 @@ def _canonical(points, lam, p, q):
 
 
 def _wobj(x, w, y, p, q, lam):
-    """Objective on reduced columns with multiplicities w."""
-    norms = ((np.abs(x - y[None, :]) ** q) * w[None, :]).sum(axis=1) ** (1.0 / q)
-    return float((lam * norms**p).sum())
+    """Objective on reduced columns with multiplicities w, batched over the
+    leading axes; each norm adds its columns in order, whatever x's layout."""
+    terms = (np.abs(x - y[..., None, :]) ** q) * w[..., None, :]
+    norms = np.cumsum(terms, axis=-1)[..., -1] ** (1.0 / q)
+    return (lam * norms**p).sum(axis=-1)
 
 
 def _sorted_columns(x):
@@ -226,17 +228,15 @@ def _conjugate_power_sum(g, p, lam):
 # ---------------------------------------------------------------------------
 # Engines
 
-
-def _solve_mean_22(x, w, lam):
-    if lam.sum() <= 0:
-        return np.zeros(x.shape[1]), 0.0
-    y = (lam[:, None] * x).sum(axis=0) / lam.sum()
-    return y, _wobj(x, w, y, 2.0, 2.0, lam)
+_NEWTON_STEPS = 100  # Newton steps a problem may take
+_SIMPLICIAL_CALLS = 100  # oracle calls a simplicial decomposition may make
+_RADII_STEPS = 50  # least-distance steps a radii problem may take
 
 
-def _solve_median_q1p1(x, w, lam):
-    y = _weighted_median_columns(*_sorted_columns(x[None]), lam[None])[0]
-    return y, _wobj(x, w, y, 1.0, 1.0, lam)
+def _closed(f, lower, tol):
+    """The iterative engines' stop test at unit scale: the gap f - lower is
+    at most tol, or at most 8 ulps of f, which rounding cannot close."""
+    return f - lower <= np.maximum(tol, 8 * math.ulp(1.0) * f)
 
 
 def _dual_norms(u, w, q):
@@ -271,13 +271,14 @@ def _levenberg_marquardt(f, f_trial, pred, mu):
     return rho, mu
 
 
-def _newton(pts, mass, w, p, q, tol, max_steps=100):
+def _newton(pts, mass, w, p, q, tol):
     """Damped Newton for 1 < q < inf on a stack of T problems of one shape.
 
     ``pts`` (T, k, c) holds each problem's k >= 2 distinct points, ``mass``
     (T, k) their positive weights and ``w`` (T, c) the column
     multiplicities.  Each problem starts from its weighted mean, at unit
-    scale, and stops once its Fenchel gap is <= tol.  The Hessian takes
+    scale, and stops once its Fenchel gap passes ``_closed`` or after
+    ``_NEWTON_STEPS`` steps.  The Hessian takes
     |v_c| and ||v_i|| at >= 1e-12, Levenberg-Marquardt damping follows the
     ratio of actual to predicted decrease, and a step that crosses a kink
     competes with the reweighted-least-squares (majorizing) step.  At p = 1
@@ -363,7 +364,7 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
         ids = live[rows]
         y_out[ids], lower_out[ids], steps_out[ids] = y[rows], lower[rows], steps
 
-    for steps in range(max_steps + 1 if len(live) else 0):
+    for steps in range(_NEWTON_STEPS + 1):
         if p == 1:  # Armijo backtracking from the nearest data point
             near = n.min(axis=1) < 1e-3
             if near.any():
@@ -398,9 +399,7 @@ def _newton(pts, mass, w, p, q, tol, max_steps=100):
         split = u - coef[:, :, None] * (rank[:, :, None] * bs[:, :, None] * b + diag * s[:, None])
         split -= share * split.sum(axis=1)[:, None, :]
         lower = np.maximum(lower, _fenchel_bound(v, split, wk, mass, p, q))
-        done = f - lower <= tol
-        if steps == max_steps:
-            done[:] = True
+        done = _closed(f, lower, tol) | (steps == _NEWTON_STEPS)
         stop = done.any()
         if stop:  # recorded before any move; finished rows ride along
             finish(done, steps)
@@ -496,7 +495,7 @@ def _nnls(A, b):
             u[back], free[back] = np.where(fb, ub, 0.0), fb
 
 
-def _simplicial(pts, mass, w, p, q, tol, max_steps=100):
+def _simplicial(pts, mass, w, p, q, tol):
     """Simplicial decomposition for q = 1, p > 1 on a stack of T problems of one shape.
 
     ``pts`` (T, k, c), ``mass`` (T, k) and ``w`` (T, c) are as for
@@ -506,7 +505,8 @@ def _simplicial(pts, mass, w, p, q, tol, max_steps=100):
     Each step calls the oracle, a per-column weighted median with the
     weights g = grad phi(t), whose point joins the atoms and whose value
     gives the Fenchel lower bound g . t_s - phi*(g); a problem stops once
-    phi(t) is within tol of its best bound.  The step then minimizes the
+    phi(t) and its best bound pass ``_closed`` or after
+    ``_SIMPLICIAL_CALLS`` calls.  The step then minimizes the
     separable second-order model of phi at t over the hull of the atoms
     (von Hohenbalken, Math. Programming 1977): with curvature a (taken at
     t >= floor) and unconstrained minimizer m = t - g / a, that is the
@@ -538,8 +538,7 @@ def _simplicial(pts, mass, w, p, q, tol, max_steps=100):
     ys[:, 0] = np.clip(0.0, zs[:, 0], zs[:, -1])
     ts[:, 0], alpha[:, 0] = dists(ys[:, 0]), 1.0
     lower, mu = np.full(T, -math.inf), np.ones(T)
-    e_last = np.zeros(k + 1)
-    e_last[k] = 1.0
+    e_last = np.eye(k + 1)[k]
     floor = 1e-12 ** (1.0 / p)
 
     def leave(rows, calls):  # record the rows of a mask and drop them from the stack
@@ -552,16 +551,14 @@ def _simplicial(pts, mass, w, p, q, tol, max_steps=100):
             arr[keep] for arr in (live, z, order, zs, wk, mass, tol, ys, ts, alpha, lower, mu)
         )
 
-    for calls in range(1, max_steps + 1):
+    for calls in range(1, _SIMPLICIAL_CALLS + 1):
         t = (alpha[:, :, None] * ts).sum(axis=1)
         f = (mass * t**p).sum(axis=1)
         g = mass * p * t ** (p - 1.0)
         y_s = _weighted_median_columns(order, zs, g)
         t_s = dists(y_s)
         lower = np.maximum(lower, (g * t_s).sum(axis=1) - _conjugate_power_sum(g, p, mass))
-        done = f - lower <= tol
-        if calls == max_steps:
-            done[:] = True
+        done = _closed(f, lower, tol) | (calls == _SIMPLICIAL_CALLS)
         if done.any():
             leave(done, calls)
             if not len(live):
@@ -648,9 +645,9 @@ def _pair_rows(k):
     return B, i, l
 
 
-def _radii(D, lam, p, tol, max_steps=50):
+def _radii(D, lam, p, tol):
     """min sum lam_i t_i^p over the radii polyhedron {t >= 0, t_i + t_l >= D_il},
-    for a stack of T problems with k points each: D (T, k, k), lam (T, k) > 0.
+    for a stack of T problems with k points each: D (T, k, k) != 0, lam (T, k) > 0.
 
     Each step minimizes a separable quadratic model of the objective at t
     exactly over the polyhedron, as a least-distance problem solved by NNLS
@@ -664,58 +661,50 @@ def _radii(D, lam, p, tol, max_steps=50):
     which ends finitely on an LP (Ferris, Math. Programming 1991): from an
     optimal t the step stays put and its multipliers are LP dual optimal.
     The model's pair multipliers z >= 0, scaled down at p = 1 until
-    s <= lam, give the dual bound h(z).  A problem stops once its gap is at
-    most tol or a few ulps of its value, when a step neither lowers the
-    value nor raises the bound, or when rounding has eaten the
+    s <= lam, give the dual bound h(z).  A problem stops once its gap passes
+    ``_closed``, after ``_RADII_STEPS`` steps, when a step neither lowers
+    the value nor raises the bound, or when rounding has eaten the
     least-distance solution.  The problems run in lockstep, one stacked
     NNLS a step, and a problem leaves the stack when it stops; every sum
     works within one problem's row.  Its radii are then tightened
     (``_tighten``, a function of the radii and D alone, so an entry's value
-    still depends only on its memo key), and their sum lam t^p is rounded
-    up by (k + 1) ulps so that it bounds the exact sum.  Returns (radii,
-    that sum, the best bound capped at it, steps), one row per problem.
+    still depends only on its memo key).  Returns (radii, best bound,
+    steps), one row per problem.
     """
     T, k = lam.shape
     top = D.max(axis=(1, 2))
-    radii, values, bounds, steps_out = np.zeros((T, k)), np.zeros(T), np.zeros(T), np.zeros(T, dtype=int)
-    live = np.flatnonzero(top > 0)  # the others are solved by t = 0
-    if not len(live):
-        return radii, values, bounds, steps_out
     # solve at unit scale: radii in units of top, values in units of top^p lam.max()
-    unit = top[live] ** p * lam[live].max(axis=1)
-    Dn, lamn = D[live] / top[live, None, None], lam[live] / lam[live].max(axis=1)[:, None]
+    unit = top**p * lam.max(axis=1)
+    Dn, lamn = D / top[:, None, None], lam / lam.max(axis=1)[:, None]
     tol = tol / unit
     B, i, l = _pair_rows(k)
     m = len(i)
-    lo = np.concatenate([Dn[:, i, l], np.zeros((len(live), k))], axis=1)  # G t >= lo, G = [B; I]
+    lo = np.concatenate([Dn[:, i, l], np.zeros((T, k))], axis=1)  # G t >= lo, G = [B; I]
     GT = np.hstack([B.T, np.eye(k)])
-    e_last = np.zeros(k + 1)
-    e_last[k] = 1.0
-    floor, ulps = 1e-12 ** (1.0 / p), 8 * np.finfo(float).eps
-    t_out, lower_out = np.zeros((len(live), k)), np.zeros(len(live))
-    at = np.arange(len(live))  # each running problem's row in t_out
+    e_last = np.eye(k + 1)[k]
+    floor = 1e-12 ** (1.0 / p)
+    t_out, lower_out, steps_out = np.zeros((T, k)), np.zeros(T), np.zeros(T, dtype=int)
+    live = np.arange(T)
 
     def phi(t):
         return (lamn * t**p).sum(axis=1)
 
     t = _make_feasible(0.5 * Dn.max(axis=2), Dn)
-    upper, lower = phi(t), np.zeros(len(live))  # h(0) = 0
+    upper, lower = phi(t), np.zeros(T)  # h(0) = 0
 
     def leave(rows, steps):  # record the rows of a mask and drop them from the stack
-        nonlocal at, Dn, lamn, tol, lo, t, upper, lower
-        t_out[at[rows]], lower_out[at[rows]], steps_out[live[at[rows]]] = t[rows], lower[rows], steps
+        nonlocal live, Dn, lamn, tol, lo, t, upper, lower
+        t_out[live[rows]], lower_out[live[rows]], steps_out[live[rows]] = t[rows], lower[rows], steps
         keep = ~rows
-        at, Dn, lamn, tol, lo, t, upper, lower = (
-            arr[keep] for arr in (at, Dn, lamn, tol, lo, t, upper, lower)
+        live, Dn, lamn, tol, lo, t, upper, lower = (
+            arr[keep] for arr in (live, Dn, lamn, tol, lo, t, upper, lower)
         )
 
-    for steps in range(max_steps + 1):
-        done = upper - lower <= np.maximum(tol, ulps * upper)
-        if steps == max_steps:
-            done[:] = True
+    for steps in range(_RADII_STEPS + 1):
+        done = _closed(upper, lower, tol) | (steps == _RADII_STEPS)
         if done.any():
             leave(done, steps)
-            if not len(at):
+            if not len(live):
                 break
         if p == 1:
             g, a = lamn, lamn / 2.0**steps
@@ -732,7 +721,7 @@ def _radii(D, lam, p, tol, max_steps=50):
         lost = ~(den > 0)  # the least-distance problem is lost in rounding
         if lost.any():
             leave(lost, steps + 1)
-            if not len(at):
+            if not len(live):
                 break
             keep = ~lost
             c, sa, E, u, den = c[keep], sa[keep], E[keep], u[keep], den[keep]
@@ -743,7 +732,7 @@ def _radii(D, lam, p, tol, max_steps=50):
         bound = (lo[:, :m] * z).sum(axis=1) - _conjugate_power_sum(s, p, lamn)
         d = np.maximum(c + sa * (E[:, :k] * u[:, None, :]).sum(axis=2) / den[:, None], 0.0) - t
         slope = (p * lamn * t ** (p - 1.0) * d).sum(axis=1)
-        alpha = np.ones(len(at))
+        alpha = np.ones(len(live))
         while True:
             back = (phi(t + alpha[:, None] * d) > upper + 1e-4 * alpha * slope) & (alpha > 1e-10)
             if not back.any():
@@ -757,14 +746,10 @@ def _radii(D, lam, p, tol, max_steps=50):
         t[better], upper[better] = t_new[better], f_new[better]
         if stalled.any():
             leave(stalled, steps + 1)
-            if not len(at):
+            if not len(live):
                 break
-    for row, j in enumerate(live):
-        t = _tighten(t_out[row] * top[j], D[j])
-        radii[j] = t
-        values[j] = float((lam[j] * t**p).sum()) * (1.0 + (k + 1) * np.finfo(float).eps)
-        bounds[j] = min(lower_out[row] * unit[row], values[j])
-    return radii, values, bounds, steps_out
+    radii = np.array([_tighten(t, d) for t, d in zip(t_out * top[:, None], D)])
+    return radii, lower_out * unit, steps_out
 
 
 def _canonical_qinf(points, lam, p):
@@ -828,53 +813,67 @@ def _certified(method, value, y, lower, steps, tol):
     return FpqSolution(value, y, value - lower, method, lower)
 
 
+def _merged_rows(x, lam):
+    """The distinct rows of x with positive weight, and their weights added."""
+    keep = lam > 0
+    rows, _, inv, _ = unique_columns(x[keep].T)
+    return rows.T, np.bincount(inv, lam[keep])
+
+
 def _solve_canonical(problems, tol):
     """Solutions of canonical problems (x, w, lam, p, q), in order.
 
-    The one place that picks an engine and forms stacks.  At q = inf, x is
-    the (k, k) distance matrix of ``_canonical_qinf`` (w is None) and the
-    minimizer is the radii; otherwise it is in the canonical columns.  The
-    closed forms are solved here one by one.  For Newton (1 < q < inf but
-    p = q = 2) and simplicial decomposition (q = 1, p > 1) weightless rows
-    are dropped and equal rows merged, their weights added, and a problem
-    left with one point is solved there.  Every other problem goes to its iterative
-    engine in one stack per (engine, p, q, shape): radii per k, the others
-    per merged (k, c).
+    The one loop over canonical problems.  At q = inf, x is the (k, k)
+    distance matrix of ``_canonical_qinf`` (w is None) and the minimizer is
+    the radii; otherwise it is in the canonical columns.  A problem is
+    ``constant``, solved by zero radii, its weighted point or any point
+    when none has weight, when fewer than two distinct points of positive
+    weight remain (at q = inf: when every distance is 0).  The closed forms
+    take the canonical rows, Newton and simplicial decomposition the
+    weighted rows with equal ones merged.  An iterative engine stops once
+    its gap is at most tol or 8 ulps of the value (``_closed``), or at its
+    step cap.  Each stack of one (method, p, q, shapes) is solved by one
+    call and valued by one batched objective on the canonical rows:
+    ``_wobj``, or at q = inf the radii sum lam t^p rounded up by (k + 1)
+    ulps, so that it bounds the exact sum.
     """
     out, stacks = [None] * len(problems), {}
     for i, (x, w, lam, p, q) in enumerate(problems):
-        if q == math.inf:
-            stacks.setdefault(("linf-radii", p, q, x.shape), []).append((i, x, lam, w))
-            continue
-        if x.shape[1] == 0:
-            out[i] = FpqSolution(0.0, np.zeros(0), 0.0, "constant", 0.0)
-        elif p == 2 and q == 2:
-            y, val = _solve_mean_22(x, w, lam)
-            out[i] = FpqSolution(val, y, 0.0, "closed-form-22", val)
-        elif q == 1 and p == 1:
-            y, val = _solve_median_q1p1(x, w, lam)
-            out[i] = FpqSolution(val, y, 0.0, "coordinate-q1", val)
+        held, a, mass = x[lam > 0], x, lam
+        if (not x.any() if q == math.inf else (held == held[:1]).all()):
+            method, a = "constant", held[:1]  # the weighted point, if any
+        elif q == math.inf:
+            method = "linf-radii"
+        elif p == q == 1 or p == q == 2:
+            method = "coordinate-q1" if p == 1 else "closed-form-22"
         else:
             method = "simplicial-decomposition" if q == 1 else "newton"
-            keep = lam > 0
-            rows, _, inv, _ = unique_columns(x[keep].T)  # equal points merge into one
-            pts, mass = rows.T, np.bincount(inv, lam[keep])
-            if len(pts) < 2:
-                y = (pts if len(pts) else x)[0].copy()
-                out[i] = _certified(method, _wobj(x, w, y, p, q, lam), y, 0.0, 0, tol)
-            else:
-                stacks.setdefault((method, p, q, pts.shape), []).append((i, pts, mass, w))
-    for (method, p, q, _), stack in stacks.items():
-        rows, a, mass, w = zip(*stack)
+            a, mass = _merged_rows(x, lam)
+        stacks.setdefault((method, p, q, a.shape, x.shape), []).append((i, a, mass, x, w, lam))
+    for (method, p, q, _, _), stack in stacks.items():
+        ids, a, mass, x, w, lam = map(np.array, zip(*stack))
+        lower = steps = None  # the closed forms and the constants are exact
         if method == "linf-radii":
-            y, values, lower, steps = _radii(np.array(a), np.array(mass), p, tol)
+            y, lower, steps = _radii(a, mass, p, tol)
+        elif method == "newton":
+            y, lower, steps = _newton(a, mass, w, p, q, tol)
+        elif method == "simplicial-decomposition":
+            y, lower, steps = _simplicial(a, mass, w, p, q, tol)
+        elif method == "closed-form-22":
+            y = (mass[:, :, None] * a).sum(axis=1) / mass.sum(axis=1)[:, None]
+        elif method == "coordinate-q1":
+            y = _weighted_median_columns(*_sorted_columns(a), mass)
+        else:  # constant
+            y = np.zeros(x.shape[:2]) if q == math.inf else (a if a.shape[1] else x)[:, 0]
+        if q == math.inf:
+            value = (lam * y**p).sum(axis=1) * (1.0 + (lam.shape[1] + 1) * np.finfo(float).eps)
         else:
-            engine = _newton if method == "newton" else _simplicial
-            y, lower, steps = engine(np.array(a), np.array(mass), np.array(w), p, q, tol)
-        for at, i in enumerate(rows):
-            x, w, lam = problems[i][:3]
-            value = float(values[at]) if method == "linf-radii" else _wobj(x, w, y[at], p, q, lam)
-            out[i] = _certified(method, value, y[at], lower[at], steps[at], tol)
+            value = np.zeros(len(ids)) if method == "constant" else _wobj(x, w, y, p, q, lam)
+        for j, (i, v) in enumerate(zip(ids, value.tolist())):
+            if lower is None:
+                out[i] = FpqSolution(v, y[j], 0.0, method, v)
+            else:
+                out[i] = _certified(method, v, y[j], lower[j], steps[j], tol)
     return out
 
 
@@ -948,16 +947,16 @@ def solve_fpq_values(probs, tol: float = 1e-8):
 def solve_fpq(prob: FpqProblem, tol: float = 1e-8) -> FpqSolution:
     """Minimize sum_i w_i ||z_i - y||_q^p over y.
 
-    ``tol`` is the accuracy target, and every path but the closed forms
-    reports ``tolerance`` = value - lower_bound, a certified gap, with the
-    bound rounded down by a few ulps of the value.  Simplicial
-    decomposition (q = 1) stops once it is at most ``tol``, at a fixed point
-    of its steps or after 100 oracle calls; at
-    q = inf the radii problem takes at most 50 NNLS steps (proximal point
-    steps at p = 1, SQP steps at p > 1), stopped once the gap is at most
-    ``tol`` or a few ulps of the value, and ``lower_bound`` is the Lagrange
-    dual at a point z >= 0; at q in (1, inf) damped Newton stops once its
-    Fenchel dual bound is within ``tol`` or after 100 steps.  A memoized
+    ``tol`` is the accuracy target.  The closed forms and the constant
+    problems (fewer than two distinct points of positive weight) report
+    tolerance 0; every other path reports ``tolerance`` = value -
+    lower_bound, a certified gap, with the bound rounded down by a few ulps
+    of the value, and stops once that gap is at most ``tol`` or 8 ulps of
+    the value: simplicial decomposition (q = 1) also at a fixed point of
+    its steps or after 100 oracle calls; at q = inf the radii problem after
+    50 NNLS steps (proximal point steps at p = 1, SQP steps at p > 1), and
+    ``lower_bound`` is the Lagrange dual at a point z >= 0; at q in (1, inf)
+    damped Newton, with a Fenchel dual bound, after 100 steps.  A memoized
     solution of the same canonical problem (at q = inf: the same weights
     and pairwise distances) is reused when its gap is at most ``tol``;
     otherwise the canonical problem is solved alone and remembered.

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 import barygap.chub
@@ -62,13 +61,11 @@ def newton_solve(prob, tol=1e-8):
     points goes to ``solve_fpq``."""
     fpq = barygap.fpq
     (x, w, lam, p, q), _, place = fpq._canonical_problem(prob)
-    keep = lam > 0
-    rows, _, inv, _ = fpq.unique_columns(x[keep].T)
-    if rows.shape[1] < 2:
+    pts, mass = fpq._merged_rows(x, lam)
+    if len(pts) < 2:
         return fpq.solve_fpq(prob, tol)
-    mass = np.bincount(inv, lam[keep])
-    (y,), (lower,), (steps,) = fpq._newton(rows.T[None], mass[None], w[None], p, q, tol)
-    return place(fpq._certified("newton", fpq._wobj(x, w, y, p, q, lam), y, lower, steps, tol))
+    (y,), (lower,), (steps,) = fpq._newton(pts[None], mass[None], w[None], p, q, tol)
+    return place(fpq._certified("newton", float(fpq._wobj(x, w, y, p, q, lam)), y, lower, steps, tol))
 
 
 SWEEP_PQS = [(2, 2), (1, 2), (2, 1.5), (1, 1), (2, 1), (1, math.inf), (2, math.inf)]

@@ -414,7 +414,7 @@ def test_linf_p_above_1_makes_no_lp_call(monkeypatch):
 def test_linf_radii_log_an_open_gap(monkeypatch, caplog):
     # the step cap at 0: both problems of the one radii stack stop open, and
     # each logs its own DEBUG record
-    monkeypatch.setattr(barygap.fpq._radii, "__defaults__", (0,))
+    monkeypatch.setattr(barygap.fpq, "_RADII_STEPS", 0)
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     for p in (1, 2):
         caplog.clear()
@@ -455,7 +455,7 @@ def test_linf_radii_at_large_scales(monkeypatch, scale, p):
     # ulps of the value: the loop must stop in time, cleanly, with a bound
     # still at or below the optimum
     steps = _counting(monkeypatch, "_nnls")  # one least-distance solve a step of each problem
-    max_steps = barygap.fpq._radii.__defaults__[0]
+    max_steps = barygap.fpq._RADII_STEPS
     rng = np.random.default_rng(4)
     for i in range(40):
         k, d = int(rng.integers(2, 7)), int(rng.integers(1, 6))
@@ -533,7 +533,7 @@ def test_simplicial_metamorphic(data):
 def test_simplicial_logs_an_open_gap(monkeypatch, caplog):
     # the oracle-call cap at 1: both problems of the one simplicial stack
     # stop open, and each logs its own DEBUG record
-    monkeypatch.setattr(barygap.fpq._simplicial, "__defaults__", (1,))
+    monkeypatch.setattr(barygap.fpq, "_SIMPLICIAL_CALLS", 1)
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
         values, lower = solve_fpq_values([FpqProblem(pts, 2, 1), FpqProblem(2 * pts, 2, 1)], tol=1e-9)
@@ -639,7 +639,7 @@ def test_fenchel_bound_is_below_every_objective_value(data):
 def test_newton_logs_an_open_gap(monkeypatch, caplog):
     # the batched engine's step cap at 0: both problems of the one stack stop
     # open, and each logs its own DEBUG record
-    monkeypatch.setattr(barygap.fpq._newton, "__defaults__", (0,))
+    monkeypatch.setattr(barygap.fpq, "_NEWTON_STEPS", 0)
     pts = np.array([[0.0, 0.0], [1.0, 3.0], [4.0, 1.0]])
     with caplog.at_level(logging.DEBUG, logger="barygap.fpq"):
         values, lower = solve_fpq_values([FpqProblem(pts, 2, 1.5), FpqProblem(2 * pts, 2, 1.5)], tol=1e-9)
@@ -931,6 +931,51 @@ def test_lower_bounds_never_lie_above_their_values():
         sol = solve_fpq(prob, tol=1e-9)
         assert (sol.value, sol.lower_bound) == (value, bound)
         assert sol.tolerance == sol.value - sol.lower_bound
+
+
+def test_newton_stops_at_a_gap_that_rounding_cannot_close():
+    # two equal-weight points scaled by 1e3: their weighted mean is the
+    # optimum, and the gap there is a few ulps of a value near 2e10, above
+    # the absolute tol 1e-6.  Stopped by tol alone, Newton spends 25 damped
+    # steps on each until its damping passes 1e12; the stop floor of 8 ulps
+    # of the value ends it at the start, with an interval as tight as the floor
+    for seed in (2, 3, 4, 5):
+        x = np.random.default_rng(seed).normal(size=(2, 7)) * 1e3
+        _, _, (steps,) = barygap.fpq._newton(x[None], np.ones((1, 2)), np.ones((1, 7)), 3, 2, 1e-6)
+        assert steps == 0
+        sol = solve_fpq(FpqProblem(x, 3, 2), tol=1e-6)
+        assert sol.method == "newton"
+        assert 0 <= sol.tolerance <= 16 * np.finfo(float).eps * sol.value
+
+
+def _degenerate_problems():
+    # every weight 0, one weighted point among weightless ones, all points
+    # equal; at q in {1, 1.5, 2, inf} and p in {1, 2}
+    x = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5], [1.0, 1.0, -2.0], [3.0, -1.0, 0.5]])
+    cases = [(x, np.zeros(4)), (x, np.array([0.0, 2.5, 0.0, 0.0])), (np.repeat(x[2:3], 4, axis=0), None)]
+    return [FpqProblem(pts, p, q, weights=w)
+            for pts, w in cases for p in (1, 2) for q in (1, 1.5, 2, math.inf)]
+
+
+def test_fewer_than_two_weighted_points_make_a_constant_problem():
+    # the optimum is 0, attained at a weighted point (any point when no
+    # point has weight): alone, each problem reports it exactly, and inside
+    # a batch with ordinary problems its value and bound are 0
+    probs = _degenerate_problems()
+    for prob in probs:
+        barygap.fpq._MEMO.clear()
+        sol = solve_fpq(prob, tol=1e-9)
+        assert (sol.method, sol.value, sol.lower_bound, sol.tolerance) == ("constant", 0.0, 0.0, 0.0)
+        rows = prob.points if prob.weights is None or not prob.weights.any() else \
+            prob.points[prob.weights > 0]
+        assert any(np.array_equal(sol.minimizer, row) for row in rows)
+    barygap.fpq._MEMO.clear()
+    ordinary = [FpqProblem(np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 3.0]]), p, q)
+                for p in (1, 2) for q in (1, 1.5, 2, math.inf)]
+    values, lower = solve_fpq_values(ordinary + probs + ordinary, tol=1e-9)
+    n = len(ordinary)
+    assert (values[n:-n] == 0).all() and (lower[n:-n] == 0).all()
+    assert (values[:n] > 0).all() and (values[:n] == values[-n:]).all()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

@@ -42,3 +42,31 @@ def test_fpq_imports_no_scipy():
             continue
         found += [f"fpq.py:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_one_engine_dispatcher():
+    # fpq._solve_canonical is the one loop that forms engine stacks: no other
+    # code in the package names an iterative engine, and no fpq function
+    # takes a step cap (the caps are module constants the engines read)
+    engines = {"_newton", "_simplicial", "_radii"}
+    found = []
+    for name, tree in _trees().items():
+        for top in tree.body:
+            where = f"{name[:-3]}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    refs = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    refs = [alias.name for alias in node.names]
+                else:
+                    continue
+                if engines.intersection(refs) and where != "fpq._solve_canonical":
+                    found.append(f"{where}:{node.lineno}")
+    for node in ast.walk(_trees()["fpq.py"]):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            if "max_steps" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                found.append(f"fpq.py:{node.lineno} max_steps")
+    assert found == []
